@@ -4,29 +4,24 @@ problems on the reference square, with algebraic dual polynomial bases."""
 from .basis1d import (
     NodeSet1D,
     QuadratureRule1D,
-    BasisEval1D,
     gll_nodes,
     gauss_rule,
     legendre_eval,
     lagrange_eval,
     lagrange_deriv,
     edge_eval,
-    tabulate,
 )
 from .operators2d import (
     DofLayout,
     build_incidence,
     build_trace,
     side_dof_indices,
-    boundary_arclength_map,
 )
 from .galerkin import (
     GramSet,
     assemble_mass0,
     assemble_mass1,
-    assemble_mass0_direct,
     assemble_boundary_mass,
-    dual_mass,
     spd_solve,
 )
 from .curlcurl import (

@@ -21,14 +21,12 @@ import numpy as np
 __all__ = [
     "NodeSet1D",
     "QuadratureRule1D",
-    "BasisEval1D",
     "legendre_eval",
     "gll_nodes",
     "gauss_rule",
     "lagrange_eval",
     "lagrange_deriv",
     "edge_eval",
-    "tabulate",
 ]
 
 
@@ -48,19 +46,6 @@ class QuadratureRule1D:
 
     points: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class BasisEval1D:
-    """Tables of the 1D bases at M evaluation points.
-
-    H: (N+1, M) nodal values h_i, D: (N+1, M) derivatives dh_i/dx,
-    E: (N, M) edge values e_i.
-    """
-
-    H: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
 
 
 def legendre_eval(N, x):
@@ -180,13 +165,3 @@ def edge_eval(ns, x):
     D = lagrange_deriv(ns, x)
     E = -np.cumsum(np.atleast_2d(D.T).T, axis=0)[:-1]
     return E[:, 0] if np.asarray(x).ndim == 0 else E
-
-
-def tabulate(ns, x):
-    """Tabulate H, D and E at the points x."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    return BasisEval1D(
-        H=lagrange_eval(ns, pts),
-        D=lagrange_deriv(ns, pts),
-        E=edge_eval(ns, pts),
-    )

@@ -29,6 +29,11 @@ __all__ = [
     "StudyConfig",
     "StudyReport",
     "DegreeRecord",
+    "INVARIANTS",
+    "INCIDENCE_N3",
+    "TRACE_N3",
+    "equivalence_residual",
+    "norm_gap",
     "run_study",
     "emit_fig2",
     "self_check",
@@ -83,6 +88,17 @@ def _fmt(v):
     return f"{v:.12g}"
 
 
+def equivalence_residual(sol, disc):
+    """||Et - M1 E10 F|| / ||Et||: how far the dual solve is from curl F^h."""
+    ref = disc.gram.M1 @ disc.E10 @ sol.neumann
+    return float(np.linalg.norm(sol.dirichlet - ref) / np.linalg.norm(sol.dirichlet))
+
+
+def norm_gap(nF, nE):
+    """|nF - nE| / nF: the relative gap between the two H(curl) norms."""
+    return abs(nF - nE) / nF
+
+
 def run_study(cfg, log=print):
     """Solve both problems for N = 1..max_degree with the exponential test
     data; record norms, errors and the equivalence residual, and write
@@ -96,10 +112,6 @@ def run_study(cfg, log=print):
         sol = cc.solve_both(bd, disc)
         nF = cc.norm_F(sol.neumann, disc)
         nE = cc.norm_E(sol.dirichlet, bd, disc)
-        ref = disc.gram.M1 @ disc.E10 @ sol.neumann
-        eq = float(
-            np.linalg.norm(sol.dirichlet - ref) / np.linalg.norm(sol.dirichlet)
-        )
         errF, errE = cc.error_norms(sol, exact, disc, boost=cfg.quadrature_boost)
         records.append(
             DegreeRecord(
@@ -108,7 +120,7 @@ def run_study(cfg, log=print):
                 normE=nE,
                 errF=errF,
                 errE=errE,
-                equivalence_residual=eq,
+                equivalence_residual=equivalence_residual(sol, disc),
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
@@ -188,40 +200,42 @@ def emit_matrices(cfg, N=3):
                    [tuple(int(v) for v in row) for row in M])
 
 
-def _expected_incidence_n3():
-    E = np.zeros((24, 16), dtype=np.int64)
-    for r in range(12):
-        E[r, r] = -1
-        E[r, r + 4] = 1
-    for b in range(4):
-        for k in range(3):
-            E[12 + 3 * b + k, 4 * b + k] = 1
-            E[12 + 3 * b + k, 4 * b + k + 1] = -1
-    return E
+# the printed N=3 operators, written out entry for entry: the 24x16
+# incidence matrix and the 12x16 boundary restriction, whose rows select
+# nodes 1,2,3,4, 8,12,16, 15,14,13, 9,5 (1-based) counter-clockwise
+INCIDENCE_N3 = np.array([
+    [-1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1],
+    [1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1],
+], dtype=np.int64)
+TRACE_N3 = np.eye(16, dtype=np.int64)[
+    np.array([1, 2, 3, 4, 8, 12, 16, 15, 14, 13, 9, 5]) - 1
+]
 
 
-def _expected_trace_n3():
-    T = np.zeros((12, 16), dtype=np.int64)
-    for r, c in enumerate([0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4]):
-        T[r, c] = 1
-    return T
-
-
-def self_check(cfg, log=print, incidence_builder=build_incidence):
-    """Run the invariant suite; returns True iff everything passes.
-
-    `incidence_builder` is a test hook: swapping in a broken builder must
-    make the fixture comparison fail.
-    """
-    checks = []
-
-    def check(name, residual, tol):
-        ok = residual <= tol
-        checks.append(ok)
-        log(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} "
-            f"(tol {tol:.0e})")
-
-    # edge-basis Kronecker integrals over the node intervals
+def _edge_kronecker_residual():
+    """Edge-basis integrals over the node intervals against the identity."""
     worst = 0.0
     for N in range(1, 13):
         ns = gll_nodes(N)
@@ -232,9 +246,11 @@ def self_check(cfg, log=print, incidence_builder=build_incidence):
             pts = 0.5 * (b - a) * q.points + 0.5 * (a + b)
             rows.append(edge_eval(ns, pts) @ q.weights * 0.5 * (b - a))
         worst = max(worst, float(np.abs(np.column_stack(rows) - np.eye(N)).max()))
-    check("edge-basis interval integrals = identity (N=1..12)", worst, 1e-12)
+    return worst
 
-    # biorthogonality of the dual volume basis, exact-quadrature masses
+
+def _volume_biorthogonality_residual():
+    """Dual volume basis against the primal nodal one, exact-quadrature masses."""
     worst = 0.0
     for N in range(1, 9):
         ns = gll_nodes(N)
@@ -245,40 +261,61 @@ def self_check(cfg, log=print, incidence_builder=build_incidence):
         P0 = psi0_table(ns, X.ravel(), Y.ravel())
         D0 = gram.solve_mass0(P0)
         worst = max(worst, float(np.abs((D0 * w2) @ P0.T - np.eye(P0.shape[0])).max()))
-    check("dual/primal volume biorthogonality (N=1..8)", worst, 1e-12)
+    return worst
 
-    # printed N=3 operator fixtures
-    def fixture_gap(got, expected):
-        if got.shape != expected.shape:
-            return float("inf")
-        return float(np.abs(got - expected).max())
 
-    check("incidence matrix matches the N=3 fixture",
-          fixture_gap(incidence_builder(3), _expected_incidence_n3()), 0)
-    check("trace matrix matches the N=3 fixture",
-          fixture_gap(build_trace(3), _expected_trace_n3()), 0)
+def _fixture_gap(got, expected):
+    if got.shape != expected.shape:
+        return float("inf")
+    return float(np.abs(got - expected).max())
 
-    # equivalence of the two solves and equality of their norms
+
+def _exponential_solves():
+    """(disc, bd, sol) of the exponential pair for N=1..8."""
     exact = cc.exponential_pair()
-    worst_eq, worst_nm = 0.0, 0.0
+    out = []
     for N in range(1, 9):
         disc = cc.Discretization(N)
         bd = cc.project_boundary_data(exact, disc)
-        sol = cc.solve_both(bd, disc)
-        ref = disc.gram.M1 @ disc.E10 @ sol.neumann
-        worst_eq = max(
-            worst_eq,
-            float(np.linalg.norm(sol.dirichlet - ref) / np.linalg.norm(sol.dirichlet)),
-        )
-        nF = cc.norm_F(sol.neumann, disc)
-        nE = cc.norm_E(sol.dirichlet, bd, disc)
-        worst_nm = max(worst_nm, abs(nF - nE) / nF)
-    check("dual edge dofs equal M1 E10 F (N=1..8)", worst_eq, 1e-11)
-    check("norm of E^h equals norm of F^h (N=1..8)", worst_nm, 1e-11)
+        out.append((disc, bd, cc.solve_both(bd, disc)))
+    return out
 
-    ok = all(checks)
-    log(f"self-check: {sum(checks)}/{len(checks)} passed")
-    return ok
+
+# (name, residual function, tolerance), in the order --self-check runs them.
+# Each function takes the output of _exponential_solves, which self_check
+# computes once per run; only the last two entries read it.
+INVARIANTS = (
+    ("edge-basis interval integrals = identity (N=1..12)",
+     lambda solves: _edge_kronecker_residual(), 1e-12),
+    ("dual/primal volume biorthogonality (N=1..8)",
+     lambda solves: _volume_biorthogonality_residual(), 1e-12),
+    ("incidence matrix matches the N=3 fixture",
+     lambda solves: _fixture_gap(build_incidence(3), INCIDENCE_N3), 0),
+    ("trace matrix matches the N=3 fixture",
+     lambda solves: _fixture_gap(build_trace(3), TRACE_N3), 0),
+    ("dual edge dofs equal M1 E10 F (N=1..8)",
+     lambda solves: max(equivalence_residual(sol, disc) for disc, _, sol in solves),
+     1e-11),
+    ("norm of E^h equals norm of F^h (N=1..8)",
+     lambda solves: max(norm_gap(cc.norm_F(sol.neumann, disc),
+                                 cc.norm_E(sol.dirichlet, bd, disc))
+                        for disc, bd, sol in solves), 1e-11),
+)
+
+
+def self_check(log=print):
+    """Run the invariant registry; returns True iff every residual is
+    within its tolerance."""
+    solves = _exponential_solves()
+    passed = 0
+    for name, residual_fn, tol in INVARIANTS:
+        residual = residual_fn(solves)
+        ok = residual <= tol
+        passed += ok
+        log(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} "
+            f"(tol {tol:.0e})")
+    log(f"self-check: {passed}/{len(INVARIANTS)} passed")
+    return passed == len(INVARIANTS)
 
 
 def main(argv=None):
@@ -329,7 +366,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.self_check and not self_check(cfg):
+    if args.self_check and not self_check():
         return 1
     return 0
 

@@ -14,6 +14,10 @@ tangential trace n x E against the boundary loop basis, counter-clockwise
 with positive arclength measure.  The two solutions are linked exactly by
 Et = M1 E10 F, the discrete form of E = curl F, and carry equal
 H(curl) norms.
+
+Every function here takes the `Discretization` of the degree it works on;
+it is the only way a degree and a quadrature rule reach this module, so
+both solves, the norms and the errors always share the same operators.
 """
 
 from dataclasses import dataclass
@@ -22,14 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis1d import gauss_rule, gll_nodes, lagrange_eval
-from .galerkin import (
-    GramSet,
-    dual_psi1_table,
-    dual_psi2_table,
-    psi0_table,
-    psi1_table,
-    spd_solve,
-)
+from .galerkin import GramSet, psi0_table, psi1_table, spd_solve
 from .operators2d import build_incidence, build_trace, side_dof_indices
 
 __all__ = [
@@ -120,11 +117,19 @@ class Discretization:
         self.gram = GramSet(N, rule)
 
 
-def _disc(disc_or_N):
-    return disc_or_N if isinstance(disc_or_N, Discretization) else Discretization(disc_or_N)
+def _check(bd, disc):
+    """Reject boundary data that does not belong to `disc` or is not finite."""
+    n = 4 * disc.degree
+    if bd.degree != disc.degree or np.shape(bd.dofs) != (n,):
+        raise ValueError(
+            f"boundary data of degree {bd.degree} with {np.size(bd.dofs)} dofs "
+            f"does not match the degree-{disc.degree} discretization ({n} dofs)"
+        )
+    if not np.all(np.isfinite(bd.dofs)):
+        raise ValueError("boundary data dofs are not finite (NaN or inf)")
 
 
-def project_boundary_data(field, N, n_quad=None):
+def project_boundary_data(field, disc, n_quad=None):
     """Project the tangential trace n x E onto the boundary loop basis.
 
     Ehat_k = closed-loop integral of psi_k(s) * (n x E)(s) ds, traversed
@@ -132,7 +137,6 @@ def project_boundary_data(field, N, n_quad=None):
     is generally non-polynomial, so the per-side Gauss rule defaults to
     N+15 points.
     """
-    disc = _disc(N)
     N = disc.degree
     q = gauss_rule(n_quad if n_quad is not None else N + 15)
     H = lagrange_eval(disc.nodes, q.points)  # (N+1, M)
@@ -150,24 +154,23 @@ def project_boundary_data(field, N, n_quad=None):
     return BoundaryData(degree=N, dofs=dofs)
 
 
-def solve_neumann(bd, disc=None):
+def solve_neumann(bd, disc):
     """Primal solve: nodal dofs F from (E10^T M1 E10 + M0) F = -T^T Ehat."""
-    disc = _disc(disc if disc is not None else bd.degree)
+    _check(bd, disc)
     A = disc.E10.T @ disc.gram.M1 @ disc.E10 + disc.gram.M0
     return spd_solve(A, -disc.T.T @ bd.dofs)
 
 
-def solve_dirichlet(bd, disc=None):
+def solve_dirichlet(bd, disc):
     """Dual solve: edge dofs Et from
     (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat."""
-    disc = _disc(disc if disc is not None else bd.degree)
+    _check(bd, disc)
     M2d = disc.gram.M2_dual
     A = disc.E10 @ M2d @ disc.E10.T + disc.gram.M1_dual
     return spd_solve(A, -disc.E10 @ M2d @ (disc.T.T @ bd.dofs))
 
 
-def solve_both(bd, disc=None):
-    disc = _disc(disc if disc is not None else bd.degree)
+def solve_both(bd, disc):
     return Solution(
         degree=disc.degree,
         boundary=bd,
@@ -176,24 +179,20 @@ def solve_both(bd, disc=None):
     )
 
 
-def weak_curl(Et, bd, disc=None):
+def weak_curl(Et, bd, disc):
     """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat."""
-    disc = _disc(disc if disc is not None else bd.degree)
-    if Et.shape[0] != disc.E10.shape[0] or bd.dofs.shape[0] != disc.T.shape[0]:
-        raise ValueError("dof vector lengths do not match the degree")
+    _check(bd, disc)
     return disc.E10.T @ Et + disc.T.T @ bd.dofs
 
 
 def norm_F(F, disc):
     """H(curl) norm of the primal scalar field from its nodal dofs."""
-    disc = _disc(disc)
     c = disc.E10 @ F
     return float(np.sqrt(F @ disc.gram.M0 @ F + c @ disc.gram.M1 @ c))
 
 
-def norm_E(Et, bd, disc=None):
+def norm_E(Et, bd, disc):
     """H(curl) norm of the dual vector field from its edge dofs."""
-    disc = _disc(disc if disc is not None else bd.degree)
     w = weak_curl(Et, bd, disc)
     return float(
         np.sqrt(w @ disc.gram.solve_mass0(w) + Et @ disc.gram.solve_mass1(Et))
@@ -207,32 +206,36 @@ def reconstruct(kind, dofs, x, y, disc):
           "primal-curl"    -> psi1 E10 F              (vector: xi, eta)
           "dual-vector"    -> psi1 inv(M1) Et         (vector: xi, eta)
           "dual-weak-curl" -> psi0 inv(M0) w          (scalar)
+
+    The dual kinds solve the mass matrix against the dofs, not against
+    the basis table: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
     """
-    disc = _disc(disc)
     ns = disc.nodes
     dofs = np.asarray(dofs, dtype=float)
     if kind == "primal-scalar":
         return dofs @ psi0_table(ns, x, y)
-    if kind == "primal-curl":
-        Vxi, Veta = psi1_table(ns, x, y)
-        c = disc.E10 @ dofs
-        return c @ Vxi, c @ Veta
-    if kind == "dual-vector":
-        Vxi, Veta = dual_psi1_table(ns, disc.gram, x, y)
-        return dofs @ Vxi, dofs @ Veta
     if kind == "dual-weak-curl":
-        return dofs @ dual_psi2_table(ns, disc.gram, x, y)
-    raise ValueError(f"unknown reconstruction kind {kind!r}")
+        return disc.gram.solve_mass0(dofs) @ psi0_table(ns, x, y)
+    if kind == "primal-curl":
+        c = disc.E10 @ dofs
+    elif kind == "dual-vector":
+        c = disc.gram.solve_mass1(dofs)
+    else:
+        raise ValueError(f"unknown reconstruction kind {kind!r}")
+    Vxi, Veta = psi1_table(ns, x, y)
+    return c @ Vxi, c @ Veta
 
 
-def error_norms(sol, exact, disc=None, boost=15):
+def error_norms(sol, exact, disc, boost=15):
     """H(curl) errors (errF, errE) against the analytic pair.
 
     Uses a tensor Gauss grid with N+boost points per direction; the curl
     term of the dual error uses the weak-curl reconstruction and the
-    analytic scalar curl of E.
+    analytic scalar curl of E, so `exact` needs `scalar` and `vector_curl`.
     """
-    disc = _disc(disc if disc is not None else sol.degree)
+    missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
+    if missing:
+        raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
     N = disc.degree
     q = gauss_rule(N + boost)
     X, Y = np.meshgrid(q.points, q.points, indexing="ij")

@@ -1,8 +1,8 @@
-"""Gram (mass) matrices, their inverses as dual masses, and an SPD solver.
+"""Gram (mass) matrices, the nodal and edge basis tables, and an SPD solver.
 
 All matrices live on the reference square.  The interior masses have
-tensor-product structure (1D Gram factors combined with `kron`), which is
-also what makes the direct 2D-quadrature assembly a useful cross-check.
+tensor-product structure (1D Gram factors combined with `kron`), which a
+direct 2D-quadrature assembly can cross-check.
 
 Two quadrature rules are supported for assembly.  The default "gauss"
 rule (Gauss-Legendre, N+1 points per direction) is exact for every
@@ -11,6 +11,11 @@ collocated "lobatto" rule uses the GLL nodes themselves, which lumps the
 nodal Gram to diag(w); the published norm table was produced with that
 rule, so the solver pipeline defaults to it while the library-level
 contracts here are stated for the exact rule.
+
+The dual bases are never tabulated: a dual expansion with dofs d equals
+the primal expansion with coefficients inv(M) d, because M is symmetric,
+so one mass solve against the dof vector replaces a solve against a
+whole basis table.
 """
 
 from dataclasses import dataclass, field
@@ -26,15 +31,11 @@ __all__ = [
     "gram_edge_1d",
     "assemble_mass0",
     "assemble_mass1",
-    "assemble_mass0_direct",
     "assemble_boundary_mass",
-    "dual_mass",
     "spd_solve",
     "GramSet",
     "psi0_table",
     "psi1_table",
-    "dual_psi2_table",
-    "dual_psi1_table",
 ]
 
 
@@ -94,16 +95,6 @@ def assemble_mass1(N, rule="gauss"):
     return M1
 
 
-def assemble_mass0_direct(N, n_quad=None):
-    """Nodal mass by direct 2D quadrature; oracle for assemble_mass0."""
-    ns = gll_nodes(N)
-    q = gauss_rule(n_quad if n_quad is not None else N + 1)
-    X, Y = np.meshgrid(q.points, q.points, indexing="ij")
-    w2 = np.outer(q.weights, q.weights).ravel()
-    P0 = psi0_table(ns, X.ravel(), Y.ravel())
-    return (P0 * w2) @ P0.T
-
-
 def assemble_boundary_mass(N, rule="gauss"):
     """4Nx4N Gram of the boundary loop basis under the arclength measure.
 
@@ -117,20 +108,6 @@ def assemble_boundary_mass(N, rule="gauss"):
     for dofs in side_dof_indices(N).values():
         B[np.ix_(dofs, dofs)] += G
     return B
-
-
-def dual_mass(which, N, rule="gauss"):
-    """Explicit dual mass matrix: the inverse of the primal one.
-
-    which = "volume2" returns inv(M0); which = "edge1" returns inv(M1).
-    """
-    if which == "volume2":
-        M = assemble_mass0(N, rule)
-    elif which == "edge1":
-        M = assemble_mass1(N, rule)
-    else:
-        raise ValueError(f"unknown dual mass kind {which!r}")
-    return cho_solve(cho_factor(M), np.eye(M.shape[0]))
 
 
 def spd_solve(A, b):
@@ -203,14 +180,3 @@ def psi1_table(ns, x, y):
     Vxi = np.vstack([top, np.zeros((n, P))])
     Veta = np.vstack([np.zeros((n, P)), bot])
     return Vxi, Veta
-
-
-def dual_psi2_table(ns, gram, x, y):
-    """Dual volume basis values: rows of inv(M0) applied to psi0."""
-    return gram.solve_mass0(psi0_table(ns, x, y))
-
-
-def dual_psi1_table(ns, gram, x, y):
-    """Dual edge basis values (Vxi, Veta): inv(M1) applied to psi1."""
-    Vxi, Veta = psi1_table(ns, x, y)
-    return gram.solve_mass1(Vxi), gram.solve_mass1(Veta)

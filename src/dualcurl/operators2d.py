@@ -23,8 +23,6 @@ __all__ = [
     "build_incidence",
     "build_trace",
     "side_dof_indices",
-    "boundary_arclength_map",
-    "BoundaryDof",
 ]
 
 
@@ -120,48 +118,3 @@ def side_dof_indices(N):
         [0 if j == 0 else (3 * N if j == N else 4 * N - j) for j in range(N + 1)]
     )
     return {"S": south, "E": east, "N": north, "W": west}
-
-
-@dataclass(frozen=True)
-class BoundaryDof:
-    """One boundary dof: its node coordinates and the sides it lives on."""
-
-    index: int
-    coords: tuple
-    sides: tuple       # ("S",), or two sides for a corner
-    local: dict        # side -> 1D node index along that side
-
-
-def boundary_arclength_map(N, nodes=None):
-    """Describe the 4N boundary dofs in trace-row order.
-
-    `nodes` are the 1D GLL nodes (computed here if omitted); they fix the
-    physical coordinates.  Corner dofs are supported on two sides.
-    """
-    _check_degree(N)
-    if nodes is None:
-        from .basis1d import gll_nodes
-
-        nodes = gll_nodes(N).nodes
-    side_coord = {
-        "S": lambda k: (nodes[k], -1.0),
-        "E": lambda k: (1.0, nodes[k]),
-        "N": lambda k: (nodes[k], 1.0),
-        "W": lambda k: (-1.0, nodes[k]),
-    }
-    dof_sides = [{} for _ in range(4 * N)]
-    for side, dofs in side_dof_indices(N).items():
-        for k, d in enumerate(dofs):
-            dof_sides[d][side] = k
-    out = []
-    for d, local in enumerate(dof_sides):
-        side = next(iter(local))
-        out.append(
-            BoundaryDof(
-                index=d,
-                coords=side_coord[side](local[side]),
-                sides=tuple(sorted(local)),
-                local=local,
-            )
-        )
-    return out

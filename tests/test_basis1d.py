@@ -8,7 +8,6 @@ from dualcurl.basis1d import (
     lagrange_deriv,
     lagrange_eval,
     legendre_eval,
-    tabulate,
 )
 
 
@@ -214,13 +213,3 @@ class TestEdgeBasis:
         lhs = p @ lagrange_deriv(ns, x)
         rhs = np.diff(p) @ edge_eval(ns, x)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_tabulate_invariants():
-    ns = gll_nodes(4)
-    x = np.linspace(-0.9, 0.9, 11)
-    t = tabulate(ns, x)
-    assert t.H.shape == (5, 11) and t.D.shape == (5, 11) and t.E.shape == (4, 11)
-    np.testing.assert_allclose(t.H.sum(axis=0), 1.0, atol=1e-13)
-    np.testing.assert_allclose(t.D.sum(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_array_equal(tabulate(ns, ns.nodes).H, np.eye(5))

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
+from dualcurl import cli
 from dualcurl.cli import (
+    INVARIANTS,
     StudyConfig,
     emit_fig2,
     emit_matrices,
@@ -10,6 +14,7 @@ from dualcurl.cli import (
     self_check,
     theoretical_norm,
 )
+from dualcurl.operators2d import build_incidence
 
 TABLE1_NORMS = [
     5.62334036,
@@ -114,18 +119,26 @@ class TestMatrices:
 
 
 class TestSelfCheck:
-    def test_passes(self, tmp_path):
-        cfg = StudyConfig(output_dir=tmp_path, emit=frozenset())
-        assert self_check(cfg, log=quiet) is True
+    def test_passes(self):
+        assert self_check(log=quiet) is True
 
-    def test_broken_incidence_detected(self, tmp_path):
-        from dualcurl.operators2d import build_incidence
+    def test_broken_incidence_detected(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_incidence", lambda n: build_incidence(n).T)
+        assert self_check(log=quiet) is False
 
-        cfg = StudyConfig(output_dir=tmp_path, emit=frozenset())
-        assert (
-            self_check(cfg, log=quiet, incidence_builder=lambda n: build_incidence(n).T)
-            is False
-        )
+    def test_output_contract(self):
+        # the benchmark's paper-cli gate parses these lines
+        lines = []
+        self_check(log=lines.append)
+        *checks, summary = lines
+        names = []
+        for line in checks:
+            m = re.fullmatch(r"(PASS|FAIL)  (.+): residual \S+ \(tol \S+\)", line)
+            assert m, line
+            names.append(m.group(2))
+        assert names == [name for name, _, _ in INVARIANTS]
+        assert "dual edge dofs equal M1 E10 F (N=1..8)" in names
+        assert summary == "self-check: 6/6 passed"
 
 
 class TestMain:

@@ -3,7 +3,7 @@ import pytest
 
 from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes
-from dualcurl.galerkin import psi1_table
+from dualcurl.galerkin import psi0_table, psi1_table
 from conftest import random_vector_field
 
 
@@ -56,7 +56,7 @@ class TestAnalyticField:
 class TestBoundaryProjection:
     def test_zero_field(self):
         zero = cc.AnalyticField(Ex=lambda x, y: 0.0 * x, Ey=lambda x, y: 0.0 * x)
-        bd = cc.project_boundary_data(zero, 4)
+        bd = cc.project_boundary_data(zero, cc.Discretization(4))
         np.testing.assert_array_equal(bd.dofs, np.zeros(16))
 
     def test_unit_trace_corner_dofs(self):
@@ -66,14 +66,14 @@ class TestBoundaryProjection:
             def tangential_trace(self, side, x, y):
                 return np.ones_like(x)
 
-        bd = cc.project_boundary_data(UnitTrace(), 1)
+        bd = cc.project_boundary_data(UnitTrace(), cc.Discretization(1))
         np.testing.assert_allclose(bd.dofs, 2.0 * np.ones(4), atol=1e-13)
 
     def test_partition_of_unity_sum(self, exact):
         # the dofs sum to the loop integral of the trace data
         loop_integral = 4.0 / np.e - 4.0 * np.e
         for N in (1, 4, 7):
-            bd = cc.project_boundary_data(exact, N)
+            bd = cc.project_boundary_data(exact, cc.Discretization(N))
             assert bd.dofs.sum() == pytest.approx(loop_integral, abs=1e-12)
 
 
@@ -223,7 +223,7 @@ class TestNorms:
 class TestReconstruct:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            cc.reconstruct("mystery", np.zeros(9), 0.0, 0.0, 2)
+            cc.reconstruct("mystery", np.zeros(9), 0.0, 0.0, cc.Discretization(2))
 
     def test_primal_scalar_interpolates_polynomials(self, rng):
         N = 5
@@ -241,18 +241,25 @@ class TestReconstruct:
             cc.reconstruct("primal-scalar", dofs, x, y, disc), p(x, y), atol=1e-12
         )
 
-    def test_dual_vector_matches_primal_expansion(self, rng):
-        # dofs Et = M1 e expand in the dual basis to the same field as the
-        # primal expansion of e
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    def test_dual_vector_matches_primal_expansion(self, rng, rule):
+        # dofs M1 e and M0 f expand in the dual bases to the same fields as
+        # the primal expansions of e and f; only "gauss" has a dense M0
         N = 3
-        disc = cc.Discretization(N)
+        disc = cc.Discretization(N, rule=rule)
         e = rng.standard_normal(24)
+        f = rng.standard_normal(16)
         x = rng.uniform(-1, 1, 40)
         y = rng.uniform(-1, 1, 40)
         dxi, deta = cc.reconstruct("dual-vector", disc.gram.M1 @ e, x, y, disc)
         Vxi, Veta = psi1_table(disc.nodes, x, y)
         np.testing.assert_allclose(dxi, e @ Vxi, atol=1e-12)
         np.testing.assert_allclose(deta, e @ Veta, atol=1e-12)
+        np.testing.assert_allclose(
+            cc.reconstruct("dual-weak-curl", disc.gram.M0 @ f, x, y, disc),
+            f @ psi0_table(disc.nodes, x, y),
+            atol=1e-12,
+        )
 
     def test_pointwise_identity_interior_grid(self, solved):
         # E^h and curl F^h agree to machine precision on an interior grid
@@ -302,3 +309,32 @@ class TestErrorNorms:
             errs.append(errF)
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-7
+
+
+class TestInputChecks:
+    def test_degree_mismatch(self):
+        disc = cc.Discretization(4)
+        bd = cc.BoundaryData(3, np.zeros(12))
+        for call in (
+            lambda: cc.solve_neumann(bd, disc),
+            lambda: cc.solve_dirichlet(bd, disc),
+            lambda: cc.weak_curl(np.zeros(40), bd, disc),
+        ):
+            with pytest.raises(ValueError, match="degree 3 .* degree-4 discretization"):
+                call()
+
+    def test_non_finite_boundary_data(self):
+        disc = cc.Discretization(3)
+        dofs = np.zeros(12)
+        dofs[5] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            cc.solve_both(cc.BoundaryData(3, dofs), disc)
+
+    @pytest.mark.parametrize("missing", ["scalar", "vector_curl"])
+    def test_error_norms_names_missing_part(self, exact, solved, missing):
+        disc, _, sol = solved[3]
+        parts = {"scalar": exact.scalar, "vector_curl": exact.vector_curl}
+        parts[missing] = None
+        field = cc.AnalyticField(Ex=exact.Ex, Ey=exact.Ey, **parts)
+        with pytest.raises(ValueError, match=f"exact field's {missing}$"):
+            cc.error_norms(sol, field, disc)

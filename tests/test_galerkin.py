@@ -5,16 +5,15 @@ from scipy.linalg import cho_factor
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.galerkin import (
     GramSet,
-    assemble_boundary_mass,
     assemble_mass0,
-    assemble_mass0_direct,
     assemble_mass1,
-    dual_mass,
+    assemble_boundary_mass,
     gram_nodal_1d,
     psi0_table,
     psi1_table,
     spd_solve,
 )
+from conftest import assemble_mass0_direct
 
 
 class TestMass0:
@@ -65,9 +64,9 @@ class TestMass1:
 
     @pytest.mark.parametrize("N", [1, 3, 6])
     def test_dual_is_inverse(self, N):
-        M1 = assemble_mass1(N)
+        gs = GramSet(N, rule="gauss")
         np.testing.assert_allclose(
-            dual_mass("edge1", N) @ M1, np.eye(M1.shape[0]), atol=1e-11
+            gs.M1_dual @ gs.M1, np.eye(gs.M1.shape[0]), atol=1e-11
         )
 
 
@@ -91,20 +90,16 @@ class TestBoundaryMass:
 
 
 class TestDualMass:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            dual_mass("edge7", 2)
-
     @pytest.mark.parametrize("N", range(1, 9))
     def test_product_is_identity(self, N):
-        M0 = assemble_mass0(N)
+        gs = GramSet(N, rule="gauss")
         np.testing.assert_allclose(
-            dual_mass("volume2", N) @ M0, np.eye(M0.shape[0]), atol=1e-11
+            gs.M2_dual @ gs.M0, np.eye(gs.M0.shape[0]), atol=1e-11
         )
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_symmetry(self, N):
-        Md = dual_mass("volume2", N)
+        Md = GramSet(N, rule="gauss").M2_dual
         np.testing.assert_allclose(Md, Md.T, rtol=1e-10)
 
     @pytest.mark.parametrize("N", range(1, 13))

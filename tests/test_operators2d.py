@@ -1,47 +1,13 @@
 import numpy as np
 import pytest
 
+from dualcurl.cli import INCIDENCE_N3, TRACE_N3
 from dualcurl.operators2d import (
     DofLayout,
-    boundary_arclength_map,
     build_incidence,
     build_trace,
     side_dof_indices,
 )
-
-# the 24x16 incidence operator for N=3, written out entry for entry
-INCIDENCE_N3 = np.array([
-    [-1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1],
-    [1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1],
-], dtype=np.int64)
-
-# the 12x16 boundary restriction for N=3: rows select nodes
-# 1,2,3,4, 8,12,16, 15,14,13, 9,5 (1-based) counter-clockwise
-TRACE_N3 = np.zeros((12, 16), dtype=np.int64)
-for _r, _c in enumerate([1, 2, 3, 4, 8, 12, 16, 15, 14, 13, 9, 5]):
-    TRACE_N3[_r, _c - 1] = 1
 
 
 class TestDofLayout:
@@ -121,36 +87,38 @@ class TestTrace:
         assert np.all(T.sum(axis=0) <= 1)  # no node selected twice
 
 
+def _sides_of(N):
+    """Loop dof -> the sides (S, E, N, W) whose dof lists hold it."""
+    sides = {}
+    for side, dofs in side_dof_indices(N).items():
+        for d in dofs:
+            sides.setdefault(int(d), []).append(side)
+    return {d: tuple(s) for d, s in sides.items()}
+
+
 class TestBoundaryMap:
     def test_n1_first_dof_is_corner(self):
-        m = boundary_arclength_map(1)
-        assert m[0].coords == (-1.0, -1.0)
-        assert m[0].sides == ("S", "W")
+        # loop dof 0 is the south-west corner node (-1, -1)
+        assert _sides_of(1)[0] == ("S", "W")
+        assert np.argmax(build_trace(1)[0]) == DofLayout(1).node(0, 0)
 
     def test_n3_dof4_east_only(self):
-        from dualcurl.basis1d import gll_nodes
-
-        ns = gll_nodes(3)
-        m = boundary_arclength_map(3, ns.nodes)
-        assert m[4].sides == ("E",)
-        assert m[4].coords == (1.0, ns.nodes[1])
+        # loop dof 4 sits at (1, x_1) on the east side only
+        assert _sides_of(3)[4] == ("E",)
+        assert np.argmax(build_trace(3)[4]) == DofLayout(3).node(3, 1)
 
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_side_counting(self, N):
         # each side carries its N+1 nodal functions exactly once
-        m = boundary_arclength_map(N)
-        per_side = {"S": 0, "E": 0, "N": 0, "W": 0}
-        for dof in m:
-            for s in dof.sides:
-                per_side[s] += 1
-        assert all(v == N + 1 for v in per_side.values())
-        assert sum(len(d.sides) for d in m) == 4 * (N + 1)
+        sd = side_dof_indices(N)
+        assert all(len(set(dofs)) == len(dofs) == N + 1 for dofs in sd.values())
+        sides = _sides_of(N)
+        assert sorted(sides) == list(range(4 * N))
+        assert sum(len(s) for s in sides.values()) == 4 * (N + 1)
 
     @pytest.mark.parametrize("N", [1, 2, 5])
     def test_side_dofs_consistent_with_trace(self, N):
         # the trace rows and the per-side dof lists agree on node positions
-        from dualcurl.operators2d import DofLayout
-
         lay = DofLayout(N)
         T = build_trace(N)
         cols = np.argmax(T, axis=1)
