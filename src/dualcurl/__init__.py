@@ -12,7 +12,6 @@ from .basis1d import (
     edge_eval,
 )
 from .operators2d import (
-    DofLayout,
     build_incidence,
     build_trace,
     side_dof_indices,

@@ -62,6 +62,8 @@ class StudyConfig:
             raise ValueError("max_degree must be >= 1")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
+        if self.quadrature_boost < 0:
+            raise ValueError("quadrature_boost must be >= 0")
         bad = set(self.emit) - set(EMIT_CHOICES)
         if bad:
             raise ValueError(f"unknown emit targets: {sorted(bad)}")
@@ -90,7 +92,7 @@ def _fmt(v):
 
 def equivalence_residual(sol, disc):
     """||Et - M1 E10 F|| / ||Et||: how far the dual solve is from curl F^h."""
-    ref = disc.gram.M1 @ disc.E10 @ sol.neumann
+    ref = disc.gram.M1 @ (disc.E10 @ sol.neumann)
     return float(np.linalg.norm(sol.dirichlet - ref) / np.linalg.norm(sol.dirichlet))
 
 

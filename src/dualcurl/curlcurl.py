@@ -165,9 +165,9 @@ def solve_dirichlet(bd, disc):
     """Dual solve: edge dofs Et from
     (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat."""
     _check(bd, disc)
-    M2d = disc.gram.M2_dual
-    A = disc.E10 @ M2d @ disc.E10.T + disc.gram.M1_dual
-    return spd_solve(A, -disc.E10 @ M2d @ (disc.T.T @ bd.dofs))
+    B = disc.E10 @ disc.gram.M2_dual
+    A = B @ disc.E10.T + disc.gram.M1_dual
+    return spd_solve(A, -B @ (disc.T.T @ bd.dofs))
 
 
 def solve_both(bd, disc):

@@ -1,8 +1,13 @@
 """Gram (mass) matrices, the nodal and edge basis tables, and an SPD solver.
 
-All matrices live on the reference square.  The interior masses have
-tensor-product structure (1D Gram factors combined with `kron`), which a
-direct 2D-quadrature assembly can cross-check.
+All matrices live on the reference square and are built from two 1D
+Grams of degree N: the nodal Gram Gh and the edge Gram Ge, which `GramSet`
+computes once.  The masses are their tensor products, M0 = kron(Gh, Gh)
+and M1 = block_diag(kron(Ge, Gh), kron(Gh, Ge)), which a direct
+2D-quadrature assembly can cross-check.  The inverse of a Kronecker
+product is the Kronecker product of the inverses, so the dual masses
+inv(M0) and inv(M1) are the same assemblies applied to inv(Gh) and
+inv(Ge).
 
 Two quadrature rules are supported for assembly.  The default "gauss"
 rule (Gauss-Legendre, N+1 points per direction) is exact for every
@@ -21,7 +26,7 @@ whole basis table.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .basis1d import gauss_rule, gll_nodes, lagrange_eval, edge_eval
 from .operators2d import side_dof_indices
@@ -72,38 +77,29 @@ def gram_edge_1d(ns, rule="gauss"):
     return (E * w) @ E.T
 
 
-def assemble_mass0(N, rule="gauss"):
-    """Nodal mass matrix, shape ((N+1)^2,)^2, via 1D tensor Gram factors."""
-    G = gram_nodal_1d(gll_nodes(N), rule)
+def assemble_mass0(G):
+    """Nodal mass matrix kron(G, G), shape ((N+1)^2,)^2, from a 1D nodal Gram."""
     return np.kron(G, G)  # slow (eta) factor first: node index is j*(N+1)+i
 
 
-def assemble_mass1(N, rule="gauss"):
+def assemble_mass1(Gh, Ge):
     """Edge-vector mass matrix, shape (2N(N+1),)^2, block diagonal.
 
     Block 1 (xi-component, h_i(xi) e_j(eta)) is kron(Ge, Gh); block 2
     (eta-component, e_i(xi) h_j(eta)) is kron(Gh, Ge).  The two vector
     components never couple.
     """
-    ns = gll_nodes(N)
-    Gh = gram_nodal_1d(ns, rule)
-    Ge = gram_edge_1d(ns, rule)
-    n = N * (N + 1)
-    M1 = np.zeros((2 * n, 2 * n))
-    M1[:n, :n] = np.kron(Ge, Gh)
-    M1[n:, n:] = np.kron(Gh, Ge)
-    return M1
+    return block_diag(np.kron(Ge, Gh), np.kron(Gh, Ge))
 
 
-def assemble_boundary_mass(N, rule="gauss"):
+def assemble_boundary_mass(G):
     """4Nx4N Gram of the boundary loop basis under the arclength measure.
 
     Each side is a 1D element of length 2 (unit Jacobian), so the side
-    contribution is the 1D nodal Gram scattered into that side's loop
-    dofs; corner functions pick up contributions from both sides.
+    contribution is the 1D nodal Gram G, (N+1)x(N+1), scattered into that
+    side's loop dofs; corner functions pick up contributions from both sides.
     """
-    ns = gll_nodes(N)
-    G = gram_nodal_1d(ns, rule)
+    N = G.shape[0] - 1
     B = np.zeros((4 * N, 4 * N))
     for dofs in side_dof_indices(N).values():
         B[np.ix_(dofs, dofs)] += G
@@ -117,19 +113,24 @@ def spd_solve(A, b):
 
 @dataclass
 class GramSet:
-    """All Gram matrices for degree N, with cached inverse applications."""
+    """The 1D Gram factors of degree N, the 2D masses built from them, and
+    cached inverse applications of the masses."""
 
     degree: int
     rule: str = "gauss"
+    Gh: np.ndarray = field(init=False)
+    Ge: np.ndarray = field(init=False)
     M0: np.ndarray = field(init=False)
     M1: np.ndarray = field(init=False)
     B0: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        N, rule = self.degree, self.rule
-        self.M0 = assemble_mass0(N, rule)
-        self.M1 = assemble_mass1(N, rule)
-        self.B0 = assemble_boundary_mass(N, rule)
+        ns = gll_nodes(self.degree)
+        self.Gh = gram_nodal_1d(ns, self.rule)
+        self.Ge = gram_edge_1d(ns, self.rule)
+        self.M0 = assemble_mass0(self.Gh)
+        self.M1 = assemble_mass1(self.Gh, self.Ge)
+        self.B0 = assemble_boundary_mass(self.Gh)
         self._c0 = cho_factor(self.M0)
         self._c1 = cho_factor(self.M1)
 
@@ -141,13 +142,13 @@ class GramSet:
 
     @property
     def M2_dual(self):
-        """inv(M0), the dual volume mass."""
-        return cho_solve(self._c0, np.eye(self.M0.shape[0]))
+        """inv(M0) = kron(inv(Gh), inv(Gh)), the dual volume mass."""
+        return assemble_mass0(np.linalg.inv(self.Gh))
 
     @property
     def M1_dual(self):
-        """inv(M1), the dual edge mass."""
-        return cho_solve(self._c1, np.eye(self.M1.shape[0]))
+        """inv(M1), the dual edge mass, from the inverse 1D factors."""
+        return assemble_mass1(np.linalg.inv(self.Gh), np.linalg.inv(self.Ge))
 
 
 def psi0_table(ns, x, y):

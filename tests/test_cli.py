@@ -46,6 +46,8 @@ class TestConfig:
             StudyConfig(grid_size=1)
         with pytest.raises(ValueError):
             StudyConfig(emit=frozenset({"table9"}))
+        with pytest.raises(ValueError, match="quadrature_boost must be >= 0"):
+            StudyConfig(quadrature_boost=-1)
 
 
 class TestRunStudy:
@@ -172,6 +174,12 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["--max-degree", "0", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_negative_quadrature_boost_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quadrature-boost", "-5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "quadrature_boost must be >= 0" in capsys.readouterr().err
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"

@@ -3,6 +3,7 @@ import pytest
 
 from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes
+from dualcurl.cli import equivalence_residual, norm_gap
 from dualcurl.galerkin import psi0_table, psi1_table
 from conftest import random_vector_field
 
@@ -111,6 +112,17 @@ class TestSolvers:
         nF = cc.norm_F(sol.neumann, disc)
         nE = cc.norm_E(sol.dirichlet, bd, disc)
         assert abs(nF - nE) / nF <= 1e-11
+
+    @pytest.mark.parametrize("rule", ["gauss", "lobatto"])
+    def test_identities_hold_at_high_degree(self, exact, rule):
+        # the N<=9 tolerances still hold at N=24, where the dual operator is
+        # far worse conditioned (its condition number grows roughly like N^4)
+        disc = cc.Discretization(24, rule)
+        bd = cc.project_boundary_data(exact, disc)
+        sol = cc.solve_both(bd, disc)
+        assert equivalence_residual(sol, disc) <= 1e-11
+        nF = cc.norm_F(sol.neumann, disc)
+        assert norm_gap(nF, cc.norm_E(sol.dirichlet, bd, disc)) <= 1e-11
 
     @pytest.mark.parametrize("N", [2, 5])
     def test_substitution_reproduces_dirichlet_rhs(self, solved, N):

@@ -1,37 +1,41 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dualcurl.cli import INCIDENCE_N3, TRACE_N3
-from dualcurl.operators2d import (
-    DofLayout,
-    build_incidence,
-    build_trace,
-    side_dof_indices,
-)
+from dualcurl.operators2d import build_incidence, build_trace, side_dof_indices
 
 
-class TestDofLayout:
-    def test_counts(self):
-        lay = DofLayout(4)
-        assert lay.n_nodes == 25
-        assert lay.n_edges == 40
-        assert lay.n_boundary == 16
+def node(N, i, j):
+    """Index of node (i, j) on the degree-N grid: xi-index fastest."""
+    return j * (N + 1) + i
 
-    def test_index_formulas(self):
-        lay = DofLayout(3)
-        assert lay.node(0, 0) == 0
-        assert lay.node(1, 0) == 1
-        assert lay.node(3, 3) == 15
-        assert lay.xi_edge(0, 1) == 0
-        assert lay.xi_edge(3, 3) == 11
-        assert lay.eta_edge(1, 0) == 12
-        assert lay.eta_edge(3, 3) == 23
+
+@st.composite
+def nodal_grids(draw):
+    """A random nodal field f[j, i] on the (N+1)x(N+1) grid, N in 1..24."""
+    N = draw(st.integers(1, 24))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return draw(arrays(np.float64, (N + 1, N + 1), elements=values))
+
+
+def assert_invalid_degree(build):
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            build(N)
 
 
 class TestIncidence:
     def test_invalid_degree(self):
-        with pytest.raises(ValueError):
-            build_incidence(0)
+        assert_invalid_degree(build_incidence)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nodal_grids())
+    def test_is_grid_difference(self, f):
+        expected = np.concatenate([np.diff(f, axis=0).ravel(), -np.diff(f, axis=1).ravel()])
+        N = f.shape[0] - 1
+        np.testing.assert_array_equal(build_incidence(N) @ f.ravel(), expected)
 
     def test_n3_fixture(self):
         np.testing.assert_array_equal(build_incidence(3), INCIDENCE_N3)
@@ -58,18 +62,25 @@ class TestIncidence:
     @pytest.mark.parametrize("N", range(2, 7))
     def test_node_valence(self, N):
         # interior nodes touch 4 edges, boundary non-corner 3, corners 2
-        lay = DofLayout(N)
         valence = np.count_nonzero(build_incidence(N), axis=0)
         for i in range(N + 1):
             for j in range(N + 1):
                 on_bnd = (i in (0, N)) + (j in (0, N))
-                assert valence[lay.node(i, j)] == 4 - on_bnd
+                assert valence[node(N, i, j)] == 4 - on_bnd
 
 
 class TestTrace:
     def test_invalid_degree(self):
-        with pytest.raises(ValueError):
-            build_trace(0)
+        assert_invalid_degree(build_trace)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nodal_grids())
+    def test_restricts_grid_to_sides(self, f):
+        N = f.shape[0] - 1
+        t = build_trace(N) @ f.ravel()
+        sd = side_dof_indices(N)
+        for side, expected in (("S", f[0, :]), ("E", f[:, N]), ("N", f[N, :]), ("W", f[:, 0])):
+            np.testing.assert_array_equal(t[sd[side]], expected)
 
     def test_n3_fixture(self):
         np.testing.assert_array_equal(build_trace(3), TRACE_N3)
@@ -97,15 +108,18 @@ def _sides_of(N):
 
 
 class TestBoundaryMap:
+    def test_invalid_degree(self):
+        assert_invalid_degree(side_dof_indices)
+
     def test_n1_first_dof_is_corner(self):
         # loop dof 0 is the south-west corner node (-1, -1)
         assert _sides_of(1)[0] == ("S", "W")
-        assert np.argmax(build_trace(1)[0]) == DofLayout(1).node(0, 0)
+        assert np.argmax(build_trace(1)[0]) == node(1, 0, 0)
 
     def test_n3_dof4_east_only(self):
         # loop dof 4 sits at (1, x_1) on the east side only
         assert _sides_of(3)[4] == ("E",)
-        assert np.argmax(build_trace(3)[4]) == DofLayout(3).node(3, 1)
+        assert np.argmax(build_trace(3)[4]) == node(3, 3, 1)
 
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_side_counting(self, N):
@@ -119,12 +133,11 @@ class TestBoundaryMap:
     @pytest.mark.parametrize("N", [1, 2, 5])
     def test_side_dofs_consistent_with_trace(self, N):
         # the trace rows and the per-side dof lists agree on node positions
-        lay = DofLayout(N)
         T = build_trace(N)
         cols = np.argmax(T, axis=1)
         sd = side_dof_indices(N)
         for k in range(N + 1):
-            assert cols[sd["S"][k]] == lay.node(k, 0)
-            assert cols[sd["E"][k]] == lay.node(N, k)
-            assert cols[sd["N"][k]] == lay.node(k, N)
-            assert cols[sd["W"][k]] == lay.node(0, k)
+            assert cols[sd["S"][k]] == node(N, k, 0)
+            assert cols[sd["E"][k]] == node(N, N, k)
+            assert cols[sd["N"][k]] == node(N, k, N)
+            assert cols[sd["W"][k]] == node(N, 0, k)
