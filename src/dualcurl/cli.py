@@ -255,12 +255,11 @@ def _volume_biorthogonality_residual():
     """Dual volume basis against the primal nodal one, exact-quadrature masses."""
     worst = 0.0
     for N in range(1, 9):
-        ns = gll_nodes(N)
         gram = GramSet(N, rule="gauss")
         q = gauss_rule(N + 1)
         X, Y = np.meshgrid(q.points, q.points, indexing="ij")
         w2 = np.outer(q.weights, q.weights).ravel()
-        P0 = psi0_table(ns, X.ravel(), Y.ravel())
+        P0 = psi0_table(gram.nodes, X.ravel(), Y.ravel())
         D0 = gram.solve_mass0(P0)
         worst = max(worst, float(np.abs((D0 * w2) @ P0.T - np.eye(P0.shape[0])).max()))
     return worst

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis1d import gauss_rule, gll_nodes, lagrange_eval
+from .basis1d import gauss_rule, lagrange_eval
 from .galerkin import GramSet, psi0_table, psi1_table, spd_solve
 from .operators2d import build_incidence, build_trace, side_dof_indices
 
@@ -111,10 +111,10 @@ class Discretization:
     def __init__(self, N, rule="lobatto"):
         self.degree = N
         self.rule = rule
-        self.nodes = gll_nodes(N)
+        self.gram = GramSet(N, rule)
+        self.nodes = self.gram.nodes
         self.E10 = build_incidence(N)
         self.T = build_trace(N)
-        self.gram = GramSet(N, rule)
 
 
 def _check(bd, disc):

@@ -2,12 +2,12 @@
 
 All matrices live on the reference square and are built from two 1D
 Grams of degree N: the nodal Gram Gh and the edge Gram Ge, which `GramSet`
-computes once.  The masses are their tensor products, M0 = kron(Gh, Gh)
-and M1 = block_diag(kron(Ge, Gh), kron(Gh, Ge)), which a direct
-2D-quadrature assembly can cross-check.  The inverse of a Kronecker
-product is the Kronecker product of the inverses, so the dual masses
-inv(M0) and inv(M1) are the same assemblies applied to inv(Gh) and
-inv(Ge).
+computes once on one node set.  The masses are their tensor products,
+M0 = kron(Gh, Gh) and M1 = block_diag(kron(Ge, Gh), kron(Gh, Ge)).  The
+inverse of a Kronecker product is the Kronecker product of the inverses,
+so the dual masses inv(M0) and inv(M1) are the same assemblies applied
+to inv(Gh) and inv(Ge).  Those two 1D inverses are the only
+factorizations a `GramSet` makes; every mass solve applies a dual mass.
 
 Two quadrature rules are supported for assembly.  The default "gauss"
 rule (Gauss-Legendre, N+1 points per direction) is exact for every
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from .basis1d import gauss_rule, gll_nodes, lagrange_eval, edge_eval
+from .basis1d import NodeSet1D, gauss_rule, gll_nodes, lagrange_eval, edge_eval
 from .operators2d import side_dof_indices
 
 __all__ = [
@@ -113,11 +113,12 @@ def spd_solve(A, b):
 
 @dataclass
 class GramSet:
-    """The 1D Gram factors of degree N, the 2D masses built from them, and
-    cached inverse applications of the masses."""
+    """The node set and the 1D Gram factors of degree N, the 2D masses built
+    from them, and the inverse masses built from the inverse 1D Grams."""
 
     degree: int
     rule: str = "gauss"
+    nodes: NodeSet1D = field(init=False)
     Gh: np.ndarray = field(init=False)
     Ge: np.ndarray = field(init=False)
     M0: np.ndarray = field(init=False)
@@ -125,30 +126,30 @@ class GramSet:
     B0: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        ns = gll_nodes(self.degree)
-        self.Gh = gram_nodal_1d(ns, self.rule)
-        self.Ge = gram_edge_1d(ns, self.rule)
+        self.nodes = gll_nodes(self.degree)
+        self.Gh = gram_nodal_1d(self.nodes, self.rule)
+        self.Ge = gram_edge_1d(self.nodes, self.rule)
         self.M0 = assemble_mass0(self.Gh)
         self.M1 = assemble_mass1(self.Gh, self.Ge)
         self.B0 = assemble_boundary_mass(self.Gh)
-        self._c0 = cho_factor(self.M0)
-        self._c1 = cho_factor(self.M1)
+        self._Gh_inv = spd_solve(self.Gh, np.eye(self.degree + 1))
+        self._Ge_inv = spd_solve(self.Ge, np.eye(self.degree))
 
     def solve_mass0(self, b):
-        return cho_solve(self._c0, b)
+        return self.M2_dual @ b
 
     def solve_mass1(self, b):
-        return cho_solve(self._c1, b)
+        return self.M1_dual @ b
 
     @property
     def M2_dual(self):
         """inv(M0) = kron(inv(Gh), inv(Gh)), the dual volume mass."""
-        return assemble_mass0(np.linalg.inv(self.Gh))
+        return assemble_mass0(self._Gh_inv)
 
     @property
     def M1_dual(self):
         """inv(M1), the dual edge mass, from the inverse 1D factors."""
-        return assemble_mass1(np.linalg.inv(self.Gh), np.linalg.inv(self.Ge))
+        return assemble_mass1(self._Gh_inv, self._Ge_inv)
 
 
 def psi0_table(ns, x, y):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
+from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.galerkin import (
     GramSet,
@@ -114,6 +115,31 @@ class TestDualMass:
         gs = GramSet(N, rule)
         for M in (gs.M0, gs.M1):
             cho_factor(M)  # conditioning grows with N but stays factorizable
+
+
+class TestMassSolve:
+    @pytest.mark.parametrize("N, rule", rule_cases([1, 4, 12]))
+    @pytest.mark.parametrize("cols", [(), (3,)], ids=["vector", "3-column"])
+    def test_matches_dense_solve(self, N, rule, cols):
+        gs = GramSet(N, rule)
+        rng = np.random.default_rng(N)
+        for solve, M in ((gs.solve_mass0, gs.M0), (gs.solve_mass1, gs.M1)):
+            b = rng.standard_normal((M.shape[0],) + cols)
+            x = solve(b)
+            assert x.shape == b.shape
+            np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=1e-10)
+
+    @pytest.mark.parametrize("N, rule", rule_cases([1, 4, 12]))
+    def test_factors_only_the_1d_grams(self, N, rule, monkeypatch):
+        shapes = []
+
+        def recording(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return cho_factor(A, *args, **kwargs)
+
+        monkeypatch.setattr(galerkin, "cho_factor", recording)
+        GramSet(N, rule)
+        assert sorted(shapes) == [(N, N), (N + 1, N + 1)]
 
 
 class TestSpdSolve:
