@@ -1,28 +1,6 @@
 """Mimetic spectral element discretization of the equivalent 2D curl-curl
 problems on the reference square, with algebraic dual polynomial bases."""
 
-from .basis1d import (
-    NodeSet1D,
-    QuadratureRule1D,
-    gll_nodes,
-    gauss_rule,
-    legendre_eval,
-    lagrange_eval,
-    lagrange_deriv,
-    edge_eval,
-)
-from .operators2d import (
-    build_incidence,
-    build_trace,
-    side_dof_indices,
-)
-from .galerkin import (
-    GramSet,
-    assemble_mass0,
-    assemble_mass1,
-    assemble_boundary_mass,
-    spd_solve,
-)
 from .curlcurl import (
     AnalyticField,
     BoundaryData,

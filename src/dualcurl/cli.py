@@ -101,6 +101,14 @@ def norm_gap(nF, nE):
     return abs(nF - nE) / nF
 
 
+def _solve_exponential(N, boost=15):
+    """(disc, bd, sol) of the exponential pair at degree N, its boundary
+    data projected with N + boost Gauss points per side."""
+    disc = cc.Discretization(N)
+    bd = cc.project_boundary_data(cc.exponential_pair(), disc, n_quad=N + boost)
+    return disc, bd, cc.solve_both(bd, disc)
+
+
 def run_study(cfg, log=print):
     """Solve both problems for N = 1..max_degree with the exponential test
     data; record norms, errors and the equivalence residual, and write
@@ -109,9 +117,7 @@ def run_study(cfg, log=print):
     records = []
     for N in range(1, cfg.max_degree + 1):
         t0 = time.perf_counter()
-        disc = cc.Discretization(N)
-        bd = cc.project_boundary_data(exact, disc, n_quad=N + cfg.quadrature_boost)
-        sol = cc.solve_both(bd, disc)
+        disc, bd, sol = _solve_exponential(N, cfg.quadrature_boost)
         nF = cc.norm_F(sol.neumann, disc)
         nE = cc.norm_E(sol.dirichlet, bd, disc)
         errF, errE = cc.error_norms(sol, exact, disc, boost=cfg.quadrature_boost)
@@ -169,10 +175,7 @@ def emit_fig2(cfg, N=3, log=print):
     Writes the two component grids and returns (grid_xi, grid_eta, maxabs).
     The grid avoids the element edges at +-1 on purpose.
     """
-    exact = cc.exponential_pair()
-    disc = cc.Discretization(N)
-    bd = cc.project_boundary_data(exact, disc, n_quad=N + cfg.quadrature_boost)
-    sol = cc.solve_both(bd, disc)
+    disc, _, sol = _solve_exponential(N, cfg.quadrature_boost)
 
     g = gauss_rule(cfg.grid_size).points
     X, Y = np.meshgrid(g, g, indexing="ij")
@@ -271,20 +274,10 @@ def _fixture_gap(got, expected):
     return float(np.abs(got - expected).max())
 
 
-def _exponential_solves():
-    """(disc, bd, sol) of the exponential pair for N=1..8."""
-    exact = cc.exponential_pair()
-    out = []
-    for N in range(1, 9):
-        disc = cc.Discretization(N)
-        bd = cc.project_boundary_data(exact, disc)
-        out.append((disc, bd, cc.solve_both(bd, disc)))
-    return out
-
-
 # (name, residual function, tolerance), in the order --self-check runs them.
-# Each function takes the output of _exponential_solves, which self_check
-# computes once per run; only the last two entries read it.
+# Each function takes the (disc, bd, sol) of the exponential pair for
+# N=1..8, which self_check computes once per run; only the last two
+# entries read them.
 INVARIANTS = (
     ("edge-basis interval integrals = identity (N=1..12)",
      lambda solves: _edge_kronecker_residual(), 1e-12),
@@ -307,7 +300,7 @@ INVARIANTS = (
 def self_check(log=print):
     """Run the invariant registry; returns True iff every residual is
     within its tolerance."""
-    solves = _exponential_solves()
+    solves = [_solve_exponential(N) for N in range(1, 9)]
     passed = 0
     for name, residual_fn, tol in INVARIANTS:
         residual = residual_fn(solves)

@@ -15,6 +15,15 @@ with positive arclength measure.  The two solutions are linked exactly by
 Et = M1 E10 F, the discrete form of E = curl F, and carry equal
 H(curl) norms.
 
+Both operators are built from the 1D factors, never as products of 2D
+matrices.  The incidence is pure topology, E10 = [kron(D, I); -kron(I, D)]
+with D the Nx(N+1) 1D difference, and the masses are Kronecker products
+of the 1D Grams Gh, Ge (see `galerkin`).  With K = D^T Ge D,
+Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T):
+
+    E10^T M1 E10 + M0             = kron(K + Gh, Gh) + kron(Gh, K)
+    E10 inv(M0) E10^T + inv(M1)   = [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]]
+
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and a quadrature rule reach this module, so
 both solves, the norms and the errors always share the same operators.
@@ -113,6 +122,7 @@ class Discretization:
         self.rule = rule
         self.gram = GramSet(N, rule)
         self.nodes = self.gram.nodes
+        self.D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.E10 = build_incidence(N)
         self.T = build_trace(N)
 
@@ -155,19 +165,25 @@ def project_boundary_data(field, disc, n_quad=None):
 
 
 def solve_neumann(bd, disc):
-    """Primal solve: nodal dofs F from (E10^T M1 E10 + M0) F = -T^T Ehat."""
+    """Primal solve: nodal dofs F from (E10^T M1 E10 + M0) F = -T^T Ehat,
+    the operator being kron(K + Gh, Gh) + kron(Gh, K) with K = D^T Ge D."""
     _check(bd, disc)
-    A = disc.E10.T @ disc.gram.M1 @ disc.E10 + disc.gram.M0
-    return spd_solve(A, -disc.T.T @ bd.dofs)
+    Gh = disc.gram.Gh
+    K = disc.D.T @ disc.gram.Ge @ disc.D
+    return spd_solve(np.kron(K + Gh, Gh) + np.kron(Gh, K), -disc.T.T @ bd.dofs)
 
 
 def solve_dirichlet(bd, disc):
     """Dual solve: edge dofs Et from
-    (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat."""
+    (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat,
+    the operator being [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]] with
+    Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T)."""
     _check(bd, disc)
-    B = disc.E10 @ disc.gram.M2_dual
-    A = B @ disc.E10.T + disc.gram.M1_dual
-    return spd_solve(A, -B @ (disc.T.T @ bd.dofs))
+    D, Hi = disc.D, disc.gram.Gh_inv
+    X = D @ Hi @ D.T + disc.gram.Ge_inv
+    C = np.kron(D @ Hi, Hi @ D.T)
+    A = np.block([[np.kron(X, Hi), -C], [-C.T, np.kron(Hi, X)]])
+    return spd_solve(A, -disc.E10 @ disc.gram.solve_mass0(disc.T.T @ bd.dofs))
 
 
 def solve_both(bd, disc):
@@ -223,7 +239,8 @@ def reconstruct(kind, dofs, x, y, disc):
     else:
         raise ValueError(f"unknown reconstruction kind {kind!r}")
     Vxi, Veta = psi1_table(ns, x, y)
-    return c @ Vxi, c @ Veta
+    n = Vxi.shape[0]
+    return c[:n] @ Vxi, c[n:] @ Veta
 
 
 def error_norms(sol, exact, disc, boost=15):

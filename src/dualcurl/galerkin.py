@@ -113,14 +113,17 @@ def spd_solve(A, b):
 
 @dataclass
 class GramSet:
-    """The node set and the 1D Gram factors of degree N, the 2D masses built
-    from them, and the inverse masses built from the inverse 1D Grams."""
+    """The node set, the 1D Gram factors of degree N and their inverses,
+    the 2D masses built from the factors and the inverse masses built from
+    the inverses."""
 
     degree: int
     rule: str = "gauss"
     nodes: NodeSet1D = field(init=False)
     Gh: np.ndarray = field(init=False)
     Ge: np.ndarray = field(init=False)
+    Gh_inv: np.ndarray = field(init=False)
+    Ge_inv: np.ndarray = field(init=False)
     M0: np.ndarray = field(init=False)
     M1: np.ndarray = field(init=False)
     B0: np.ndarray = field(init=False)
@@ -132,8 +135,8 @@ class GramSet:
         self.M0 = assemble_mass0(self.Gh)
         self.M1 = assemble_mass1(self.Gh, self.Ge)
         self.B0 = assemble_boundary_mass(self.Gh)
-        self._Gh_inv = spd_solve(self.Gh, np.eye(self.degree + 1))
-        self._Ge_inv = spd_solve(self.Ge, np.eye(self.degree))
+        self.Gh_inv = spd_solve(self.Gh, np.eye(self.degree + 1))
+        self.Ge_inv = spd_solve(self.Ge, np.eye(self.degree))
 
     def solve_mass0(self, b):
         return self.M2_dual @ b
@@ -144,12 +147,12 @@ class GramSet:
     @property
     def M2_dual(self):
         """inv(M0) = kron(inv(Gh), inv(Gh)), the dual volume mass."""
-        return assemble_mass0(self._Gh_inv)
+        return assemble_mass0(self.Gh_inv)
 
     @property
     def M1_dual(self):
         """inv(M1), the dual edge mass, from the inverse 1D factors."""
-        return assemble_mass1(self._Gh_inv, self._Ge_inv)
+        return assemble_mass1(self.Gh_inv, self.Ge_inv)
 
 
 def psi0_table(ns, x, y):
@@ -165,20 +168,19 @@ def psi0_table(ns, x, y):
 def psi1_table(ns, x, y):
     """Edge-vector 2D basis values at scattered points.
 
-    Returns (Vxi, Veta), each of shape (2N(N+1), P): the xi- and
-    eta-components of every basis vector field (zero outside its block).
+    Returns (Vxi, Veta), each of shape (N(N+1), P): the xi-component of
+    the xi-block basis fields h_i(xi) e_j(eta) and the eta-component of the
+    eta-block fields e_i(xi) h_j(eta).  The other component of each block
+    is zero, so a coefficient vector c of length 2N(N+1) expands to
+    (c[:n] @ Vxi, c[n:] @ Veta) with n = N(N+1).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    N = ns.degree
     Hx = lagrange_eval(ns, x)
     Hy = lagrange_eval(ns, y)
     Ex = edge_eval(ns, x)
     Ey = edge_eval(ns, y)
     P = x.size
-    n = N * (N + 1)
-    top = np.einsum("jp,ip->jip", Ey, Hx).reshape(n, P)   # h_i(xi) e_j(eta)
-    bot = np.einsum("jp,ip->jip", Hy, Ex).reshape(n, P)   # e_i(xi) h_j(eta)
-    Vxi = np.vstack([top, np.zeros((n, P))])
-    Veta = np.vstack([np.zeros((n, P)), bot])
+    Vxi = np.einsum("jp,ip->jip", Ey, Hx).reshape(-1, P)    # h_i(xi) e_j(eta)
+    Veta = np.einsum("jp,ip->jip", Hy, Ex).reshape(-1, P)   # e_i(xi) h_j(eta)
     return Vxi, Veta

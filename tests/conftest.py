@@ -26,6 +26,20 @@ def assemble_mass0_direct(N):
     return (P0 * w2) @ P0.T
 
 
+def neumann_system(disc, bd):
+    """(A, b) of the Neumann solve by its dense definition,
+    (E10^T M1 E10 + M0) F = -T^T Ehat: the oracle for the Kronecker form."""
+    A = disc.E10.T @ disc.gram.M1 @ disc.E10 + disc.gram.M0
+    return A, -disc.T.T @ bd.dofs
+
+
+def dirichlet_system(disc, bd):
+    """(A, b) of the Dirichlet solve by its dense definition,
+    (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat."""
+    B = disc.E10 @ disc.gram.M2_dual
+    return B @ disc.E10.T + disc.gram.M1_dual, -B @ (disc.T.T @ bd.dofs)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

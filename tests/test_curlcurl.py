@@ -7,7 +7,7 @@ from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
 from dualcurl.galerkin import psi0_table, psi1_table
-from conftest import random_vector_field
+from conftest import dirichlet_system, neumann_system, random_vector_field
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +130,9 @@ class TestSolvers:
     def test_substitution_reproduces_dirichlet_rhs(self, solved, N):
         # plugging Et = M1 E10 F into the Dirichlet operator recovers its rhs
         disc, bd, sol = solved[N]
-        M2d = disc.gram.M2_dual
+        A, rhs = dirichlet_system(disc, bd)
         Et = disc.gram.M1 @ disc.E10 @ sol.neumann
-        lhs = (disc.E10 @ M2d @ disc.E10.T + disc.gram.M1_dual) @ Et
-        rhs = -disc.E10 @ M2d @ (disc.T.T @ bd.dofs)
-        assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) <= 1e-11
+        assert np.linalg.norm(A @ Et - rhs) / np.linalg.norm(rhs) <= 1e-11
 
     def test_linearity_in_boundary_data(self, rng):
         disc = cc.Discretization(4)
@@ -226,6 +224,34 @@ class TestDiscretization:
         disc = cc.Discretization(5)
         assert calls == [5]
         assert disc.nodes is disc.gram.nodes
+
+
+class TestOperators:
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_kronecker_forms_match_dense_definitions(self, monkeypatch, rng, N, rule):
+        # the solvers build both systems from the 1D factors; the dense
+        # products of the 2D matrices are the oracle
+        systems = []
+
+        def capturing(A, b):
+            systems.append((A, b))
+            return galerkin.spd_solve(A, b)
+
+        monkeypatch.setattr(cc, "spd_solve", capturing)
+        disc = cc.Discretization(N, rule)
+        bd = cc.project_boundary_data(random_vector_field(rng), disc)
+        cc.solve_neumann(bd, disc)
+        cc.solve_dirichlet(bd, disc)
+        I = np.eye(N + 1)
+        np.testing.assert_array_equal(
+            disc.E10, np.vstack([np.kron(disc.D, I), -np.kron(I, disc.D)])
+        )
+        assert len(systems) == 2
+        refs = (neumann_system(disc, bd), dirichlet_system(disc, bd))
+        for (A, b), (A_ref, b_ref) in zip(systems, refs):
+            assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+            assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
 class TestWeakCurl:
@@ -328,6 +354,8 @@ class TestReconstruct:
         y = rng.uniform(-1, 1, 40)
         dxi, deta = cc.reconstruct("dual-vector", disc.gram.M1 @ e, x, y, disc)
         Vxi, Veta = psi1_table(disc.nodes, x, y)
+        Z = np.zeros_like(Vxi)  # each block's other component
+        Vxi, Veta = np.vstack([Vxi, Z]), np.vstack([Z, Veta])
         np.testing.assert_allclose(dxi, e @ Vxi, atol=1e-12)
         np.testing.assert_allclose(deta, e @ Veta, atol=1e-12)
         np.testing.assert_allclose(

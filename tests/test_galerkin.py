@@ -189,6 +189,8 @@ class TestBiorthogonality:
         X, Y = np.meshgrid(q.points, q.points, indexing="ij")
         w2 = np.outer(q.weights, q.weights).ravel()
         Vxi, Veta = psi1_table(ns, X.ravel(), Y.ravel())
+        Z = np.zeros_like(Vxi)  # each block's other component
+        Vxi, Veta = np.vstack([Vxi, Z]), np.vstack([Z, Veta])
         Dxi, Deta = gram.solve_mass1(Vxi), gram.solve_mass1(Veta)
         prod = (Dxi * w2) @ Vxi.T + (Deta * w2) @ Veta.T
         np.testing.assert_allclose(prod, np.eye(Vxi.shape[0]), atol=1e-12)
