@@ -198,7 +198,7 @@ def solve_both(bd, disc):
 def weak_curl(Et, bd, disc):
     """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat."""
     _check(bd, disc)
-    return disc.E10.T @ Et + disc.T.T @ bd.dofs
+    return Et @ disc.E10 + bd.dofs @ disc.T
 
 
 def norm_F(F, disc):
@@ -215,8 +215,13 @@ def norm_E(Et, bd, disc):
     )
 
 
+def _expand(C, Fx, Fy):
+    """sum_ij C[j, i] Fx[i, p] Fy[j, p]: a tensor-product expansion at P points."""
+    return ((C @ Fx) * Fy).sum(axis=0)
+
+
 def reconstruct(kind, dofs, x, y, disc):
-    """Pointwise field values at scattered points.
+    """Pointwise field values at points (x, y) of the same shape.
 
     kind: "primal-scalar"  -> psi0 F                  (scalar)
           "primal-curl"    -> psi1 E10 F              (vector: xi, eta)
@@ -224,23 +229,26 @@ def reconstruct(kind, dofs, x, y, disc):
           "dual-weak-curl" -> psi0 inv(M0) w          (scalar)
 
     The dual kinds solve the mass matrix against the dofs, not against
-    the basis table: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
+    the basis: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
+    Each coefficient grid is contracted with its 1D factor tables: the
+    (N+1)x(N+1) nodal grid with (Hx, Hy), the Nx(N+1) xi block with
+    (Hx, Ey), the (N+1)xN eta block with (Ex, Hy); no 2D table is formed.
     """
-    ns = disc.nodes
+    ns, N = disc.nodes, disc.degree
     dofs = np.asarray(dofs, dtype=float)
-    if kind == "primal-scalar":
-        return dofs @ psi0_table(ns, x, y)
-    if kind == "dual-weak-curl":
-        return disc.gram.solve_mass0(dofs) @ psi0_table(ns, x, y)
+    if kind in ("primal-scalar", "dual-weak-curl"):
+        c = dofs if kind == "primal-scalar" else disc.gram.solve_mass0(dofs)
+        return _expand(c.reshape(N + 1, N + 1), *psi0_table(ns, x, y))
     if kind == "primal-curl":
         c = disc.E10 @ dofs
     elif kind == "dual-vector":
         c = disc.gram.solve_mass1(dofs)
     else:
         raise ValueError(f"unknown reconstruction kind {kind!r}")
-    Vxi, Veta = psi1_table(ns, x, y)
-    n = Vxi.shape[0]
-    return c[:n] @ Vxi, c[n:] @ Veta
+    (Hx, Hy), (Ex, Ey) = psi0_table(ns, x, y), psi1_table(ns, x, y)
+    xi, eta = np.split(c, 2)  # the two N(N+1) component blocks
+    return (_expand(xi.reshape(N, N + 1), Hx, Ey),
+            _expand(eta.reshape(N + 1, N), Ex, Hy))
 
 
 def error_norms(sol, exact, disc, boost=15):

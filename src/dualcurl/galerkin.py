@@ -1,4 +1,4 @@
-"""Gram (mass) matrices, the nodal and edge basis tables, and an SPD solver.
+"""Gram (mass) matrices, the 1D factor tables of the bases, and an SPD solver.
 
 All matrices live on the reference square and are built from two 1D
 Grams of degree N: the nodal Gram Gh and the edge Gram Ge, which `GramSet`
@@ -17,10 +17,12 @@ nodal Gram to diag(w); the published norm table was produced with that
 rule, so the solver pipeline defaults to it while the library-level
 contracts here are stated for the exact rule.
 
-The dual bases are never tabulated: a dual expansion with dofs d equals
+Neither basis is tabulated in 2D.  A dual expansion with dofs d equals
 the primal expansion with coefficients inv(M) d, because M is symmetric,
-so one mass solve against the dof vector replaces a solve against a
-whole basis table.
+so one mass solve against the dofs replaces a solve against a basis
+table; `psi0_table`/`psi1_table` return the 1D factor tables at P points
+as a flat tuple, and a field with coefficient grid C[j, i] (j along y)
+is ((C @ Fx) * Fy).sum(axis=0).
 """
 
 from dataclasses import dataclass, field
@@ -155,32 +157,21 @@ class GramSet:
         return assemble_mass1(self.Gh_inv, self.Ge_inv)
 
 
+def _points(x, y):
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if x.ndim != 1 or x.shape != y.shape:  # a 2D grid would broadcast silently
+        raise ValueError(f"x and y must be 1D of one shape, not {x.shape} and {y.shape}")
+    return x, y
+
+
 def psi0_table(ns, x, y):
-    """Nodal 2D basis values at scattered points; shape ((N+1)^2, P)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    Hx = lagrange_eval(ns, x)
-    Hy = lagrange_eval(ns, y)
-    P = x.size
-    return np.einsum("jp,ip->jip", Hy, Hx).reshape(-1, P)
+    """Nodal factors (Hx, Hy), each (N+1, P): node j*(N+1)+i is h_i(x) h_j(y)."""
+    x, y = _points(x, y)
+    return lagrange_eval(ns, x), lagrange_eval(ns, y)
 
 
 def psi1_table(ns, x, y):
-    """Edge-vector 2D basis values at scattered points.
-
-    Returns (Vxi, Veta), each of shape (N(N+1), P): the xi-component of
-    the xi-block basis fields h_i(xi) e_j(eta) and the eta-component of the
-    eta-block fields e_i(xi) h_j(eta).  The other component of each block
-    is zero, so a coefficient vector c of length 2N(N+1) expands to
-    (c[:n] @ Vxi, c[n:] @ Veta) with n = N(N+1).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    Hx = lagrange_eval(ns, x)
-    Hy = lagrange_eval(ns, y)
-    Ex = edge_eval(ns, x)
-    Ey = edge_eval(ns, y)
-    P = x.size
-    Vxi = np.einsum("jp,ip->jip", Ey, Hx).reshape(-1, P)    # h_i(xi) e_j(eta)
-    Veta = np.einsum("jp,ip->jip", Hy, Ex).reshape(-1, P)   # e_i(xi) h_j(eta)
-    return Vxi, Veta
+    """Edge factors (Ex, Ey), each (N, P): the xi block is h_i(x) e_j(y) and
+    the eta block e_i(x) h_j(y), each zero in the other component."""
+    x, y = _points(x, y)
+    return edge_eval(ns, x), edge_eval(ns, y)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from dualcurl.basis1d import gauss_rule, gll_nodes
+from dualcurl.basis1d import edge_eval, gauss_rule, gll_nodes, lagrange_eval
 from dualcurl.curlcurl import AnalyticField
-from dualcurl.galerkin import psi0_table
 
 
 def random_vector_field(rng):
@@ -16,13 +15,33 @@ def random_vector_field(rng):
     )
 
 
+def psi0_dense(ns, x, y):
+    """Nodal 2D basis values at P points, shape ((N+1)^2, P), row j*(N+1)+i
+    holding h_i(x) h_j(y): the (dofs x points) table as an oracle for the
+    factor-table contraction."""
+    Hx, Hy = lagrange_eval(ns, x), lagrange_eval(ns, y)
+    return np.einsum("jp,ip->jip", Hy, Hx).reshape(-1, x.size)
+
+
+def psi1_dense(ns, x, y):
+    """Edge-vector 2D basis values at P points: the (xi, eta) components,
+    each of shape (2N(N+1), P).  The xi-block fields h_i(x) e_j(y) have no
+    eta component and the eta-block fields e_i(x) h_j(y) no xi component."""
+    Hx, Hy = lagrange_eval(ns, x), lagrange_eval(ns, y)
+    Ex, Ey = edge_eval(ns, x), edge_eval(ns, y)
+    Vxi = np.einsum("jp,ip->jip", Ey, Hx).reshape(-1, x.size)
+    Veta = np.einsum("jp,ip->jip", Hy, Ex).reshape(-1, x.size)
+    Z = np.zeros_like(Vxi)
+    return np.vstack([Vxi, Z]), np.vstack([Z, Veta])
+
+
 def assemble_mass0_direct(N):
     """Nodal mass by direct 2D Gauss quadrature: the oracle for the tensor
     assembly (criterion 9)."""
     q = gauss_rule(N + 1)
     X, Y = np.meshgrid(q.points, q.points, indexing="ij")
     w2 = np.outer(q.weights, q.weights).ravel()
-    P0 = psi0_table(gll_nodes(N), X.ravel(), Y.ravel())
+    P0 = psi0_dense(gll_nodes(N), X.ravel(), Y.ravel())
     return (P0 * w2) @ P0.T
 
 

@@ -6,8 +6,8 @@ from dualcurl import curlcurl as cc
 from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
-from dualcurl.galerkin import psi0_table, psi1_table
-from conftest import dirichlet_system, neumann_system, random_vector_field
+from conftest import (
+    dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
 
 @pytest.fixture(scope="module")
@@ -268,11 +268,15 @@ class TestWeakCurl:
         with pytest.raises(ValueError):
             cc.weak_curl(np.zeros(10), bd, disc)
 
-    def test_linearity(self, rng):
-        disc = cc.Discretization(3)
-        bd = cc.BoundaryData(3, rng.standard_normal(12))
-        e1 = rng.standard_normal(24)
-        e2 = rng.standard_normal(24)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 20), st.sampled_from(["gauss", "lobatto"]),
+           st.integers(0, 2**32 - 1))
+    def test_linearity(self, N, rule, seed):
+        rng = np.random.default_rng(seed)
+        disc = cc.Discretization(N, rule)
+        bd = cc.BoundaryData(N, rng.standard_normal(4 * N))
+        e1 = rng.standard_normal(2 * N * (N + 1))
+        e2 = rng.standard_normal(2 * N * (N + 1))
         lhs = cc.weak_curl(2.0 * e1 + 3.0 * e2, bd, disc)
         rhs = (
             2.0 * cc.weak_curl(e1, bd, disc)
@@ -344,25 +348,29 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     def test_dual_vector_matches_primal_expansion(self, rng, rule):
-        # dofs M1 e and M0 f expand in the dual bases to the same fields as
-        # the primal expansions of e and f; only "gauss" has a dense M0
-        N = 3
-        disc = cc.Discretization(N, rule=rule)
-        e = rng.standard_normal(24)
-        f = rng.standard_normal(16)
+        # every kind against the (dofs x points) oracle tables: dofs M1 e
+        # and M0 f expand in the dual bases to the same fields as the
+        # primal expansions of e and f; only "gauss" has a dense M0
         x = rng.uniform(-1, 1, 40)
         y = rng.uniform(-1, 1, 40)
-        dxi, deta = cc.reconstruct("dual-vector", disc.gram.M1 @ e, x, y, disc)
-        Vxi, Veta = psi1_table(disc.nodes, x, y)
-        Z = np.zeros_like(Vxi)  # each block's other component
-        Vxi, Veta = np.vstack([Vxi, Z]), np.vstack([Z, Veta])
-        np.testing.assert_allclose(dxi, e @ Vxi, atol=1e-12)
-        np.testing.assert_allclose(deta, e @ Veta, atol=1e-12)
-        np.testing.assert_allclose(
-            cc.reconstruct("dual-weak-curl", disc.gram.M0 @ f, x, y, disc),
-            f @ psi0_table(disc.nodes, x, y),
-            atol=1e-12,
-        )
+        for N in (1, 2, 5, 12, 20):
+            disc = cc.Discretization(N, rule=rule)
+            e = rng.standard_normal(2 * N * (N + 1))
+            f = rng.standard_normal((N + 1) ** 2)
+            P0 = psi0_dense(disc.nodes, x, y)
+            Vxi, Veta = psi1_dense(disc.nodes, x, y)
+            cases = [
+                ("primal-scalar", f, [f @ P0]),
+                ("primal-curl", f, [(disc.E10 @ f) @ Vxi, (disc.E10 @ f) @ Veta]),
+                ("dual-vector", disc.gram.M1 @ e, [e @ Vxi, e @ Veta]),
+                ("dual-weak-curl", disc.gram.M0 @ f, [f @ P0]),
+            ]
+            for kind, dofs, refs in cases:
+                got = np.atleast_2d(cc.reconstruct(kind, dofs, x, y, disc))
+                for g, ref in zip(got, refs, strict=True):
+                    # 1e-12 both absolute and relative to the field
+                    tol = 1e-12 * min(1.0, np.abs(ref).max())
+                    assert np.abs(g - ref).max() <= tol, (N, kind)
 
     def test_pointwise_identity_interior_grid(self, solved):
         # E^h and curl F^h agree to machine precision on an interior grid

@@ -11,7 +11,7 @@ from dualcurl.galerkin import (
     psi1_table,
     spd_solve,
 )
-from conftest import assemble_mass0_direct
+from conftest import assemble_mass0_direct, psi0_dense, psi1_dense
 
 
 def rule_cases(degrees):
@@ -175,7 +175,7 @@ class TestBiorthogonality:
         q = gauss_rule(N + 1)
         X, Y = np.meshgrid(q.points, q.points, indexing="ij")
         w2 = np.outer(q.weights, q.weights).ravel()
-        P0 = psi0_table(ns, X.ravel(), Y.ravel())
+        P0 = psi0_dense(ns, X.ravel(), Y.ravel())
         D0 = gram.solve_mass0(P0)
         np.testing.assert_allclose(
             (D0 * w2) @ P0.T, np.eye(P0.shape[0]), atol=1e-12
@@ -188,12 +188,23 @@ class TestBiorthogonality:
         q = gauss_rule(N + 1)
         X, Y = np.meshgrid(q.points, q.points, indexing="ij")
         w2 = np.outer(q.weights, q.weights).ravel()
-        Vxi, Veta = psi1_table(ns, X.ravel(), Y.ravel())
-        Z = np.zeros_like(Vxi)  # each block's other component
-        Vxi, Veta = np.vstack([Vxi, Z]), np.vstack([Z, Veta])
+        Vxi, Veta = psi1_dense(ns, X.ravel(), Y.ravel())
         Dxi, Deta = gram.solve_mass1(Vxi), gram.solve_mass1(Veta)
         prod = (Dxi * w2) @ Vxi.T + (Deta * w2) @ Veta.T
         np.testing.assert_allclose(prod, np.eye(Vxi.shape[0]), atol=1e-12)
+
+
+class TestFactorTables:
+    # a scalar x would otherwise broadcast against a vector y, and a 2D
+    # grid whose size matches N+1 would contract to wrong values
+    @pytest.mark.parametrize("table", [psi0_table, psi1_table])
+    @pytest.mark.parametrize("x, y, shapes", [
+        (0.5, [0.1, 0.2, 0.3], r"\(1,\) and \(3,\)"),
+        (np.zeros((3, 3)), np.zeros((3, 3)), r"\(3, 3\) and \(3, 3\)"),
+    ], ids=["scalar-vector", "grid"])
+    def test_bad_points_rejected(self, table, x, y, shapes):
+        with pytest.raises(ValueError, match=r"x and y .*" + shapes):
+            table(gll_nodes(2), x, y)
 
 
 def test_gramset_lobatto_lumps_nodal_mass():
