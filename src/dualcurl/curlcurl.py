@@ -24,6 +24,13 @@ Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T):
     E10^T M1 E10 + M0             = kron(K + Gh, Gh) + kron(Gh, K)
     E10 inv(M0) E10^T + inv(M1)   = [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]]
 
+Fields live on grids.  Nodal dofs F are the (N+1)x(N+1) node grid
+f[j, i] (j along y), edge dofs Et the Nx(N+1) xi grid a and the (N+1)xN
+eta grid b (see `operators2d`).  On them E10 F is [D f; -f D^T], the
+differences of f along y and along x, and E10^T Et is D^T a - b D; the
+norms apply the masses as 1D Gram products on the grids, and
+`reconstruct` evaluates a field on the tensor grid of two 1D axes.
+
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and a quadrature rule reach this module, so
 both solves, the norms and the errors always share the same operators.
@@ -179,11 +186,12 @@ def solve_dirichlet(bd, disc):
     the operator being [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]] with
     Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T)."""
     _check(bd, disc)
-    D, Hi = disc.D, disc.gram.Gh_inv
+    N, D, Hi = disc.degree, disc.D, disc.gram.Gh_inv
     X = D @ Hi @ D.T + disc.gram.Ge_inv
     C = np.kron(D @ Hi, Hi @ D.T)
     A = np.block([[np.kron(X, Hi), -C], [-C.T, np.kron(Hi, X)]])
-    return spd_solve(A, -disc.E10 @ disc.gram.solve_mass0(disc.T.T @ bd.dofs))
+    f = disc.gram.solve_mass0(disc.T.T @ bd.dofs).reshape(N + 1, N + 1)
+    return spd_solve(A, -np.concatenate([g.ravel() for g in _incidence(f)]))
 
 
 def solve_both(bd, disc):
@@ -195,33 +203,70 @@ def solve_both(bd, disc):
     )
 
 
+def _dofs(v, disc, edges=False):
+    """`v` as a float vector of `disc`'s nodal dofs, or with `edges` of its
+    edge dofs; checked before a reshape could accept a grid or a column."""
+    N = disc.degree
+    n = 2 * N * (N + 1) if edges else (N + 1) ** 2
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"dofs of shape {v.shape} do not match the degree-{N} "
+                         f"discretization: expected a 1D vector of length {n}")
+    return v
+
+
+def _edge_grids(c, N):
+    """The xi grid (N, N+1) and the eta grid (N+1, N) of edge dofs c."""
+    xi, eta = np.split(c, 2)
+    return xi.reshape(N, N + 1), eta.reshape(N + 1, N)
+
+
+def _incidence(f):
+    """E10 F on the node grid f: the edge grids (D f, -f D^T)."""
+    return np.diff(f, axis=0), -np.diff(f, axis=1)
+
+
+def _incidence_T(a, b, D):
+    """E10^T Et on the edge grids (a, b) of Et: the node grid D^T a - b D."""
+    return D.T @ a - b @ D
+
+
 def weak_curl(Et, bd, disc):
     """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat."""
     _check(bd, disc)
-    return Et @ disc.E10 + bd.dofs @ disc.T
+    a, b = _edge_grids(_dofs(Et, disc, edges=True), disc.degree)
+    return _incidence_T(a, b, disc.D).ravel() + bd.dofs @ disc.T
 
 
 def norm_F(F, disc):
-    """H(curl) norm of the primal scalar field from its nodal dofs."""
-    c = disc.E10 @ F
-    return float(np.sqrt(F @ disc.gram.M0 @ F + c @ disc.gram.M1 @ c))
+    """H(curl) norm of the primal scalar field from its nodal dofs:
+    F M0 F + c M1 c with c = E10 F, as 1D Gram products on the grids."""
+    N, Gh, Ge = disc.degree, disc.gram.Gh, disc.gram.Ge
+    f = _dofs(F, disc).reshape(N + 1, N + 1)
+    a, b = _incidence(f)
+    return float(np.sqrt(
+        np.vdot(f, Gh @ f @ Gh) + np.vdot(a, Ge @ a @ Gh) + np.vdot(b, Gh @ b @ Ge)
+    ))
 
 
 def norm_E(Et, bd, disc):
     """H(curl) norm of the dual vector field from its edge dofs."""
-    w = weak_curl(Et, bd, disc)
+    w = weak_curl(Et, bd, disc)  # checks Et
     return float(
         np.sqrt(w @ disc.gram.solve_mass0(w) + Et @ disc.gram.solve_mass1(Et))
     )
 
 
 def _expand(C, Fx, Fy):
-    """sum_ij C[j, i] Fx[i, p] Fy[j, p]: a tensor-product expansion at P points."""
-    return ((C @ Fx) * Fy).sum(axis=0)
+    """sum_ij C[j, i] Fx[i, a] Fy[j, b]: a tensor-product expansion on the
+    grid of P x-values and Q y-values, shape (P, Q)."""
+    return Fx.T @ C.T @ Fy
 
 
 def reconstruct(kind, dofs, x, y, disc):
-    """Pointwise field values at points (x, y) of the same shape.
+    """Field values on the tensor grid of the 1D axes x (P values) and
+    y (Q values): (P, Q) arrays whose entry [a, b] is the value at
+    (x[a], y[b]), the orientation of meshgrid(x, y, indexing="ij").
 
     kind: "primal-scalar"  -> psi0 F                  (scalar)
           "primal-curl"    -> psi1 E10 F              (vector: xi, eta)
@@ -230,25 +275,24 @@ def reconstruct(kind, dofs, x, y, disc):
 
     The dual kinds solve the mass matrix against the dofs, not against
     the basis: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
-    Each coefficient grid is contracted with its 1D factor tables: the
-    (N+1)x(N+1) nodal grid with (Hx, Hy), the Nx(N+1) xi block with
-    (Hx, Ey), the (N+1)xN eta block with (Ex, Hy); no 2D table is formed.
+    Each coefficient grid is contracted with its 1D factor tables, one
+    direction at a time: the (N+1)x(N+1) nodal grid with (Hx, Hy), the
+    Nx(N+1) xi grid with (Hx, Ey), the (N+1)xN eta grid with (Ex, Hy).
     """
+    if kind not in ("primal-scalar", "primal-curl", "dual-vector", "dual-weak-curl"):
+        raise ValueError(f"unknown reconstruction kind {kind!r}")
     ns, N = disc.nodes, disc.degree
-    dofs = np.asarray(dofs, dtype=float)
+    c = _dofs(dofs, disc, edges=kind == "dual-vector")
     if kind in ("primal-scalar", "dual-weak-curl"):
-        c = dofs if kind == "primal-scalar" else disc.gram.solve_mass0(dofs)
+        if kind == "dual-weak-curl":
+            c = disc.gram.solve_mass0(c)
         return _expand(c.reshape(N + 1, N + 1), *psi0_table(ns, x, y))
     if kind == "primal-curl":
-        c = disc.E10 @ dofs
-    elif kind == "dual-vector":
-        c = disc.gram.solve_mass1(dofs)
+        xi, eta = _incidence(c.reshape(N + 1, N + 1))
     else:
-        raise ValueError(f"unknown reconstruction kind {kind!r}")
+        xi, eta = _edge_grids(disc.gram.solve_mass1(c), N)
     (Hx, Hy), (Ex, Ey) = psi0_table(ns, x, y), psi1_table(ns, x, y)
-    xi, eta = np.split(c, 2)  # the two N(N+1) component blocks
-    return (_expand(xi.reshape(N, N + 1), Hx, Ey),
-            _expand(eta.reshape(N + 1, N), Ex, Hy))
+    return _expand(xi, Hx, Ey), _expand(eta, Ex, Hy)
 
 
 def error_norms(sol, exact, disc, boost=15):
@@ -261,26 +305,27 @@ def error_norms(sol, exact, disc, boost=15):
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
-    N = disc.degree
-    q = gauss_rule(N + boost)
-    X, Y = np.meshgrid(q.points, q.points, indexing="ij")
-    x, y = X.ravel(), Y.ravel()
-    w2 = np.outer(q.weights, q.weights).ravel()
+    if boost < 0:
+        raise ValueError(f"boost must be >= 0, got {boost}")
+    q = gauss_rule(disc.degree + boost)
+    g = q.points
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    w2 = np.outer(q.weights, q.weights)
 
-    Fh = reconstruct("primal-scalar", sol.neumann, x, y, disc)
-    cFx, cFy = reconstruct("primal-curl", sol.neumann, x, y, disc)
-    errF2 = w2 @ (
-        (exact.scalar(x, y) - Fh) ** 2
-        + (exact.Ex(x, y) - cFx) ** 2
-        + (exact.Ey(x, y) - cFy) ** 2
-    )
+    Fh = reconstruct("primal-scalar", sol.neumann, g, g, disc)
+    cFx, cFy = reconstruct("primal-curl", sol.neumann, g, g, disc)
+    errF2 = np.vdot(w2, (
+        (exact.scalar(X, Y) - Fh) ** 2
+        + (exact.Ex(X, Y) - cFx) ** 2
+        + (exact.Ey(X, Y) - cFy) ** 2
+    ))
 
-    Ehx, Ehy = reconstruct("dual-vector", sol.dirichlet, x, y, disc)
+    Ehx, Ehy = reconstruct("dual-vector", sol.dirichlet, g, g, disc)
     w = weak_curl(sol.dirichlet, sol.boundary, disc)
-    cEh = reconstruct("dual-weak-curl", w, x, y, disc)
-    errE2 = w2 @ (
-        (exact.Ex(x, y) - Ehx) ** 2
-        + (exact.Ey(x, y) - Ehy) ** 2
-        + (exact.vector_curl(x, y) - cEh) ** 2
-    )
+    cEh = reconstruct("dual-weak-curl", w, g, g, disc)
+    errE2 = np.vdot(w2, (
+        (exact.Ex(X, Y) - Ehx) ** 2
+        + (exact.Ey(X, Y) - Ehy) ** 2
+        + (exact.vector_curl(X, Y) - cEh) ** 2
+    ))
     return float(np.sqrt(errF2)), float(np.sqrt(errE2))

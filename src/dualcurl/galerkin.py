@@ -20,9 +20,10 @@ contracts here are stated for the exact rule.
 Neither basis is tabulated in 2D.  A dual expansion with dofs d equals
 the primal expansion with coefficients inv(M) d, because M is symmetric,
 so one mass solve against the dofs replaces a solve against a basis
-table; `psi0_table`/`psi1_table` return the 1D factor tables at P points
-as a flat tuple, and a field with coefficient grid C[j, i] (j along y)
-is ((C @ Fx) * Fy).sum(axis=0).
+table.  `psi0_table`/`psi1_table` return the 1D factor tables on the two
+axes of a tensor grid, x of length P and y of length Q, as a flat tuple;
+a field with coefficient grid C[j, i] (j along y) takes the values
+Fx.T @ C.T @ Fy on that grid, entry [a, b] at (x_a, y_b).
 """
 
 from dataclasses import dataclass, field
@@ -116,8 +117,10 @@ def spd_solve(A, b):
 @dataclass
 class GramSet:
     """The node set, the 1D Gram factors of degree N and their inverses,
-    the 2D masses built from the factors and the inverse masses built from
-    the inverses."""
+    the edge and boundary masses built from the factors and the inverse
+    masses built from the inverses.  The nodal mass M0 is not stored:
+    callers apply it as Gh f Gh on the node grid, or build it with
+    `assemble_mass0(Gh)`."""
 
     degree: int
     rule: str = "gauss"
@@ -126,7 +129,6 @@ class GramSet:
     Ge: np.ndarray = field(init=False)
     Gh_inv: np.ndarray = field(init=False)
     Ge_inv: np.ndarray = field(init=False)
-    M0: np.ndarray = field(init=False)
     M1: np.ndarray = field(init=False)
     B0: np.ndarray = field(init=False)
 
@@ -134,7 +136,6 @@ class GramSet:
         self.nodes = gll_nodes(self.degree)
         self.Gh = gram_nodal_1d(self.nodes, self.rule)
         self.Ge = gram_edge_1d(self.nodes, self.rule)
-        self.M0 = assemble_mass0(self.Gh)
         self.M1 = assemble_mass1(self.Gh, self.Ge)
         self.B0 = assemble_boundary_mass(self.Gh)
         self.Gh_inv = spd_solve(self.Gh, np.eye(self.degree + 1))
@@ -159,19 +160,21 @@ class GramSet:
 
 def _points(x, y):
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    if x.ndim != 1 or x.shape != y.shape:  # a 2D grid would broadcast silently
-        raise ValueError(f"x and y must be 1D of one shape, not {x.shape} and {y.shape}")
+    if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
+        raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
     return x, y
 
 
 def psi0_table(ns, x, y):
-    """Nodal factors (Hx, Hy), each (N+1, P): node j*(N+1)+i is h_i(x) h_j(y)."""
+    """Nodal factors Hx (N+1, P) and Hy (N+1, Q) on the axes x and y:
+    node j*(N+1)+i is h_i(x) h_j(y)."""
     x, y = _points(x, y)
     return lagrange_eval(ns, x), lagrange_eval(ns, y)
 
 
 def psi1_table(ns, x, y):
-    """Edge factors (Ex, Ey), each (N, P): the xi block is h_i(x) e_j(y) and
-    the eta block e_i(x) h_j(y), each zero in the other component."""
+    """Edge factors Ex (N, P) and Ey (N, Q) on the axes x and y: the xi
+    block is h_i(x) e_j(y) and the eta block e_i(x) h_j(y), each zero in
+    the other component."""
     x, y = _points(x, y)
     return edge_eval(ns, x), edge_eval(ns, y)

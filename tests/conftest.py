@@ -3,6 +3,7 @@ import pytest
 
 from dualcurl.basis1d import edge_eval, gauss_rule, gll_nodes, lagrange_eval
 from dualcurl.curlcurl import AnalyticField
+from dualcurl.galerkin import assemble_mass0
 
 
 def random_vector_field(rng):
@@ -48,7 +49,7 @@ def assemble_mass0_direct(N):
 def neumann_system(disc, bd):
     """(A, b) of the Neumann solve by its dense definition,
     (E10^T M1 E10 + M0) F = -T^T Ehat: the oracle for the Kronecker form."""
-    A = disc.E10.T @ disc.gram.M1 @ disc.E10 + disc.gram.M0
+    A = disc.E10.T @ disc.gram.M1 @ disc.E10 + assemble_mass0(disc.gram.Gh)
     return A, -disc.T.T @ bd.dofs
 
 

@@ -6,6 +6,7 @@ from dualcurl import curlcurl as cc
 from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
+from dualcurl.galerkin import assemble_mass0
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
@@ -203,9 +204,8 @@ class TestIdentityProperties:
         nF = cc.norm_F(sol.neumann, disc)
         assert norm_gap(nF, cc.norm_E(sol.dirichlet, bd, disc)) <= 1e-11
         g = gauss_rule(12).points
-        X, Y = np.meshgrid(g, g, indexing="ij")
-        Ex, Ey = cc.reconstruct("dual-vector", sol.dirichlet, X.ravel(), Y.ravel(), disc)
-        Cx, Cy = cc.reconstruct("primal-curl", sol.neumann, X.ravel(), Y.ravel(), disc)
+        Ex, Ey = cc.reconstruct("dual-vector", sol.dirichlet, g, g, disc)
+        Cx, Cy = cc.reconstruct("primal-curl", sol.neumann, g, g, disc)
         # relative to the field, like the other two: at N=20 the absolute
         # gap reaches about 1e-11 for fields of size 3 (relative 5e-12)
         gap = max(np.abs(Ex - Cx).max(), np.abs(Ey - Cy).max())
@@ -230,8 +230,9 @@ class TestOperators:
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     @pytest.mark.parametrize("N", range(1, 13))
     def test_kronecker_forms_match_dense_definitions(self, monkeypatch, rng, N, rule):
-        # the solvers build both systems from the 1D factors; the dense
-        # products of the 2D matrices are the oracle
+        # the solvers build both systems from the 1D factors, weak_curl and
+        # norm_F apply E10 on the grids; the dense products of the 2D
+        # matrices are the oracle
         systems = []
 
         def capturing(A, b):
@@ -252,6 +253,16 @@ class TestOperators:
         for (A, b), (A_ref, b_ref) in zip(systems, refs):
             assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
             assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+        # an entry of E10^T Et sums at most four dofs: summed in two orders
+        # it differs by at most 12 eps max|Et|
+        Et = rng.standard_normal(2 * N * (N + 1))
+        zero = cc.BoundaryData(N, np.zeros(4 * N))
+        gap = np.abs(cc.weak_curl(Et, zero, disc) - disc.E10.T @ Et).max()
+        assert gap <= 12 * np.finfo(float).eps * np.abs(Et).max()
+        F = rng.standard_normal((N + 1) ** 2)
+        c = disc.E10 @ F
+        ref = np.sqrt(F @ assemble_mass0(disc.gram.Gh) @ F + c @ disc.gram.M1 @ c)
+        assert abs(cc.norm_F(F, disc) - ref) <= 1e-13 * ref
 
 
 class TestWeakCurl:
@@ -289,12 +300,13 @@ class TestWeakCurl:
         # curl E = -F for this problem; the reconstruction converges fast
         x = rng.uniform(-0.95, 0.95, 200)
         y = rng.uniform(-0.95, 0.95, 200)
+        X, Y = np.meshgrid(x, y, indexing="ij")
         prev = None
         for N in (3, 6, 9):
             disc, bd, sol = solved[N]
             w = cc.weak_curl(sol.dirichlet, bd, disc)
             vals = cc.reconstruct("dual-weak-curl", w, x, y, disc)
-            err = np.max(np.abs(vals - (-exact.scalar(x, y))))
+            err = np.max(np.abs(vals - (-exact.scalar(X, Y))))
             if prev is not None:
                 assert err < prev * 1e-1
             prev = err
@@ -342,43 +354,48 @@ class TestReconstruct:
         dofs = p(X, Y).T.ravel()  # node index is j*(N+1)+i
         x = rng.uniform(-1, 1, 50)
         y = rng.uniform(-1, 1, 50)
+        X, Y = np.meshgrid(x, y, indexing="ij")
         np.testing.assert_allclose(
-            cc.reconstruct("primal-scalar", dofs, x, y, disc), p(x, y), atol=1e-12
+            cc.reconstruct("primal-scalar", dofs, x, y, disc), p(X, Y), atol=1e-12
         )
 
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     def test_dual_vector_matches_primal_expansion(self, rng, rule):
-        # every kind against the (dofs x points) oracle tables: dofs M1 e
-        # and M0 f expand in the dual bases to the same fields as the
-        # primal expansions of e and f; only "gauss" has a dense M0
-        x = rng.uniform(-1, 1, 40)
-        y = rng.uniform(-1, 1, 40)
+        # every kind against the (dofs x points) oracle tables at the
+        # meshgrid points: dofs M1 e and M0 f expand in the dual bases to
+        # the same fields as the primal expansions of e and f; only "gauss"
+        # has a dense M0.  Two distinct axes of different lengths catch an
+        # x/y transposition.
+        x = rng.uniform(-1, 1, 7)
+        y = rng.uniform(-1, 1, 11)
+        X, Y = np.meshgrid(x, y, indexing="ij")
         for N in (1, 2, 5, 12, 20):
             disc = cc.Discretization(N, rule=rule)
             e = rng.standard_normal(2 * N * (N + 1))
             f = rng.standard_normal((N + 1) ** 2)
-            P0 = psi0_dense(disc.nodes, x, y)
-            Vxi, Veta = psi1_dense(disc.nodes, x, y)
+            P0 = psi0_dense(disc.nodes, X.ravel(), Y.ravel())
+            Vxi, Veta = psi1_dense(disc.nodes, X.ravel(), Y.ravel())
             cases = [
                 ("primal-scalar", f, [f @ P0]),
                 ("primal-curl", f, [(disc.E10 @ f) @ Vxi, (disc.E10 @ f) @ Veta]),
                 ("dual-vector", disc.gram.M1 @ e, [e @ Vxi, e @ Veta]),
-                ("dual-weak-curl", disc.gram.M0 @ f, [f @ P0]),
+                ("dual-weak-curl", assemble_mass0(disc.gram.Gh) @ f, [f @ P0]),
             ]
             for kind, dofs, refs in cases:
-                got = np.atleast_2d(cc.reconstruct(kind, dofs, x, y, disc))
+                got = cc.reconstruct(kind, dofs, x, y, disc)
+                got = got if isinstance(got, tuple) else (got,)
                 for g, ref in zip(got, refs, strict=True):
+                    assert g.shape == X.shape, (N, kind)
                     # 1e-12 both absolute and relative to the field
                     tol = 1e-12 * min(1.0, np.abs(ref).max())
-                    assert np.abs(g - ref).max() <= tol, (N, kind)
+                    assert np.abs(g - ref.reshape(X.shape)).max() <= tol, (N, kind)
 
     def test_pointwise_identity_interior_grid(self, solved):
         # E^h and curl F^h agree to machine precision on an interior grid
         disc, _, sol = solved[3]
         g = gauss_rule(30).points
-        X, Y = np.meshgrid(g, g, indexing="ij")
-        Ex, Ey = cc.reconstruct("dual-vector", sol.dirichlet, X.ravel(), Y.ravel(), disc)
-        Cx, Cy = cc.reconstruct("primal-curl", sol.neumann, X.ravel(), Y.ravel(), disc)
+        Ex, Ey = cc.reconstruct("dual-vector", sol.dirichlet, g, g, disc)
+        Cx, Cy = cc.reconstruct("primal-curl", sol.neumann, g, g, disc)
         assert np.max(np.abs(Ex - Cx)) <= 1e-13
         assert np.max(np.abs(Ey - Cy)) <= 1e-13
 
@@ -440,6 +457,31 @@ class TestInputChecks:
         dofs[5] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             cc.solve_both(cc.BoundaryData(3, dofs), disc)
+
+    @pytest.mark.parametrize("call, n", [
+        (cc.weak_curl, 180),
+        (lambda v, bd, disc: cc.norm_F(v, disc), 100),
+        (cc.norm_E, 180),
+        (lambda v, bd, disc: cc.reconstruct("primal-curl", v, 0.0, 0.0, disc), 100),
+        (lambda v, bd, disc: cc.reconstruct("dual-vector", v, 0.0, 0.0, disc), 180),
+    ], ids=["weak_curl", "norm_F", "norm_E", "reconstruct-nodal", "reconstruct-edge"])
+    @pytest.mark.parametrize("shape", ["long", "grid", "column"])
+    def test_bad_dof_vector(self, call, n, shape):
+        # N=9 has 100 nodal and 180 edge dofs; a grid or a column of the
+        # right size would reshape silently
+        disc = cc.Discretization(9)
+        bd = cc.BoundaryData(9, np.zeros(36))
+        v = {"long": np.zeros(n + 1), "grid": np.zeros((n // 10, 10)),
+             "column": np.zeros((n, 1))}[shape]
+        with pytest.raises(ValueError, match=rf"degree-9 .* length {n}$"):
+            call(v, bd, disc)
+
+    def test_error_norms_rejects_negative_boost(self, exact, solved):
+        # a negative boost would under-integrate and shrink the errors
+        disc, _, sol = solved[9]
+        with pytest.raises(ValueError, match="boost must be >= 0"):
+            cc.error_norms(sol, exact, disc, boost=-5)
+        assert all(np.isfinite(cc.error_norms(sol, exact, disc, boost=0)))
 
     @pytest.mark.parametrize("missing", ["scalar", "vector_curl"])
     def test_error_norms_names_missing_part(self, exact, solved, missing):

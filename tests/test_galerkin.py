@@ -6,6 +6,7 @@ from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.galerkin import (
     GramSet,
+    assemble_mass0,
     gram_nodal_1d,
     psi0_table,
     psi1_table,
@@ -29,26 +30,26 @@ class TestMass0:
         # 1D Gram of the linear hats is [[2/3,1/3],[1/3,2/3]]
         G = gram_nodal_1d(gll_nodes(1))
         np.testing.assert_allclose(G, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-14)
-        M0 = GramSet(1).M0
+        M0 = assemble_mass0(GramSet(1).Gh)
         assert M0[0, 0] == pytest.approx(4 / 9, abs=1e-14)
         # the exact rule keeps the off-diagonal coupling; a GLL-collocated
         # rule would lump it away
         assert M0[0, 1] == pytest.approx(2 / 9, abs=1e-14)
-        assert GramSet(1, rule="lobatto").M0[0, 1] == 0.0
+        assert assemble_mass0(GramSet(1, rule="lobatto").Gh)[0, 1] == 0.0
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_entry_sum_is_area(self, N):
-        assert GramSet(N).M0.sum() == pytest.approx(4.0, abs=1e-12)
+        assert assemble_mass0(GramSet(N).Gh).sum() == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("N", range(1, 7))
     def test_tensor_matches_direct_quadrature(self, N):
         np.testing.assert_allclose(
-            GramSet(N).M0, assemble_mass0_direct(N), atol=1e-13
+            assemble_mass0(GramSet(N).Gh), assemble_mass0_direct(N), atol=1e-13
         )
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_symmetric_spd(self, N):
-        M0 = GramSet(N).M0
+        M0 = assemble_mass0(GramSet(N).Gh)
         np.testing.assert_allclose(M0, M0.T, rtol=1e-13)
         cho_factor(M0)  # raises if not positive definite
 
@@ -101,9 +102,8 @@ class TestDualMass:
     @pytest.mark.parametrize("N, rule", rule_cases(range(1, 9)))
     def test_product_is_identity(self, N, rule):
         gs = GramSet(N, rule)
-        np.testing.assert_allclose(
-            gs.M2_dual @ gs.M0, np.eye(gs.M0.shape[0]), atol=1e-11
-        )
+        M0 = assemble_mass0(gs.Gh)
+        np.testing.assert_allclose(gs.M2_dual @ M0, np.eye(M0.shape[0]), atol=1e-11)
 
     @pytest.mark.parametrize("N, rule", rule_cases(range(1, 9)))
     def test_symmetry(self, N, rule):
@@ -113,7 +113,7 @@ class TestDualMass:
     @pytest.mark.parametrize("N, rule", rule_cases(range(1, 13)))
     def test_factorization_through_degree_12(self, N, rule):
         gs = GramSet(N, rule)
-        for M in (gs.M0, gs.M1):
+        for M in (assemble_mass0(gs.Gh), gs.M1):
             cho_factor(M)  # conditioning grows with N but stays factorizable
 
 
@@ -123,7 +123,7 @@ class TestMassSolve:
     def test_matches_dense_solve(self, N, rule, cols):
         gs = GramSet(N, rule)
         rng = np.random.default_rng(N)
-        for solve, M in ((gs.solve_mass0, gs.M0), (gs.solve_mass1, gs.M1)):
+        for solve, M in ((gs.solve_mass0, assemble_mass0(gs.Gh)), (gs.solve_mass1, gs.M1)):
             b = rng.standard_normal((M.shape[0],) + cols)
             x = solve(b)
             assert x.shape == b.shape
@@ -148,7 +148,7 @@ class TestSpdSolve:
         np.testing.assert_array_equal(spd_solve(np.eye(5), b), b)
 
     def test_constructed_solution(self):
-        M0 = GramSet(2).M0
+        M0 = assemble_mass0(GramSet(2).Gh)
         ones = np.ones(9)
         np.testing.assert_allclose(spd_solve(M0, M0 @ ones), ones, atol=1e-12)
 
@@ -195,19 +195,19 @@ class TestBiorthogonality:
 
 
 class TestFactorTables:
-    # a scalar x would otherwise broadcast against a vector y, and a 2D
-    # grid whose size matches N+1 would contract to wrong values
+    # x and y are the two axes of a tensor grid; a 2D array for either,
+    # whose size may match N+1, would contract to wrong values
     @pytest.mark.parametrize("table", [psi0_table, psi1_table])
     @pytest.mark.parametrize("x, y, shapes", [
-        (0.5, [0.1, 0.2, 0.3], r"\(1,\) and \(3,\)"),
+        (np.zeros(3), np.zeros((3, 3)), r"\(3,\) and \(3, 3\)"),
         (np.zeros((3, 3)), np.zeros((3, 3)), r"\(3, 3\) and \(3, 3\)"),
-    ], ids=["scalar-vector", "grid"])
+    ], ids=["vector-grid", "grid"])
     def test_bad_points_rejected(self, table, x, y, shapes):
         with pytest.raises(ValueError, match=r"x and y .*" + shapes):
             table(gll_nodes(2), x, y)
 
 
 def test_gramset_lobatto_lumps_nodal_mass():
-    gs = GramSet(3, rule="lobatto")
-    assert np.count_nonzero(gs.M0 - np.diag(np.diag(gs.M0))) == 0
-    assert gs.M0.sum() == pytest.approx(4.0, abs=1e-12)
+    M0 = assemble_mass0(GramSet(3, rule="lobatto").Gh)
+    assert np.count_nonzero(M0 - np.diag(np.diag(M0))) == 0
+    assert M0.sum() == pytest.approx(4.0, abs=1e-12)
