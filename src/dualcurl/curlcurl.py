@@ -15,14 +15,28 @@ with positive arclength measure.  The two solutions are linked exactly by
 Et = M1 E10 F, the discrete form of E = curl F, and carry equal
 H(curl) norms.
 
-Both operators are built from the 1D factors, never as products of 2D
-matrices.  The incidence is pure topology, E10 = [kron(D, I); -kron(I, D)]
-with D the Nx(N+1) 1D difference, and the masses are Kronecker products
-of the 1D Grams Gh, Ge (see `galerkin`).  With K = D^T Ge D,
+Both operators are sums of Kronecker products of the 1D factors.  The
+incidence is pure topology, E10 = [kron(D, I); -kron(I, D)] with D the
+Nx(N+1) 1D difference, and the masses are Kronecker products of the 1D
+Grams Gh, Ge (see `galerkin`).  With K = D^T Ge D,
 Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T):
 
     E10^T M1 E10 + M0             = kron(K + Gh, Gh) + kron(Gh, K)
     E10 inv(M0) E10^T + inv(M1)   = [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]]
+
+Neither is formed: both are solved by fast diagonalization (Lynch, Rice
+& Thomas, Numer. Math. 6, 1964; Deville, Fischer & Mund 2002, 4.5) from
+1D generalized eigenpairs that `Discretization` computes once per degree.
+The Neumann operator is diagonal in the eigenvectors of K V = Gh V lam,
+with eigenvalues lam_i + lam_j + 1.  The Dirichlet solve eliminates the
+xi grid and diagonalizes the Schur complement
+kron(Hi, X) - kron(P, D Hi D^T), P = Hi D^T inv(X) D Hi, with the pencils
+P U = Hi U nu and (D Hi D^T) W = X W mu, eigenvalues 1 - nu_i mu_j.  The
+two solves share no eigenpair, so their agreement stays a check.  Each
+solve is followed by one refinement step x += S(b - A x) with A applied
+on the grids.  Building the factors and each solve cost O(N^3); only the
+Dirichlet right-hand side still applies the dense inv(M0) of
+`GramSet.solve_mass0`, O(N^4).
 
 Fields live on grids.  Nodal dofs F are the (N+1)x(N+1) node grid
 f[j, i] (j along y), edge dofs Et the Nx(N+1) xi grid a and the (N+1)xN
@@ -40,9 +54,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .basis1d import gauss_rule, lagrange_eval
-from .galerkin import GramSet, psi0_table, psi1_table, spd_solve
+from .galerkin import GramSet, psi0_table, psi1_table
 from .operators2d import build_incidence, build_trace, side_dof_indices
 
 __all__ = [
@@ -122,6 +137,12 @@ class Discretization:
     rule (default) reproduces the published norm values; "gauss" gives
     exactly integrated masses.  The structural identities (equivalence of
     the two solves, equality of norms, E^h = curl F^h) hold for either.
+
+    The 1D factors of both solves are computed here, once: K, D Hi, X and
+    inv(X), the eigenvectors V (Neumann), U and W (Dirichlet) normalized
+    by their pencils' right-hand matrices, and the reciprocal eigenvalue
+    grids `neumann_scale` 1/(lam_i + lam_j + 1) and `dirichlet_scale`
+    1/(1 - nu_i mu_j).
     """
 
     def __init__(self, N, rule="lobatto"):
@@ -129,9 +150,19 @@ class Discretization:
         self.rule = rule
         self.gram = GramSet(N, rule)
         self.nodes = self.gram.nodes
-        self.D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
+        self.D = D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.E10 = build_incidence(N)
         self.T = build_trace(N)
+        self.K = D.T @ self.gram.Ge @ D
+        lam, self.V = eigh(self.K, self.gram.Gh)
+        self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
+        self.DH = DH = D @ self.gram.Gh_inv
+        Y = DH @ D.T
+        self.X = Y + self.gram.Ge_inv
+        mu, self.W = eigh(Y, self.X)
+        self.X_inv = self.W @ self.W.T  # W^T X W = I
+        nu, self.U = eigh(DH.T @ self.X_inv @ DH, self.gram.Gh_inv)
+        self.dirichlet_scale = 1.0 / (1.0 - nu[:, None] * mu)
 
 
 def _check(bd, disc):
@@ -171,27 +202,72 @@ def project_boundary_data(field, disc, n_quad=None):
     return BoundaryData(degree=N, dofs=dofs)
 
 
+def _fdm(Q1, Q2, scale, r):
+    """Fast-diagonalization solve on a grid: Q1 ((Q1^T r Q2) * scale) Q2^T."""
+    return Q1 @ ((Q1.T @ r @ Q2) * scale) @ Q2.T
+
+
+def _neumann_apply(F, disc):
+    """(E10^T M1 E10 + M0) F on the node grid f: K f Gh + Gh f (K + Gh)."""
+    N, Gh, K = disc.degree, disc.gram.Gh, disc.K
+    f = F.reshape(N + 1, N + 1)
+    return (K @ f @ Gh + Gh @ f @ (K + Gh)).ravel()
+
+
+def _neumann_rhs(bd, disc):
+    return -disc.T.T @ bd.dofs
+
+
 def solve_neumann(bd, disc):
     """Primal solve: nodal dofs F from (E10^T M1 E10 + M0) F = -T^T Ehat,
-    the operator being kron(K + Gh, Gh) + kron(Gh, K) with K = D^T Ge D."""
+    the operator being kron(K + Gh, Gh) + kron(Gh, K) with K = D^T Ge D.
+    Fast diagonalization with K V = Gh V lam, O(N^3)."""
     _check(bd, disc)
-    Gh = disc.gram.Gh
-    K = disc.D.T @ disc.gram.Ge @ disc.D
-    return spd_solve(np.kron(K + Gh, Gh) + np.kron(Gh, K), -disc.T.T @ bd.dofs)
+    N, V = disc.degree, disc.V
+
+    def solve(r):
+        return _fdm(V, V, disc.neumann_scale, r.reshape(N + 1, N + 1)).ravel()
+
+    rhs = _neumann_rhs(bd, disc)
+    F = solve(rhs)
+    return F + solve(rhs - _neumann_apply(F, disc))  # one refinement step
+
+
+def _dirichlet_apply(Et, disc):
+    """(E10 inv(M0) E10^T + inv(M1)) Et on the edge grids (a, b):
+    X a Hi - (D Hi) b (D Hi) and -(Hi D^T) a (Hi D^T) + Hi b X."""
+    Hi, X, DH = disc.gram.Gh_inv, disc.X, disc.DH
+    a, b = _edge_grids(Et, disc.degree)
+    return np.concatenate([(X @ a @ Hi - DH @ b @ DH).ravel(),
+                           (Hi @ b @ X - DH.T @ a @ DH.T).ravel()])
+
+
+def _dirichlet_rhs(bd, disc):
+    N = disc.degree
+    f = disc.gram.solve_mass0(disc.T.T @ bd.dofs).reshape(N + 1, N + 1)
+    return -np.concatenate([g.ravel() for g in _incidence(f)])
 
 
 def solve_dirichlet(bd, disc):
     """Dual solve: edge dofs Et from
     (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat,
     the operator being [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]] with
-    Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T)."""
+    Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T).
+    The xi grid a is eliminated; the eta grid b solves the Schur complement
+    Hi b X - P b (D Hi D^T) = r_eta + Hi D^T inv(X) r_xi D^T by fast
+    diagonalization, and a = inv(X) (r_xi + D Hi b D Hi) Gh.  O(N^3)."""
     _check(bd, disc)
-    N, D, Hi = disc.degree, disc.D, disc.gram.Gh_inv
-    X = D @ Hi @ D.T + disc.gram.Ge_inv
-    C = np.kron(D @ Hi, Hi @ D.T)
-    A = np.block([[np.kron(X, Hi), -C], [-C.T, np.kron(Hi, X)]])
-    f = disc.gram.solve_mass0(disc.T.T @ bd.dofs).reshape(N + 1, N + 1)
-    return spd_solve(A, -np.concatenate([g.ravel() for g in _incidence(f)]))
+    D, DH, Gh, Xi = disc.D, disc.DH, disc.gram.Gh, disc.X_inv
+
+    def solve(r):
+        r_xi, r_eta = _edge_grids(r, disc.degree)
+        b = _fdm(disc.U, disc.W, disc.dirichlet_scale, r_eta + DH.T @ Xi @ r_xi @ D.T)
+        a = Xi @ (r_xi + DH @ b @ DH) @ Gh
+        return np.concatenate([a.ravel(), b.ravel()])
+
+    rhs = _dirichlet_rhs(bd, disc)
+    Et = solve(rhs)
+    return Et + solve(rhs - _dirichlet_apply(Et, disc))  # one refinement step
 
 
 def solve_both(bd, disc):

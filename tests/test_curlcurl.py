@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 from dualcurl import curlcurl as cc
 from dualcurl import galerkin
@@ -229,29 +230,26 @@ class TestDiscretization:
 class TestOperators:
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     @pytest.mark.parametrize("N", range(1, 13))
-    def test_kronecker_forms_match_dense_definitions(self, monkeypatch, rng, N, rule):
-        # the solvers build both systems from the 1D factors, weak_curl and
-        # norm_F apply E10 on the grids; the dense products of the 2D
-        # matrices are the oracle
-        systems = []
-
-        def capturing(A, b):
-            systems.append((A, b))
-            return galerkin.spd_solve(A, b)
-
-        monkeypatch.setattr(cc, "spd_solve", capturing)
+    def test_kronecker_forms_match_dense_definitions(self, rng, N, rule):
+        # the solvers apply both operators on the grids and build their
+        # right-hand sides from the 1D factors, weak_curl and norm_F apply
+        # E10 on the grids; the dense products of the 2D matrices are the
+        # oracle
         disc = cc.Discretization(N, rule)
         bd = cc.project_boundary_data(random_vector_field(rng), disc)
-        cc.solve_neumann(bd, disc)
-        cc.solve_dirichlet(bd, disc)
         I = np.eye(N + 1)
         np.testing.assert_array_equal(
             disc.E10, np.vstack([np.kron(disc.D, I), -np.kron(I, disc.D)])
         )
-        assert len(systems) == 2
-        refs = (neumann_system(disc, bd), dirichlet_system(disc, bd))
-        for (A, b), (A_ref, b_ref) in zip(systems, refs):
-            assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+        cases = [
+            (cc._neumann_apply, cc._neumann_rhs, neumann_system(disc, bd)),
+            (cc._dirichlet_apply, cc._dirichlet_rhs, dirichlet_system(disc, bd)),
+        ]
+        for apply, rhs, (A_ref, b_ref) in cases:
+            x = rng.standard_normal(A_ref.shape[0])
+            Ax = A_ref @ x
+            assert np.abs(apply(x, disc) - Ax).max() <= 1e-13 * np.abs(Ax).max()
+            b = rhs(bd, disc)
             assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
         # an entry of E10^T Et sums at most four dofs: summed in two orders
         # it differs by at most 12 eps max|Et|
@@ -263,6 +261,60 @@ class TestOperators:
         c = disc.E10 @ F
         ref = np.sqrt(F @ assemble_mass0(disc.gram.Gh) @ F + c @ disc.gram.M1 @ c)
         assert abs(cc.norm_F(F, disc) - ref) <= 1e-13 * ref
+
+
+def _residual(apply, rhs, x, bd, disc):
+    """Relative residual of a solve, with the operator applied on the grids."""
+    b = rhs(bd, disc)
+    return np.linalg.norm(apply(x, disc) - b) / np.linalg.norm(b)
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_matches_dense_oracle(self, rng, N, rule):
+        # the dense systems of the definitions, solved directly, are the
+        # oracle; the residual bound is near that of np.linalg.solve itself,
+        # which reaches 3e-14 at N=12
+        disc = cc.Discretization(N, rule)
+        bd = cc.project_boundary_data(random_vector_field(rng), disc)
+        for solver, system in ((cc.solve_neumann, neumann_system),
+                               (cc.solve_dirichlet, dirichlet_system)):
+            A, b = system(disc, bd)
+            x = solver(bd, disc)
+            ref = np.linalg.solve(A, b)
+            assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+            assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", [24, 40])
+    def test_accuracy_past_oracle_range(self, exact, N, rule):
+        # beyond the dense oracle the identities and the residuals of the
+        # refined solves stay at 1e-12
+        disc = cc.Discretization(N, rule)
+        bd = cc.project_boundary_data(exact, disc)
+        sol = cc.solve_both(bd, disc)
+        assert equivalence_residual(sol, disc) <= 1e-12
+        nF = cc.norm_F(sol.neumann, disc)
+        assert norm_gap(nF, cc.norm_E(sol.dirichlet, bd, disc)) <= 1e-12
+        assert _residual(cc._neumann_apply, cc._neumann_rhs, sol.neumann, bd, disc) <= 1e-12
+        assert _residual(
+            cc._dirichlet_apply, cc._dirichlet_rhs, sol.dirichlet, bd, disc) <= 1e-12
+
+    def test_factors_once_per_degree(self, monkeypatch, exact):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(cc, "eigh", counting)
+        disc = cc.Discretization(6)
+        assert len(calls) == 3   # the Neumann pencil and the two Dirichlet pencils
+        bd = cc.project_boundary_data(exact, disc)
+        cc.solve_both(bd, disc)
+        cc.solve_both(bd, disc)
+        assert len(calls) == 3
 
 
 class TestWeakCurl:
