@@ -34,9 +34,8 @@ kron(Hi, X) - kron(P, D Hi D^T), P = Hi D^T inv(X) D Hi, with the pencils
 P U = Hi U nu and (D Hi D^T) W = X W mu, eigenvalues 1 - nu_i mu_j.  The
 two solves share no eigenpair, so their agreement stays a check.  Each
 solve is followed by one refinement step x += S(b - A x) with A applied
-on the grids.  Building the factors and each solve cost O(N^3); only the
-Dirichlet right-hand side still applies the dense inv(M0) of
-`GramSet.solve_mass0`, O(N^4).
+on the grids.  Building the factors, each solve and its right-hand side
+cost O(N^3); the mass solves of `GramSet` run on the grids as well.
 
 Fields live on grids.  Nodal dofs F are the (N+1)x(N+1) node grid
 f[j, i] (j along y), edge dofs Et the Nx(N+1) xi grid a and the (N+1)xN
@@ -51,13 +50,13 @@ both solves, the norms and the errors always share the same operators.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .basis1d import gauss_rule, lagrange_eval
-from .galerkin import GramSet, psi0_table, psi1_table
+from .galerkin import GramSet, psi0_table, psi1_table, spd_eigh
 from .operators2d import build_incidence, build_trace, side_dof_indices
 
 __all__ = [
@@ -142,7 +141,8 @@ class Discretization:
     inv(X), the eigenvectors V (Neumann), U and W (Dirichlet) normalized
     by their pencils' right-hand matrices, and the reciprocal eigenvalue
     grids `neumann_scale` 1/(lam_i + lam_j + 1) and `dirichlet_scale`
-    1/(1 - nu_i mu_j).
+    1/(1 - nu_i mu_j).  The dense incidence `E10` is built on first
+    access; no solve, norm or error path reads it.
     """
 
     def __init__(self, N, rule="lobatto"):
@@ -151,18 +151,22 @@ class Discretization:
         self.gram = GramSet(N, rule)
         self.nodes = self.gram.nodes
         self.D = D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
-        self.E10 = build_incidence(N)
         self.T = build_trace(N)
         self.K = D.T @ self.gram.Ge @ D
-        lam, self.V = eigh(self.K, self.gram.Gh)
+        lam, self.V = spd_eigh(self.K, self.gram.Gh)
         self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
         self.DH = DH = D @ self.gram.Gh_inv
         Y = DH @ D.T
         self.X = Y + self.gram.Ge_inv
-        mu, self.W = eigh(Y, self.X)
+        mu, self.W = spd_eigh(Y, self.X)
         self.X_inv = self.W @ self.W.T  # W^T X W = I
-        nu, self.U = eigh(DH.T @ self.X_inv @ DH, self.gram.Gh_inv)
+        nu, self.U = spd_eigh(DH.T @ self.X_inv @ DH, self.gram.Gh_inv)
         self.dirichlet_scale = 1.0 / (1.0 - nu[:, None] * mu)
+
+    @cached_property
+    def E10(self):
+        """The dense int64 incidence, (2N(N+1), (N+1)^2)."""
+        return build_incidence(self.degree)
 
 
 def _check(bd, disc):

@@ -1,13 +1,18 @@
-"""Gram (mass) matrices, the 1D factor tables of the bases, and an SPD solver.
+"""Gram (mass) matrices, the 1D factor tables of the bases, and the SPD
+solver and generalized eigensolver of the 1D factors.
 
 All matrices live on the reference square and are built from two 1D
 Grams of degree N: the nodal Gram Gh and the edge Gram Ge, which `GramSet`
 computes once on one node set.  The masses are their tensor products,
 M0 = kron(Gh, Gh) and M1 = block_diag(kron(Ge, Gh), kron(Gh, Ge)).  The
 inverse of a Kronecker product is the Kronecker product of the inverses,
-so the dual masses inv(M0) and inv(M1) are the same assemblies applied
-to inv(Gh) and inv(Ge).  Those two 1D inverses are the only
-factorizations a `GramSet` makes; every mass solve applies a dual mass.
+inv(kron(A, B)) = kron(inv(A), inv(B)), and kron(A, B) b is A g B^T on the
+grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve is two
+1D products on a grid, O(N^3): Hi f Hi^T on the node grid for M0, and
+Ei a Hi^T on the xi grid and Hi b Ei^T on the eta grid for M1, with
+Hi = inv(Gh) and Ei = inv(Ge).  Those two 1D inverses are the only
+factorizations a `GramSet` makes; no 2D mass or dual mass is formed
+unless a caller asks for one.
 
 Two quadrature rules are supported for assembly.  The default "gauss"
 rule (Gauss-Legendre, N+1 points per direction) is exact for every
@@ -27,9 +32,9 @@ Fx.T @ C.T @ Fy on that grid, entry [a, b] at (x_a, y_b).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .basis1d import NodeSet1D, gauss_rule, gll_nodes, lagrange_eval, edge_eval
 from .operators2d import side_dof_indices
@@ -41,6 +46,7 @@ __all__ = [
     "assemble_mass1",
     "assemble_boundary_mass",
     "spd_solve",
+    "spd_eigh",
     "GramSet",
     "psi0_table",
     "psi1_table",
@@ -92,7 +98,11 @@ def assemble_mass1(Gh, Ge):
     (eta-component, e_i(xi) h_j(eta)) is kron(Gh, Ge).  The two vector
     components never couple.
     """
-    return block_diag(np.kron(Ge, Gh), np.kron(Gh, Ge))
+    n = Ge.shape[0] * Gh.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = np.kron(Ge, Gh)
+    M[n:, n:] = np.kron(Gh, Ge)
+    return M
 
 
 def assemble_boundary_mass(G):
@@ -111,16 +121,33 @@ def assemble_boundary_mass(G):
 
 def spd_solve(A, b):
     """Solve Ax = b for symmetric positive definite A (Cholesky)."""
-    return cho_solve(cho_factor(A), b)
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
+def spd_eigh(A, B):
+    """Eigenpairs (w, V) of the symmetric-definite pencil A V = B V diag(w),
+    w ascending and V normalized by V^T B V = I.  With B = L L^T, the
+    symmetric inv(L) A inv(L)^T = Y diag(w) Y^T and V = inv(L)^T Y."""
+    L = np.linalg.cholesky(B)
+    w, Y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A).T))
+    return w, np.linalg.solve(L.T, Y)
+
+
+def _kron_apply(A, B, b):
+    """kron(A, B) b as A g B^T on the grid g of each column of b: a vector
+    or a block of columns, returned in b's shape."""
+    g = np.moveaxis(b.reshape(A.shape[1], B.shape[1], -1), -1, 0)
+    return np.moveaxis(A @ g @ B.T, 0, -1).reshape(b.shape)
 
 
 @dataclass
 class GramSet:
     """The node set, the 1D Gram factors of degree N and their inverses,
-    the edge and boundary masses built from the factors and the inverse
-    masses built from the inverses.  The nodal mass M0 is not stored:
-    callers apply it as Gh f Gh on the node grid, or build it with
-    `assemble_mass0(Gh)`."""
+    and the boundary mass.  Mass solves run on the grids from the 1D
+    inverses.  The dense edge mass M1 is built on first access; the nodal
+    mass M0 is not stored: callers apply it as Gh f Gh on the node grid,
+    or build it with `assemble_mass0(Gh)`."""
 
     degree: int
     rule: str = "gauss"
@@ -129,24 +156,44 @@ class GramSet:
     Ge: np.ndarray = field(init=False)
     Gh_inv: np.ndarray = field(init=False)
     Ge_inv: np.ndarray = field(init=False)
-    M1: np.ndarray = field(init=False)
     B0: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.nodes = gll_nodes(self.degree)
         self.Gh = gram_nodal_1d(self.nodes, self.rule)
         self.Ge = gram_edge_1d(self.nodes, self.rule)
-        self.M1 = assemble_mass1(self.Gh, self.Ge)
         self.B0 = assemble_boundary_mass(self.Gh)
         self.Gh_inv = spd_solve(self.Gh, np.eye(self.degree + 1))
         self.Ge_inv = spd_solve(self.Ge, np.eye(self.degree))
 
+    @cached_property
+    def M1(self):
+        """The dense edge mass, (2N(N+1),)^2."""
+        return assemble_mass1(self.Gh, self.Ge)
+
+    def _rhs(self, b, n, name):
+        b = np.asarray(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != n:
+            raise ValueError(f"{name} of degree {self.degree} expects shape ({n},) or "
+                             f"({n}, k), got {b.shape}")
+        return b
+
     def solve_mass0(self, b):
-        return self.M2_dual @ b
+        """inv(M0) b = Hi f Hi^T on the (N+1)x(N+1) node grid f of each
+        column of b, a vector or a block of columns."""
+        b = self._rhs(b, (self.degree + 1) ** 2, "solve_mass0")
+        return _kron_apply(self.Gh_inv, self.Gh_inv, b)
 
     def solve_mass1(self, b):
-        return self.M1_dual @ b
+        """inv(M1) b = (Ei a Hi^T, Hi e Ei^T) on the Nx(N+1) xi grid a and
+        the (N+1)xN eta grid e of each column of b."""
+        N = self.degree
+        b = self._rhs(b, 2 * N * (N + 1), "solve_mass1")
+        xi, eta = np.split(b, 2)
+        return np.concatenate([_kron_apply(self.Ge_inv, self.Gh_inv, xi),
+                               _kron_apply(self.Gh_inv, self.Ge_inv, eta)])
 
+    # Dense references for tests; no solve, norm or error path reads them.
     @property
     def M2_dual(self):
         """inv(M0) = kron(inv(Gh), inv(Gh)), the dual volume mass."""

@@ -1,13 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh
 
 from dualcurl import curlcurl as cc
 from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
-from dualcurl.galerkin import assemble_mass0
+from dualcurl.galerkin import assemble_mass0, spd_eigh
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
@@ -306,15 +310,67 @@ class TestFastDiagonalization:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return eigh(*args, **kwargs)
+            return spd_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(cc, "eigh", counting)
+        monkeypatch.setattr(cc, "spd_eigh", counting)
         disc = cc.Discretization(6)
         assert len(calls) == 3   # the Neumann pencil and the two Dirichlet pencils
         bd = cc.project_boundary_data(exact, disc)
         cc.solve_both(bd, disc)
         cc.solve_both(bd, disc)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", [*range(1, 13), 24, 40, 64])
+    def test_pencils_by_definition(self, N, rule):
+        # A V = B V diag(w) and V^T B V = I for the three pencils the
+        # solves are built from; bounds fixed before the first run
+        disc = cc.Discretization(N, rule)
+        Y = disc.DH @ disc.D.T
+        pencils = [(disc.K, disc.gram.Gh), (Y, disc.X),
+                   (disc.DH.T @ disc.X_inv @ disc.DH, disc.gram.Gh_inv)]
+        for A, B in pencils:
+            w, V = spd_eigh(A, B)
+            assert np.all(np.diff(w) >= 0)
+            scale = np.abs(A).max() * np.abs(V).max()
+            assert np.abs(A @ V - B @ V * w).max() <= 1e-13 * scale
+            assert np.abs(V.T @ B @ V - np.eye(len(w))).max() <= 1e-12
+
+
+class TestGridOnlyPath:
+    def test_import_loads_no_scipy(self):
+        code = ("import dualcurl, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(cc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    def test_no_dense_operator_on_the_solve_path(self, exact, monkeypatch, rule):
+        # every (dofs x dofs) matrix and the dense incidence raise: a run
+        # through the whole pipeline must not touch one, and must give the
+        # same numbers as an unpatched run
+        def run():
+            disc = cc.Discretization(12, rule)
+            bd = cc.project_boundary_data(exact, disc)
+            sol = cc.solve_both(bd, disc)
+            return (sol.neumann, sol.dirichlet, cc.norm_F(sol.neumann, disc),
+                    cc.norm_E(sol.dirichlet, bd, disc), *cc.error_norms(sol, exact, disc))
+
+        ref = run()
+
+        def dense(*args):
+            raise AssertionError("dense operator built on the solve path")
+
+        for name in ("assemble_mass0", "assemble_mass1"):
+            monkeypatch.setattr(galerkin, name, dense)
+        for name in ("M2_dual", "M1_dual"):
+            monkeypatch.setattr(galerkin.GramSet, name, property(dense))
+        monkeypatch.setattr(cc, "build_incidence", dense)
+        for got, want in zip(run(), ref):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestWeakCurl:

@@ -1,6 +1,7 @@
+import re
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
 
 from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
@@ -51,7 +52,7 @@ class TestMass0:
     def test_symmetric_spd(self, N):
         M0 = assemble_mass0(GramSet(N).Gh)
         np.testing.assert_allclose(M0, M0.T, rtol=1e-13)
-        cho_factor(M0)  # raises if not positive definite
+        np.linalg.cholesky(M0)  # raises if not positive definite
 
 
 class TestMass1:
@@ -66,7 +67,7 @@ class TestMass1:
     def test_symmetric_spd_block_diagonal(self, N):
         M1 = GramSet(N).M1
         np.testing.assert_allclose(M1, M1.T, rtol=1e-13)
-        cho_factor(M1)
+        np.linalg.cholesky(M1)
         n = N * (N + 1)
         assert np.all(M1[:n, n:] == 0.0)
         assert np.all(M1[n:, :n] == 0.0)
@@ -88,7 +89,7 @@ class TestBoundaryMass:
     def test_symmetric_spd(self, N):
         B0 = GramSet(N).B0
         np.testing.assert_allclose(B0, B0.T, rtol=1e-13)
-        cho_factor(B0)
+        np.linalg.cholesky(B0)
 
     def test_n1_adjacent_corner_coupling(self):
         # adjacent corner hats share one side: int_{-1}^{1} h0 h1 = 1/3
@@ -114,7 +115,7 @@ class TestDualMass:
     def test_factorization_through_degree_12(self, N, rule):
         gs = GramSet(N, rule)
         for M in (assemble_mass0(gs.Gh), gs.M1):
-            cho_factor(M)  # conditioning grows with N but stays factorizable
+            np.linalg.cholesky(M)  # conditioning grows with N but stays factorizable
 
 
 class TestMassSolve:
@@ -132,14 +133,27 @@ class TestMassSolve:
     @pytest.mark.parametrize("N, rule", rule_cases([1, 4, 12]))
     def test_factors_only_the_1d_grams(self, N, rule, monkeypatch):
         shapes = []
+        cholesky = galerkin.np.linalg.cholesky
 
         def recording(A, *args, **kwargs):
             shapes.append(A.shape)
-            return cho_factor(A, *args, **kwargs)
+            return cholesky(A, *args, **kwargs)
 
-        monkeypatch.setattr(galerkin, "cho_factor", recording)
+        monkeypatch.setattr(galerkin.np.linalg, "cholesky", recording)
         GramSet(N, rule)
         assert sorted(shapes) == [(N, N), (N + 1, N + 1)]
+
+    @pytest.mark.parametrize("method, n, bad", [
+        ("solve_mass0", 16, (15,)),
+        ("solve_mass0", 16, (4, 4)),
+        ("solve_mass1", 24, (23,)),
+        ("solve_mass1", 24, (4, 4)),
+    ], ids=["mass0-odd", "mass0-grid", "mass1-odd", "mass1-grid"])
+    def test_bad_shape_rejected(self, method, n, bad):
+        # N=3 has n = 16 nodal and 24 edge dofs; a node grid read as one
+        # column would be solved silently
+        with pytest.raises(ValueError, match=rf"\({n},\).*{re.escape(str(bad))}"):
+            getattr(GramSet(3), method)(np.zeros(bad))
 
 
 class TestSpdSolve:
