@@ -11,9 +11,9 @@ from
 
 where Ehat are the 4N boundary dofs obtained by integrating the
 tangential trace n x E against the boundary loop basis, counter-clockwise
-with positive arclength measure.  The two solutions are linked exactly by
-Et = M1 E10 F, the discrete form of E = curl F, and carry equal
-H(curl) norms.
+with positive arclength measure, and T^T Ehat places each on its boundary
+node.  The two solutions are linked exactly by Et = M1 E10 F, the discrete
+form of E = curl F, and carry equal H(curl) norms.
 
 Both operators are sums of Kronecker products of the 1D factors.  The
 incidence is pure topology, E10 = [kron(D, I); -kron(I, D)] with D the
@@ -57,7 +57,7 @@ import numpy as np
 
 from .basis1d import gauss_rule, lagrange_eval
 from .galerkin import GramSet, psi0_table, psi1_table, spd_eigh
-from .operators2d import build_incidence, build_trace, side_dof_indices
+from .operators2d import boundary_nodes, build_incidence, side_dof_indices
 
 __all__ = [
     "AnalyticField",
@@ -113,7 +113,7 @@ def exponential_pair():
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """4N boundary dofs in trace-row order."""
+    """4N boundary dofs in loop order, ccw from node (0,0)."""
 
     degree: int
     dofs: np.ndarray
@@ -141,8 +141,8 @@ class Discretization:
     inv(X), the eigenvectors V (Neumann), U and W (Dirichlet) normalized
     by their pencils' right-hand matrices, and the reciprocal eigenvalue
     grids `neumann_scale` 1/(lam_i + lam_j + 1) and `dirichlet_scale`
-    1/(1 - nu_i mu_j).  The dense incidence `E10` is built on first
-    access; no solve, norm or error path reads it.
+    1/(1 - nu_i mu_j); `loop` is `boundary_nodes(N)`.  The dense incidence
+    `E10` is built on first access; no solve, norm or error path reads it.
     """
 
     def __init__(self, N, rule="lobatto"):
@@ -151,7 +151,7 @@ class Discretization:
         self.gram = GramSet(N, rule)
         self.nodes = self.gram.nodes
         self.D = D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
-        self.T = build_trace(N)
+        self.loop = boundary_nodes(N)
         self.K = D.T @ self.gram.Ge @ D
         lam, self.V = spd_eigh(self.K, self.gram.Gh)
         self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
@@ -218,8 +218,15 @@ def _neumann_apply(F, disc):
     return (K @ f @ Gh + Gh @ f @ (K + Gh)).ravel()
 
 
+def _scatter(bd, disc):
+    """T^T Ehat: each loop dof on its own node of a zero node vector."""
+    r = np.zeros((disc.degree + 1) ** 2)
+    r[disc.loop] = bd.dofs
+    return r
+
+
 def _neumann_rhs(bd, disc):
-    return -disc.T.T @ bd.dofs
+    return -_scatter(bd, disc)
 
 
 def solve_neumann(bd, disc):
@@ -248,7 +255,7 @@ def _dirichlet_apply(Et, disc):
 
 def _dirichlet_rhs(bd, disc):
     N = disc.degree
-    f = disc.gram.solve_mass0(disc.T.T @ bd.dofs).reshape(N + 1, N + 1)
+    f = disc.gram.solve_mass0(_scatter(bd, disc)).reshape(N + 1, N + 1)
     return -np.concatenate([g.ravel() for g in _incidence(f)])
 
 
@@ -315,7 +322,7 @@ def weak_curl(Et, bd, disc):
     """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat."""
     _check(bd, disc)
     a, b = _edge_grids(_dofs(Et, disc, edges=True), disc.degree)
-    return _incidence_T(a, b, disc.D).ravel() + bd.dofs @ disc.T
+    return _incidence_T(a, b, disc.D).ravel() + _scatter(bd, disc)
 
 
 def norm_F(F, disc):

@@ -37,14 +37,12 @@ from functools import cached_property
 import numpy as np
 
 from .basis1d import NodeSet1D, gauss_rule, gll_nodes, lagrange_eval, edge_eval
-from .operators2d import side_dof_indices
 
 __all__ = [
     "gram_nodal_1d",
     "gram_edge_1d",
     "assemble_mass0",
     "assemble_mass1",
-    "assemble_boundary_mass",
     "spd_solve",
     "spd_eigh",
     "GramSet",
@@ -95,28 +93,16 @@ def assemble_mass1(Gh, Ge):
     """Edge-vector mass matrix, shape (2N(N+1),)^2, block diagonal.
 
     Block 1 (xi-component, h_i(xi) e_j(eta)) is kron(Ge, Gh); block 2
-    (eta-component, e_i(xi) h_j(eta)) is kron(Gh, Ge).  The two vector
-    components never couple.
+    (eta-component, e_i(xi) h_j(eta)) is kron(Gh, Ge); the components never
+    couple.  Both are filled in place: a freed n x n kron temporary would
+    raise glibc's mmap threshold and leave later arrays on the heap.
     """
     n = Ge.shape[0] * Gh.shape[0]
     M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = np.kron(Ge, Gh)
-    M[n:, n:] = np.kron(Gh, Ge)
+    for block, A, B in ((M[:n, :n], Ge, Gh), (M[n:, n:], Gh, Ge)):
+        p, q = len(A), len(B)
+        np.multiply(A[:, None, :, None], B[None, :, None, :], out=block.reshape(p, q, p, q))
     return M
-
-
-def assemble_boundary_mass(G):
-    """4Nx4N Gram of the boundary loop basis under the arclength measure.
-
-    Each side is a 1D element of length 2 (unit Jacobian), so the side
-    contribution is the 1D nodal Gram G, (N+1)x(N+1), scattered into that
-    side's loop dofs; corner functions pick up contributions from both sides.
-    """
-    N = G.shape[0] - 1
-    B = np.zeros((4 * N, 4 * N))
-    for dofs in side_dof_indices(N).values():
-        B[np.ix_(dofs, dofs)] += G
-    return B
 
 
 def spd_solve(A, b):
@@ -143,11 +129,10 @@ def _kron_apply(A, B, b):
 
 @dataclass
 class GramSet:
-    """The node set, the 1D Gram factors of degree N and their inverses,
-    and the boundary mass.  Mass solves run on the grids from the 1D
-    inverses.  The dense edge mass M1 is built on first access; the nodal
-    mass M0 is not stored: callers apply it as Gh f Gh on the node grid,
-    or build it with `assemble_mass0(Gh)`."""
+    """The node set, the 1D Gram factors of degree N and their inverses.
+    Mass solves run on the grids from the 1D inverses.  The dense edge mass
+    M1 is built on first access; the nodal mass M0 is not stored: callers
+    apply it as Gh f Gh on the node grid, or build it with `assemble_mass0(Gh)`."""
 
     degree: int
     rule: str = "gauss"
@@ -156,13 +141,11 @@ class GramSet:
     Ge: np.ndarray = field(init=False)
     Gh_inv: np.ndarray = field(init=False)
     Ge_inv: np.ndarray = field(init=False)
-    B0: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.nodes = gll_nodes(self.degree)
         self.Gh = gram_nodal_1d(self.nodes, self.rule)
         self.Ge = gram_edge_1d(self.nodes, self.rule)
-        self.B0 = assemble_boundary_mass(self.Gh)
         self.Gh_inv = spd_solve(self.Gh, np.eye(self.degree + 1))
         self.Ge_inv = spd_solve(self.Ge, np.eye(self.degree))
 

@@ -13,13 +13,14 @@ Degrees of freedom on [-1,1]^2 for polynomial degree N:
 
 The incidence matrix maps nodal dofs to edge dofs and encodes the discrete
 curl as pure topology: it holds only entries -1, 0, +1 and is independent
-of any element geometry.  The trace matrix is the 0/1 restriction of the
-nodal dofs to the boundary loop.
+of any element geometry.  The trace is the 0/1 restriction of the nodal
+dofs to the loop: T f is f.ravel()[boundary_nodes(N)], one node per dof.
 """
 
 import numpy as np
 
 __all__ = [
+    "boundary_nodes",
     "build_incidence",
     "build_trace",
     "side_dof_indices",
@@ -49,14 +50,19 @@ def build_incidence(N):
 
 
 def build_trace(N):
-    """0/1 trace matrix, shape (4N, (N+1)^2), loop rows ccw from (0,0)."""
-    _check_degree(N)
+    """0/1 trace matrix, shape (4N, (N+1)^2): the rows `boundary_nodes(N)`
+    of the identity, for the operator dump and the N=3 fixture."""
+    return (boundary_nodes(N)[:, None] == np.arange((N + 1) ** 2)).astype(np.int64)
+
+
+def boundary_nodes(N):
+    """Node-grid index of each of the 4N loop dofs, ccw from node (0,0)."""
+    dofs = side_dof_indices(N)  # checks N; corner dofs appear on two sides
     node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
-    sides = {"S": node[0], "E": node[:, N], "N": node[N], "W": node[:, 0]}
-    T = np.zeros((4 * N, node.size), dtype=np.int64)
-    for side, rows in side_dof_indices(N).items():
-        T[rows, sides[side]] = 1
-    return T
+    loop = np.empty(4 * N, dtype=np.int64)
+    loop[dofs["S"]], loop[dofs["E"]] = node[0], node[:, N]
+    loop[dofs["N"]], loop[dofs["W"]] = node[N], node[:, 0]
+    return loop
 
 
 def side_dof_indices(N):

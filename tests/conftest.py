@@ -4,6 +4,7 @@ import pytest
 from dualcurl.basis1d import edge_eval, gauss_rule, gll_nodes, lagrange_eval
 from dualcurl.curlcurl import AnalyticField
 from dualcurl.galerkin import assemble_mass0
+from dualcurl.operators2d import build_trace
 
 
 def random_vector_field(rng):
@@ -50,14 +51,20 @@ def neumann_system(disc, bd):
     """(A, b) of the Neumann solve by its dense definition,
     (E10^T M1 E10 + M0) F = -T^T Ehat: the oracle for the Kronecker form."""
     A = disc.E10.T @ disc.gram.M1 @ disc.E10 + assemble_mass0(disc.gram.Gh)
-    return A, -disc.T.T @ bd.dofs
+    return A, -build_trace(disc.degree).T @ bd.dofs
 
 
 def dirichlet_system(disc, bd):
     """(A, b) of the Dirichlet solve by its dense definition,
     (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat."""
     B = disc.E10 @ disc.gram.M2_dual
-    return B @ disc.E10.T + disc.gram.M1_dual, -B @ (disc.T.T @ bd.dofs)
+    return B @ disc.E10.T + disc.gram.M1_dual, -B @ (build_trace(disc.degree).T @ bd.dofs)
+
+
+def equivalence_dense(disc, F):
+    """M1 E10 F by the dense matrices: the oracle for the grid form of the
+    equivalence check."""
+    return disc.gram.M1 @ (disc.E10 @ F)
 
 
 @pytest.fixture

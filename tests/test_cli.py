@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from dualcurl import cli
+from dualcurl import curlcurl as cc
 from dualcurl.cli import (
     INVARIANTS,
     StudyConfig,
     emit_fig2,
     emit_matrices,
+    equivalence_residual,
     main,
     run_study,
     self_check,
     theoretical_norm,
 )
 from dualcurl.operators2d import build_incidence
+from conftest import equivalence_dense
 
 TABLE1_NORMS = [
     5.62334036,
@@ -118,6 +121,27 @@ class TestMatrices:
         assert values == {"-1", "0", "1"}
         tr = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(tr) == 13
+
+
+class TestEquivalenceResidual:
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_matches_dense_oracle(self, N, rule, rng):
+        # the grid form of M1 E10 F against the dense product, for an
+        # arbitrary F: Et = M1 E10 F reads as a zero residual, and any
+        # other Et as its distance from the dense M1 E10 F
+        disc = cc.Discretization(N, rule)
+        F = rng.standard_normal((N + 1) ** 2)
+        ref = equivalence_dense(disc, F)
+        bd = cc.BoundaryData(N, np.zeros(4 * N))
+
+        def residual(Et):
+            return equivalence_residual(cc.Solution(N, bd, F, Et), disc)
+
+        assert residual(ref) <= 1e-13
+        Et = rng.standard_normal(ref.size)
+        want = np.linalg.norm(Et - ref) / np.linalg.norm(Et)
+        assert abs(residual(Et) - want) <= 1e-13 * want
 
 
 class TestSelfCheck:

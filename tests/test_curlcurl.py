@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualcurl import cli, galerkin, operators2d
 from dualcurl import curlcurl as cc
-from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
 from dualcurl.galerkin import assemble_mass0, spd_eigh
+from dualcurl.operators2d import build_trace
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
@@ -131,6 +132,29 @@ class TestSolvers:
         assert equivalence_residual(sol, disc) <= 1e-11
         nF = cc.norm_F(sol.neumann, disc)
         assert norm_gap(nF, cc.norm_E(sol.dirichlet, bd, disc)) <= 1e-11
+
+    @pytest.mark.parametrize("rule", ["gauss", "lobatto"])
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_identities_hold_to_degree_256(self, exact, N, rule):
+        # Bounds c N^2 eps, fixed before running: c = 10 for the
+        # equivalence residual and the norm gap, c = 50 for the pointwise
+        # E^h = curl F^h relative to max|curl F^h|.  The N^2 growth comes
+        # from the basis, not from the solvers: edge_eval sums derivatives
+        # of size O(N^2), so even the edge-basis interval integrals are off
+        # by about 0.05 N^2 eps.  A c kappa eps bound would catch nothing:
+        # the pencils' kappa is 8.8e8 at N=256, which allows about 2e-7.
+        bound = N**2 * np.finfo(float).eps
+        disc = cc.Discretization(N, rule)
+        bd = cc.project_boundary_data(exact, disc)
+        sol = cc.solve_both(bd, disc)
+        assert equivalence_residual(sol, disc) <= 10 * bound
+        nF = cc.norm_F(sol.neumann, disc)
+        assert norm_gap(nF, cc.norm_E(sol.dirichlet, bd, disc)) <= 10 * bound
+        g = gauss_rule(12).points  # interior: no point on the element edges
+        E = cc.reconstruct("dual-vector", sol.dirichlet, g, g, disc)
+        C = cc.reconstruct("primal-curl", sol.neumann, g, g, disc)
+        gap = max(np.abs(e - c).max() for e, c in zip(E, C))
+        assert gap <= 50 * bound * max(np.abs(c).max() for c in C)
 
     @pytest.mark.parametrize("N", [2, 5])
     def test_substitution_reproduces_dirichlet_rhs(self, solved, N):
@@ -347,30 +371,51 @@ class TestGridOnlyPath:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
-    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
-    def test_no_dense_operator_on_the_solve_path(self, exact, monkeypatch, rule):
-        # every (dofs x dofs) matrix and the dense incidence raise: a run
-        # through the whole pipeline must not touch one, and must give the
-        # same numbers as an unpatched run
-        def run():
-            disc = cc.Discretization(12, rule)
-            bd = cc.project_boundary_data(exact, disc)
-            sol = cc.solve_both(bd, disc)
-            return (sol.neumann, sol.dirichlet, cc.norm_F(sol.neumann, disc),
-                    cc.norm_E(sol.dirichlet, bd, disc), *cc.error_norms(sol, exact, disc))
-
-        ref = run()
-
+    @staticmethod
+    def forbid_dense_operators(monkeypatch):
+        """Make the dense masses, dual masses, `GramSet.M1` and
+        `Discretization.E10` raise; returns the raising function."""
         def dense(*args):
             raise AssertionError("dense operator built on the solve path")
 
         for name in ("assemble_mass0", "assemble_mass1"):
             monkeypatch.setattr(galerkin, name, dense)
-        for name in ("M2_dual", "M1_dual"):
+        for name in ("M2_dual", "M1_dual", "M1"):
             monkeypatch.setattr(galerkin.GramSet, name, property(dense))
+        monkeypatch.setattr(cc.Discretization, "E10", property(dense))
+        return dense
+
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    def test_no_dense_operator_on_the_solve_path(self, exact, monkeypatch, rule):
+        # every (dofs x dofs) matrix, the dense incidence and the dense
+        # trace raise: a run through the whole pipeline must not touch one,
+        # and must give the same numbers as an unpatched run
+        def run():
+            disc = cc.Discretization(12, rule)
+            bd = cc.project_boundary_data(exact, disc)
+            sol = cc.solve_both(bd, disc)
+            return (sol.neumann, sol.dirichlet, cc.norm_F(sol.neumann, disc),
+                    cc.norm_E(sol.dirichlet, bd, disc), *cc.error_norms(sol, exact, disc),
+                    cc.weak_curl(sol.dirichlet, bd, disc),
+                    cli.equivalence_residual(sol, disc))
+
+        ref = run()
+        dense = self.forbid_dense_operators(monkeypatch)
+        for owner in (operators2d, cli):
+            monkeypatch.setattr(owner, "build_trace", dense)
         monkeypatch.setattr(cc, "build_incidence", dense)
         for got, want in zip(run(), ref):
             np.testing.assert_array_equal(got, want)
+
+    def test_no_dense_operator_on_the_cli_path(self, monkeypatch, tmp_path, capsys):
+        # the study, fig2 and the self-check pass with every dense mass and
+        # the dense incidence forbidden; only the N=3 fixture checks build
+        # the dense incidence and trace, and those stay unpatched
+        self.forbid_dense_operators(monkeypatch)
+        rc = cli.main(["--max-degree", "12", "--emit", "table1,fig3,fig2",
+                       "--self-check", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "self-check: 6/6 passed" in capsys.readouterr().out
 
 
 class TestWeakCurl:
@@ -400,7 +445,7 @@ class TestWeakCurl:
         rhs = (
             2.0 * cc.weak_curl(e1, bd, disc)
             + 3.0 * cc.weak_curl(e2, bd, disc)
-            - 4.0 * (disc.T.T @ bd.dofs)
+            - 4.0 * (build_trace(N).T @ bd.dofs)
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 

@@ -72,31 +72,20 @@ class TestMass1:
         assert np.all(M1[:n, n:] == 0.0)
         assert np.all(M1[n:, :n] == 0.0)
 
+    @pytest.mark.parametrize("N, rule", rule_cases(range(1, 9)))
+    def test_blocks_are_kronecker_products(self, N, rule):
+        # the blocks are filled in place; they must equal np.kron exactly
+        gs = GramSet(N, rule)
+        n = N * (N + 1)
+        np.testing.assert_array_equal(gs.M1[:n, :n], np.kron(gs.Ge, gs.Gh))
+        np.testing.assert_array_equal(gs.M1[n:, n:], np.kron(gs.Gh, gs.Ge))
+
     @pytest.mark.parametrize("N, rule", rule_cases([1, 3, 6]))
     def test_dual_is_inverse(self, N, rule):
         gs = GramSet(N, rule)
         np.testing.assert_allclose(
             gs.M1_dual @ gs.M1, np.eye(gs.M1.shape[0]), atol=1e-11
         )
-
-
-class TestBoundaryMass:
-    @pytest.mark.parametrize("N", range(1, 9))
-    def test_entry_sum_is_perimeter(self, N):
-        assert GramSet(N).B0.sum() == pytest.approx(8.0, abs=1e-12)
-
-    @pytest.mark.parametrize("N", range(1, 9))
-    def test_symmetric_spd(self, N):
-        B0 = GramSet(N).B0
-        np.testing.assert_allclose(B0, B0.T, rtol=1e-13)
-        np.linalg.cholesky(B0)
-
-    def test_n1_adjacent_corner_coupling(self):
-        # adjacent corner hats share one side: int_{-1}^{1} h0 h1 = 1/3
-        B0 = GramSet(1).B0
-        assert B0[0, 1] == pytest.approx(1 / 3, abs=1e-14)
-        # each corner hat spans two sides: diagonal is 2 * 2/3
-        assert B0[0, 0] == pytest.approx(4 / 3, abs=1e-14)
 
 
 class TestDualMass:

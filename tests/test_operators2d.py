@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualcurl.cli import INCIDENCE_N3, TRACE_N3
-from dualcurl.operators2d import build_incidence, build_trace, side_dof_indices
+from dualcurl.operators2d import (
+    boundary_nodes, build_incidence, build_trace, side_dof_indices)
 
 
 def node(N, i, j):
@@ -77,10 +78,16 @@ class TestTrace:
     @given(nodal_grids())
     def test_restricts_grid_to_sides(self, f):
         N = f.shape[0] - 1
-        t = build_trace(N) @ f.ravel()
+        T, loop = build_trace(N), boundary_nodes(N)
+        t = T @ f.ravel()
         sd = side_dof_indices(N)
         for side, expected in (("S", f[0, :]), ("E", f[:, N]), ("N", f[N, :]), ("W", f[:, 0])):
             np.testing.assert_array_equal(t[sd[side]], expected)
+        # the index vector is the same map: T f gathers, T^T b scatters
+        np.testing.assert_array_equal(f.ravel()[loop], t)
+        r = np.zeros(f.size)
+        r[loop] = t
+        np.testing.assert_array_equal(r, T.T @ t)
 
     def test_n3_fixture(self):
         np.testing.assert_array_equal(build_trace(3), TRACE_N3)
