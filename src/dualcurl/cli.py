@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import curlcurl as cc
-from .basis1d import gauss_rule, gll_nodes, edge_eval
-from .galerkin import GramSet, psi0_table
+from .basis1d import gauss_rule, gll_nodes, edge_eval, lagrange_eval
+from .galerkin import GramSet
 from .operators2d import build_incidence, build_trace
 
 __all__ = [
@@ -261,7 +261,7 @@ def _volume_biorthogonality_residual():
     for N in range(1, 9):
         gram = GramSet(N, rule="gauss")
         q = gauss_rule(N + 1)
-        H, _ = psi0_table(gram.nodes, q.points, q.points)
+        H = lagrange_eval(gram.nodes, q.points)
         G = (H * q.weights) @ H.T  # the 2D integrals are kron(G, G)
         M0 = np.kron(G, G)
         worst = max(worst, float(np.abs(gram.solve_mass0(M0) - np.eye(M0.shape[0])).max()))
@@ -275,35 +275,35 @@ def _fixture_gap(got, expected):
 
 
 # (name, residual function, tolerance), in the order --self-check runs them.
-# Each function takes the (disc, bd, sol) of the exponential pair for
-# N=1..8, which self_check computes once per run; only the last two
-# entries read them.
+# Each function takes the study's DegreeRecords for N=1..8; only the last
+# two entries read them.
 INVARIANTS = (
     ("edge-basis interval integrals = identity (N=1..12)",
-     lambda solves: _edge_kronecker_residual(), 1e-12),
+     lambda records: _edge_kronecker_residual(), 1e-12),
     ("dual/primal volume biorthogonality (N=1..8)",
-     lambda solves: _volume_biorthogonality_residual(), 1e-12),
+     lambda records: _volume_biorthogonality_residual(), 1e-12),
     ("incidence matrix matches the N=3 fixture",
-     lambda solves: _fixture_gap(build_incidence(3), INCIDENCE_N3), 0),
+     lambda records: _fixture_gap(build_incidence(3), INCIDENCE_N3), 0),
     ("trace matrix matches the N=3 fixture",
-     lambda solves: _fixture_gap(build_trace(3), TRACE_N3), 0),
+     lambda records: _fixture_gap(build_trace(3), TRACE_N3), 0),
     ("dual edge dofs equal M1 E10 F (N=1..8)",
-     lambda solves: max(equivalence_residual(sol, disc) for disc, _, sol in solves),
-     1e-11),
+     lambda records: max(r.equivalence_residual for r in records), 1e-11),
     ("norm of E^h equals norm of F^h (N=1..8)",
-     lambda solves: max(norm_gap(cc.norm_F(sol.neumann, disc),
-                                 cc.norm_E(sol.dirichlet, bd, disc))
-                        for disc, bd, sol in solves), 1e-11),
+     lambda records: max(norm_gap(r.normF, r.normE) for r in records), 1e-11),
 )
 
 
-def self_check(log=print):
-    """Run the invariant registry; returns True iff every residual is
-    within its tolerance."""
-    solves = [_solve_exponential(N) for N in range(1, 9)]
+def self_check(log=print, report=None):
+    """Run the invariant registry on the first 8 records of `report`, the
+    study this run already made; without a report of 8 degrees, run the
+    N=1..8 study first.  Returns True iff every residual is within its
+    tolerance."""
+    if report is None or len(report.records) < 8:
+        report = run_study(StudyConfig(max_degree=8, emit=frozenset()))
+    records = report.records[:8]
     passed = 0
     for name, residual_fn, tol in INVARIANTS:
-        residual = residual_fn(solves)
+        residual = residual_fn(records)
         ok = residual <= tol
         passed += ok
         log(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} "
@@ -349,9 +349,10 @@ def main(argv=None):
               file=sys.stderr)
         return 2
 
+    report = None
     try:
         if emit & {"table1", "fig3"}:
-            run_study(cfg)
+            report = run_study(cfg)
         if "fig2" in emit:
             emit_fig2(cfg)
         if "matrices" in emit:
@@ -360,7 +361,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.self_check and not self_check():
+    if args.self_check and not self_check(report=report):
         return 1
     return 0
 

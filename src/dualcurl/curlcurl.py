@@ -55,8 +55,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis1d import gauss_rule, lagrange_eval
-from .galerkin import GramSet, psi0_table, psi1_table, spd_eigh
+from .basis1d import edge_eval, gauss_rule, lagrange_eval
+from .galerkin import GramSet, spd_eigh
 from .operators2d import boundary_nodes, build_incidence, side_dof_indices
 
 __all__ = [
@@ -344,10 +344,39 @@ def norm_E(Et, bd, disc):
     )
 
 
-def _expand(C, Fx, Fy):
-    """sum_ij C[j, i] Fx[i, a] Fy[j, b]: a tensor-product expansion on the
-    grid of P x-values and Q y-values, shape (P, Q)."""
-    return Fx.T @ C.T @ Fy
+def _tables(disc, x, y):
+    """The 1D factor tables on the axes x (P values) and y (Q values):
+    nodal Hx (N+1, P), Hy (N+1, Q) and edge Ex (N, P), Ey (N, Q)."""
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
+        raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
+    ns = disc.nodes
+    return lagrange_eval(ns, x), lagrange_eval(ns, y), edge_eval(ns, x), edge_eval(ns, y)
+
+
+def _grids(kind, dofs, disc):
+    """The coefficient grids of a field: the (N+1)x(N+1) node grid of a
+    scalar kind, the (xi, eta) edge grids of a vector kind."""
+    if kind not in ("primal-scalar", "primal-curl", "dual-vector", "dual-weak-curl"):
+        raise ValueError(f"unknown reconstruction kind {kind!r}")
+    N = disc.degree
+    c = _dofs(dofs, disc, edges=kind == "dual-vector")
+    if kind == "dual-weak-curl":
+        c = disc.gram.solve_mass0(c)
+    elif kind == "dual-vector":
+        return _edge_grids(disc.gram.solve_mass1(c), N)
+    f = c.reshape(N + 1, N + 1)
+    return _incidence(f) if kind == "primal-curl" else f
+
+
+def _evaluate(grids, Hx, Hy, Ex, Ey):
+    """Contract each coefficient grid C with its 1D factor tables (Fx, Fy),
+    one direction at a time, Fx.T @ C.T @ Fy: the node grid with (Hx, Hy),
+    the xi grid with (Hx, Ey), the eta grid with (Ex, Hy)."""
+    if not isinstance(grids, tuple):
+        return Hx.T @ grids.T @ Hy
+    xi, eta = grids
+    return Hx.T @ xi.T @ Ey, Ex.T @ eta.T @ Hy
 
 
 def reconstruct(kind, dofs, x, y, disc):
@@ -362,32 +391,19 @@ def reconstruct(kind, dofs, x, y, disc):
 
     The dual kinds solve the mass matrix against the dofs, not against
     the basis: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
-    Each coefficient grid is contracted with its 1D factor tables, one
-    direction at a time: the (N+1)x(N+1) nodal grid with (Hx, Hy), the
-    Nx(N+1) xi grid with (Hx, Ey), the (N+1)xN eta grid with (Ex, Hy).
+    Three steps: the coefficient grids (`_grids`), the 1D factor tables
+    on the two axes (`_tables`) and their contraction (`_evaluate`).
     """
-    if kind not in ("primal-scalar", "primal-curl", "dual-vector", "dual-weak-curl"):
-        raise ValueError(f"unknown reconstruction kind {kind!r}")
-    ns, N = disc.nodes, disc.degree
-    c = _dofs(dofs, disc, edges=kind == "dual-vector")
-    if kind in ("primal-scalar", "dual-weak-curl"):
-        if kind == "dual-weak-curl":
-            c = disc.gram.solve_mass0(c)
-        return _expand(c.reshape(N + 1, N + 1), *psi0_table(ns, x, y))
-    if kind == "primal-curl":
-        xi, eta = _incidence(c.reshape(N + 1, N + 1))
-    else:
-        xi, eta = _edge_grids(disc.gram.solve_mass1(c), N)
-    (Hx, Hy), (Ex, Ey) = psi0_table(ns, x, y), psi1_table(ns, x, y)
-    return _expand(xi, Hx, Ey), _expand(eta, Ex, Hy)
+    return _evaluate(_grids(kind, dofs, disc), *_tables(disc, x, y))
 
 
 def error_norms(sol, exact, disc, boost=15):
     """H(curl) errors (errF, errE) against the analytic pair.
 
-    Uses a tensor Gauss grid with N+boost points per direction; the curl
-    term of the dual error uses the weak-curl reconstruction and the
-    analytic scalar curl of E, so `exact` needs `scalar` and `vector_curl`.
+    Uses a tensor Gauss grid with N+boost points per direction, whose 1D
+    factor tables are evaluated once for all four fields; the curl term
+    of the dual error uses the weak-curl reconstruction and the analytic
+    scalar curl of E, so `exact` needs `scalar` and `vector_curl`.
     """
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
@@ -398,21 +414,23 @@ def error_norms(sol, exact, disc, boost=15):
     g = q.points
     X, Y = np.meshgrid(g, g, indexing="ij")
     w2 = np.outer(q.weights, q.weights)
+    tables = _tables(disc, g, g)
+    Ex, Ey = exact.Ex(X, Y), exact.Ey(X, Y)
 
-    Fh = reconstruct("primal-scalar", sol.neumann, g, g, disc)
-    cFx, cFy = reconstruct("primal-curl", sol.neumann, g, g, disc)
+    Fh = _evaluate(_grids("primal-scalar", sol.neumann, disc), *tables)
+    cFx, cFy = _evaluate(_grids("primal-curl", sol.neumann, disc), *tables)
     errF2 = np.vdot(w2, (
         (exact.scalar(X, Y) - Fh) ** 2
-        + (exact.Ex(X, Y) - cFx) ** 2
-        + (exact.Ey(X, Y) - cFy) ** 2
+        + (Ex - cFx) ** 2
+        + (Ey - cFy) ** 2
     ))
 
-    Ehx, Ehy = reconstruct("dual-vector", sol.dirichlet, g, g, disc)
+    Ehx, Ehy = _evaluate(_grids("dual-vector", sol.dirichlet, disc), *tables)
     w = weak_curl(sol.dirichlet, sol.boundary, disc)
-    cEh = reconstruct("dual-weak-curl", w, g, g, disc)
+    cEh = _evaluate(_grids("dual-weak-curl", w, disc), *tables)
     errE2 = np.vdot(w2, (
-        (exact.Ex(X, Y) - Ehx) ** 2
-        + (exact.Ey(X, Y) - Ehy) ** 2
+        (Ex - Ehx) ** 2
+        + (Ey - Ehy) ** 2
         + (exact.vector_curl(X, Y) - cEh) ** 2
     ))
     return float(np.sqrt(errF2)), float(np.sqrt(errE2))

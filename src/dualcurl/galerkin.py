@@ -1,5 +1,5 @@
-"""Gram (mass) matrices, the 1D factor tables of the bases, and the SPD
-solver and generalized eigensolver of the 1D factors.
+"""Gram (mass) matrices, the SPD solver and the generalized eigensolver of
+the 1D factors.
 
 All matrices live on the reference square and are built from two 1D
 Grams of degree N: the nodal Gram Gh and the edge Gram Ge, which `GramSet`
@@ -25,18 +25,14 @@ contracts here are stated for the exact rule.
 Neither basis is tabulated in 2D.  A dual expansion with dofs d equals
 the primal expansion with coefficients inv(M) d, because M is symmetric,
 so one mass solve against the dofs replaces a solve against a basis
-table.  `psi0_table`/`psi1_table` return the 1D factor tables on the two
-axes of a tensor grid, x of length P and y of length Q, as a flat tuple;
-a field with coefficient grid C[j, i] (j along y) takes the values
-Fx.T @ C.T @ Fy on that grid, entry [a, b] at (x_a, y_b).
+table (see `curlcurl.reconstruct`).
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .basis1d import NodeSet1D, gauss_rule, gll_nodes, lagrange_eval, edge_eval
+from .basis1d import gauss_rule, gll_nodes, lagrange_eval, edge_eval
 
 __all__ = [
     "gram_nodal_1d",
@@ -46,8 +42,6 @@ __all__ = [
     "spd_solve",
     "spd_eigh",
     "GramSet",
-    "psi0_table",
-    "psi1_table",
 ]
 
 
@@ -127,27 +121,19 @@ def _kron_apply(A, B, b):
     return np.moveaxis(A @ g @ B.T, 0, -1).reshape(b.shape)
 
 
-@dataclass
 class GramSet:
     """The node set, the 1D Gram factors of degree N and their inverses.
     Mass solves run on the grids from the 1D inverses.  The dense edge mass
     M1 is built on first access; the nodal mass M0 is not stored: callers
     apply it as Gh f Gh on the node grid, or build it with `assemble_mass0(Gh)`."""
 
-    degree: int
-    rule: str = "gauss"
-    nodes: NodeSet1D = field(init=False)
-    Gh: np.ndarray = field(init=False)
-    Ge: np.ndarray = field(init=False)
-    Gh_inv: np.ndarray = field(init=False)
-    Ge_inv: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.nodes = gll_nodes(self.degree)
-        self.Gh = gram_nodal_1d(self.nodes, self.rule)
-        self.Ge = gram_edge_1d(self.nodes, self.rule)
-        self.Gh_inv = spd_solve(self.Gh, np.eye(self.degree + 1))
-        self.Ge_inv = spd_solve(self.Ge, np.eye(self.degree))
+    def __init__(self, degree, rule="gauss"):
+        self.degree, self.rule = degree, rule
+        self.nodes = gll_nodes(degree)
+        self.Gh = gram_nodal_1d(self.nodes, rule)
+        self.Ge = gram_edge_1d(self.nodes, rule)
+        self.Gh_inv = spd_solve(self.Gh, np.eye(degree + 1))
+        self.Ge_inv = spd_solve(self.Ge, np.eye(degree))
 
     @cached_property
     def M1(self):
@@ -187,24 +173,3 @@ class GramSet:
         """inv(M1), the dual edge mass, from the inverse 1D factors."""
         return assemble_mass1(self.Gh_inv, self.Ge_inv)
 
-
-def _points(x, y):
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
-        raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
-    return x, y
-
-
-def psi0_table(ns, x, y):
-    """Nodal factors Hx (N+1, P) and Hy (N+1, Q) on the axes x and y:
-    node j*(N+1)+i is h_i(x) h_j(y)."""
-    x, y = _points(x, y)
-    return lagrange_eval(ns, x), lagrange_eval(ns, y)
-
-
-def psi1_table(ns, x, y):
-    """Edge factors Ex (N, P) and Ey (N, Q) on the axes x and y: the xi
-    block is h_i(x) e_j(y) and the eta block e_i(x) h_j(y), each zero in
-    the other component."""
-    x, y = _points(x, y)
-    return edge_eval(ns, x), edge_eval(ns, y)

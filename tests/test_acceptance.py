@@ -41,7 +41,7 @@ def report(criterion, ok, detail):
 def run_invariants(*prefixes):
     """(residual, tolerance) of each self-check entry whose name starts with
     one of `prefixes`, in registry order; the entries asked for here read
-    no solves."""
+    no study records, so they get none."""
     return [(fn(()), tol) for name, fn, tol in INVARIANTS if name.startswith(prefixes)]
 
 

@@ -1,0 +1,46 @@
+"""The program names the benchmark in perfbench/ binds: the members its
+tracer wraps, the modules it reads after `import dualcurl` and the dense
+product its in-process gate evaluates.  A traced benchmark run crashes
+without them, and no other test here runs one; when the benchmark stops
+binding an internal, its check here goes with it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dualcurl
+from dualcurl import curlcurl as cc
+from dualcurl import galerkin
+
+
+def test_gramset_members_the_tracer_wraps():
+    members = galerkin.GramSet.__dict__
+    assert callable(members["__init__"])
+    for name in ("M2_dual", "M1_dual"):
+        assert isinstance(members[name], property), name
+    for name in ("solve_mass0", "solve_mass1"):
+        assert callable(members[name]), name
+
+
+def test_discretization_defines_its_own_init():
+    assert callable(cc.Discretization.__dict__["__init__"])
+
+
+def test_import_loads_the_cli():
+    code = "import dualcurl, sys; print('dualcurl.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cc.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "True"
+
+
+def test_dense_gate_product_runs():
+    disc = cc.Discretization(3)
+    assert (disc.gram.M1 @ disc.E10).shape == (24, 16)
+
+
+def test_bound_names_exist():
+    assert dualcurl.Discretization is cc.Discretization
+    assert dualcurl.Discretization(3, rule="gauss").degree == 3
+    assert isinstance(cc.AnalyticField, type)

@@ -166,6 +166,27 @@ class TestSelfCheck:
         assert "dual edge dofs equal M1 E10 F (N=1..8)" in names
         assert summary == "self-check: 6/6 passed"
 
+    def test_reuses_the_study(self, monkeypatch):
+        # a study of 9 degrees gives the self-check its N=1..8 records; the
+        # check solves nothing itself and logs what a run of its own logs
+        report = run_study(StudyConfig(max_degree=9, emit=frozenset()))
+        own = []
+        self_check(log=own.append)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("self-check built a Discretization")
+
+        monkeypatch.setattr(cc, "Discretization", no_solve)
+        reused = []
+        assert self_check(log=reused.append, report=report) is True
+        assert reused == own
+
+    def test_short_report_falls_back(self):
+        report = run_study(StudyConfig(max_degree=3, emit=frozenset()))
+        lines = []
+        assert self_check(log=lines.append, report=report) is True
+        assert lines[-1] == "self-check: 6/6 passed"
+
 
 class TestMain:
     def test_default_run(self, tmp_path):

@@ -591,6 +591,20 @@ class TestErrorNorms:
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-7
 
+    def test_evaluates_each_table_once(self, exact, solved, monkeypatch):
+        # one Gauss axis serves all four fields: its nodal and edge tables
+        # are evaluated at most once per axis, not once per field
+        disc, _, sol = solved[5]
+        ref = cc.error_norms(sol, exact, disc)
+        calls = {"lagrange_eval": 0, "edge_eval": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(cc, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cc, name, counted)
+        assert cc.error_norms(sol, exact, disc) == ref
+        assert calls["lagrange_eval"] <= 2 and calls["edge_eval"] <= 2, calls
+
 
 class TestInputChecks:
     def test_degree_mismatch(self):

@@ -3,14 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from dualcurl import curlcurl as cc
 from dualcurl import galerkin
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.galerkin import (
     GramSet,
     assemble_mass0,
     gram_nodal_1d,
-    psi0_table,
-    psi1_table,
     spd_solve,
 )
 from conftest import assemble_mass0_direct, psi0_dense, psi1_dense
@@ -198,16 +197,18 @@ class TestBiorthogonality:
 
 
 class TestFactorTables:
-    # x and y are the two axes of a tensor grid; a 2D array for either,
-    # whose size may match N+1, would contract to wrong values
-    @pytest.mark.parametrize("table", [psi0_table, psi1_table])
+    # x and y are the two axes of a tensor grid on which `reconstruct`
+    # evaluates the 1D tables; a 2D array for either, whose size may match
+    # N+1, would contract to wrong values
+    @pytest.mark.parametrize("kind", ["primal-scalar", "dual-vector"])
     @pytest.mark.parametrize("x, y, shapes", [
         (np.zeros(3), np.zeros((3, 3)), r"\(3,\) and \(3, 3\)"),
         (np.zeros((3, 3)), np.zeros((3, 3)), r"\(3, 3\) and \(3, 3\)"),
     ], ids=["vector-grid", "grid"])
-    def test_bad_points_rejected(self, table, x, y, shapes):
+    def test_bad_points_rejected(self, kind, x, y, shapes):
+        dofs = np.ones(12 if kind == "dual-vector" else 9)  # N=2
         with pytest.raises(ValueError, match=r"x and y .*" + shapes):
-            table(gll_nodes(2), x, y)
+            cc.reconstruct(kind, dofs, x, y, cc.Discretization(2))
 
 
 def test_gramset_lobatto_lumps_nodal_mass():
