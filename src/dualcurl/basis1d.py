@@ -12,9 +12,14 @@ int_{x_{j-1}}^{x_j} e_i dx = delta_ij.
 Note: some references print the sum starting at k=1, which would make e_1
 vanish identically and break the integral property; the k=0 lower bound
 used here is the one consistent with that property.
+
+`lagrange_eval` is the one pointwise evaluator.  h_i' has degree N-1, so
+`lagrange_deriv` applies the nodal differentiation matrix Dn[j, i] = h_i'(x_j),
+built once per node set, to it (Berrut & Trefethen, SIAM Rev. 46, 2004, 9).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeSet1D:
-    """GLL nodes, quadrature weights and barycentric weights for degree N."""
+    """GLL nodes, quadrature and barycentric weights, Dn for degree N."""
 
     degree: int
     nodes: np.ndarray    # (N+1,) ascending, nodes[0] = -1, nodes[N] = +1
     weights: np.ndarray  # (N+1,) GLL quadrature weights, sum to 2
     bary: np.ndarray     # (N+1,) barycentric weights (normalized)
+    deriv: np.ndarray    # (N+1, N+1) Dn[j, i] = h_i'(x_j)
 
 
 @dataclass(frozen=True)
@@ -95,27 +101,40 @@ def gll_nodes(N):
     x = 0.5 * (x - x[::-1])  # enforce symmetry about 0
     L, _ = legendre_eval(N, x)
     w = 2.0 / (N * (N + 1) * L * L)
-    return NodeSet1D(degree=N, nodes=x, weights=w, bary=_bary_weights(x))
+    return NodeSet1D(N, x, w, *_barycentric(x))
 
 
-def _bary_weights(nodes):
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
-    return w / np.max(np.abs(w))
+def _barycentric(x):
+    """Normalized weights b_i = 1/prod_{k != i}(x_i - x_k) and Dn[j, i] =
+    (b_i/b_j)/(x_j - x_i) off the diagonal, whose rows sum to zero."""
+    gap = x[:, None] - x[None, :]
+    np.fill_diagonal(gap, 1.0)
+    # doubled gaps scale the products by 2^(N+1), which the normalization
+    # cancels; undoubled they underflow from N=800, doubled from N=1098
+    try:
+        with np.errstate(over="raise", under="raise"):
+            b = 1.0 / np.prod(2.0 * gap, axis=1)
+    except FloatingPointError:
+        raise ValueError(f"barycentric weights of degree {len(x) - 1} out of range") from None
+    b /= np.max(np.abs(b))
+    Dn = b / b[:, None] / gap
+    np.fill_diagonal(Dn, 0.0)
+    np.fill_diagonal(Dn, -Dn.sum(axis=1))
+    return b, Dn
 
 
 def gauss_rule(M):
-    """Gauss-Legendre rule with M points (exact for degree <= 2M-1)."""
+    """Gauss-Legendre rule with M points, computed once per M (read-only)."""
     if M < 1:
         raise ValueError(f"Gauss rule requires M >= 1 points, got {M}")
+    return _gauss_rule(M)
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(M):
     p, w = np.polynomial.legendre.leggauss(M)
+    p.flags.writeable = w.flags.writeable = False
     return QuadratureRule1D(points=p, weights=w)
-
-
-def _as_points(x):
-    x = np.asarray(x, dtype=float)
-    return np.atleast_1d(x), x.ndim == 0
 
 
 def lagrange_eval(ns, x):
@@ -124,44 +143,23 @@ def lagrange_eval(ns, x):
     Uses the second barycentric form; exact node hits return the
     Kronecker column.
     """
-    pts, scalar = _as_points(x)
-    diff = pts[None, :] - ns.nodes[:, None]
+    x = np.asarray(x, dtype=float)
+    diff = np.atleast_1d(x)[None, :] - ns.nodes[:, None]
     hit = diff == 0.0
     on_node = hit.any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         tmp = ns.bary[:, None] / diff
         H = tmp / np.sum(tmp, axis=0)
     H[:, on_node] = hit[:, on_node]
-    return H[:, 0] if scalar else H
+    return H[:, 0] if x.ndim == 0 else H
 
 
 def lagrange_deriv(ns, x):
-    """Evaluate dh_i/dx at x; returns (N+1,) or (N+1, M).
-
-    Off-node points use h_i'(x) = h_i(x) * sum_{k != i} 1/(x - x_k);
-    node hits use the analytic differentiation-matrix column.
-    """
-    pts, scalar = _as_points(x)
-    diff = pts[None, :] - ns.nodes[:, None]
-    hit = diff == 0.0
-    on_node = hit.any(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / diff
-        H = (ns.bary[:, None] * inv) / np.sum(ns.bary[:, None] * inv, axis=0)
-        D = H * (np.sum(inv, axis=0)[None, :] - inv)
-    for m in np.nonzero(on_node)[0]:
-        j = int(np.nonzero(hit[:, m])[0][0])
-        gap = ns.nodes[j] - ns.nodes
-        gap[j] = 1.0
-        col = ns.bary / ns.bary[j] / gap
-        col[j] = 0.0
-        col[j] = -np.sum(col)
-        D[:, m] = col
-    return D[:, 0] if scalar else D
+    """Evaluate dh_i/dx at x; returns (N+1,) or (N+1, M).  h_i' has degree
+    N-1, so h_i'(x) = sum_j h_j(x) Dn[j, i] exactly, with Dn = `ns.deriv`."""
+    return ns.deriv.T @ lagrange_eval(ns, x)
 
 
 def edge_eval(ns, x):
     """Evaluate the edge basis e_i at x; returns (N,) or (N, M)."""
-    D = lagrange_deriv(ns, x)
-    E = -np.cumsum(np.atleast_2d(D.T).T, axis=0)[:-1]
-    return E[:, 0] if np.asarray(x).ndim == 0 else E
+    return -np.cumsum(lagrange_deriv(ns, x), axis=0)[:-1]

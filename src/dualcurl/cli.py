@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 EMIT_CHOICES = ("table1", "fig2", "fig3", "matrices")
+_FIGURE_DEGREE = 3  # the degree of fig2 and of the printed operators
 
 
 def theoretical_norm():
@@ -173,13 +174,13 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(c) for c in row) + "\n")
 
 
-def emit_fig2(cfg, N=3, log=print):
-    """Pointwise difference E^h - curl F^h on an interior Gauss tensor grid.
+def emit_fig2(cfg, log=print):
+    """Pointwise E^h - curl F^h at N=3 on an interior Gauss tensor grid.
 
     Writes the two component grids and returns (grid_xi, grid_eta, maxabs).
     The grid avoids the element edges at +-1 on purpose.
     """
-    disc, _, sol = _solve_exponential(N, cfg.quadrature_boost)
+    disc, _, sol = _solve_exponential(_FIGURE_DEGREE, cfg.quadrature_boost)
 
     g = gauss_rule(cfg.grid_size).points
     Ex, Ey = cc.reconstruct("dual-vector", sol.dirichlet, g, g, disc)
@@ -194,14 +195,14 @@ def emit_fig2(cfg, N=3, log=print):
         )
     maxabs = float(max(np.abs(dxi).max(), np.abs(deta).max()))
     log(f"max |E^h - curl F^h| on {cfg.grid_size}x{cfg.grid_size} grid, "
-        f"N={N}: {maxabs:.3e}")
+        f"N={_FIGURE_DEGREE}: {maxabs:.3e}")
     return dxi, deta, maxabs
 
 
-def emit_matrices(cfg, N=3):
-    """Dump the incidence and trace operators as integer CSV."""
-    for name, M in (("incidence.csv", build_incidence(N)),
-                    ("trace.csv", build_trace(N))):
+def emit_matrices(cfg):
+    """Dump the N=3 incidence and trace operators as integer CSV."""
+    for name, M in (("incidence.csv", build_incidence(_FIGURE_DEGREE)),
+                    ("trace.csv", build_trace(_FIGURE_DEGREE))):
         _write_csv(cfg.output_dir / name, ",".join(str(c) for c in range(M.shape[1])),
                    [tuple(int(v) for v in row) for row in M])
 

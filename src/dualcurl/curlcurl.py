@@ -344,14 +344,9 @@ def norm_E(Et, bd, disc):
     )
 
 
-def _tables(disc, x, y):
-    """The 1D factor tables on the axes x (P values) and y (Q values):
-    nodal Hx (N+1, P), Hy (N+1, Q) and edge Ex (N, P), Ey (N, Q)."""
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
-        raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
-    ns = disc.nodes
-    return lagrange_eval(ns, x), lagrange_eval(ns, y), edge_eval(ns, x), edge_eval(ns, y)
+def _tables(disc, x):
+    """The nodal table H (N+1, P) and the edge table E (N, P) on the axis x."""
+    return lagrange_eval(disc.nodes, x), edge_eval(disc.nodes, x)
 
 
 def _grids(kind, dofs, disc):
@@ -369,10 +364,11 @@ def _grids(kind, dofs, disc):
     return _incidence(f) if kind == "primal-curl" else f
 
 
-def _evaluate(grids, Hx, Hy, Ex, Ey):
+def _evaluate(grids, x_tables, y_tables):
     """Contract each coefficient grid C with its 1D factor tables (Fx, Fy),
     one direction at a time, Fx.T @ C.T @ Fy: the node grid with (Hx, Hy),
     the xi grid with (Hx, Ey), the eta grid with (Ex, Hy)."""
+    (Hx, Ex), (Hy, Ey) = x_tables, y_tables
     if not isinstance(grids, tuple):
         return Hx.T @ grids.T @ Hy
     xi, eta = grids
@@ -392,15 +388,18 @@ def reconstruct(kind, dofs, x, y, disc):
     The dual kinds solve the mass matrix against the dofs, not against
     the basis: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
     Three steps: the coefficient grids (`_grids`), the 1D factor tables
-    on the two axes (`_tables`) and their contraction (`_evaluate`).
+    of each axis (`_tables`) and their contraction (`_evaluate`).
     """
-    return _evaluate(_grids(kind, dofs, disc), *_tables(disc, x, y))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
+        raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
+    return _evaluate(_grids(kind, dofs, disc), _tables(disc, x), _tables(disc, y))
 
 
 def error_norms(sol, exact, disc, boost=15):
     """H(curl) errors (errF, errE) against the analytic pair.
 
-    Uses a tensor Gauss grid with N+boost points per direction, whose 1D
+    Uses a tensor Gauss grid of one axis with N+boost points, whose 1D
     factor tables are evaluated once for all four fields; the curl term
     of the dual error uses the weak-curl reconstruction and the analytic
     scalar curl of E, so `exact` needs `scalar` and `vector_curl`.
@@ -414,20 +413,20 @@ def error_norms(sol, exact, disc, boost=15):
     g = q.points
     X, Y = np.meshgrid(g, g, indexing="ij")
     w2 = np.outer(q.weights, q.weights)
-    tables = _tables(disc, g, g)
+    t = _tables(disc, g)
     Ex, Ey = exact.Ex(X, Y), exact.Ey(X, Y)
 
-    Fh = _evaluate(_grids("primal-scalar", sol.neumann, disc), *tables)
-    cFx, cFy = _evaluate(_grids("primal-curl", sol.neumann, disc), *tables)
+    Fh = _evaluate(_grids("primal-scalar", sol.neumann, disc), t, t)
+    cFx, cFy = _evaluate(_grids("primal-curl", sol.neumann, disc), t, t)
     errF2 = np.vdot(w2, (
         (exact.scalar(X, Y) - Fh) ** 2
         + (Ex - cFx) ** 2
         + (Ey - cFy) ** 2
     ))
 
-    Ehx, Ehy = _evaluate(_grids("dual-vector", sol.dirichlet, disc), *tables)
+    Ehx, Ehy = _evaluate(_grids("dual-vector", sol.dirichlet, disc), t, t)
     w = weak_curl(sol.dirichlet, sol.boundary, disc)
-    cEh = _evaluate(_grids("dual-weak-curl", w, disc), *tables)
+    cEh = _evaluate(_grids("dual-weak-curl", w, disc), t, t)
     errE2 = np.vdot(w2, (
         (Ex - Ehx) ** 2
         + (Ey - Ehy) ** 2

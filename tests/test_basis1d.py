@@ -11,6 +11,35 @@ from dualcurl.basis1d import (
 )
 
 
+def _uniform(degrees):
+    """Cases of uniformly random points, with the test id N."""
+    return [pytest.param(N, None, id=str(N)) for N in degrees]
+
+
+# every node's neighbours at distance delta, where a derivative formula
+# that divides by x - x_k cancels
+NEAR_NODES = [pytest.param(N, delta, id=f"{N}-near{delta:.0e}")
+              for N in (4, 8, 16) for delta in (1e-3, 1e-6, 1e-9, 1e-12)]
+
+
+def _points(ns, delta, rng, m):
+    """m uniform points, or with `delta` the points x_j - delta, x_j + delta
+    inside [-1, 1]."""
+    if delta is None:
+        return rng.uniform(-1, 1, m)
+    return np.concatenate([ns.nodes[1:] - delta, ns.nodes[:-1] + delta])
+
+
+def _assert_close(got, expected, delta, atol):
+    """The random points keep their absolute bound; the near-node points
+    are held to 1e-13 relative to the largest expected value."""
+    if delta is None:
+        np.testing.assert_allclose(got, expected, atol=atol)
+    else:
+        err = np.abs(got - expected).max() / np.abs(expected).max()
+        assert err <= 1e-13, err
+
+
 class TestLegendre:
     def test_degree_zero(self):
         L, dL = legendre_eval(0, 0.37)
@@ -66,6 +95,21 @@ class TestGllNodes:
         _, dL = legendre_eval(N, ns.nodes[1:-1])
         assert np.all(np.abs(dL) <= 1e-12)
 
+    def test_weights_hold_at_degree_1024(self):
+        # undoubled, the barycentric products underflow from about N=800
+        rng = np.random.default_rng(17)
+        ns = gll_nodes(1024)
+        coeffs = rng.standard_normal(4)
+        x = rng.uniform(-1, 1, 50)
+        p = np.polynomial.polynomial.polyval
+        np.testing.assert_allclose(
+            p(ns.nodes, coeffs) @ lagrange_eval(ns, x), p(x, coeffs), atol=1e-12
+        )
+
+    def test_weights_out_of_range_raise(self):
+        with pytest.raises(ValueError, match="degree 1200"):
+            gll_nodes(1200)
+
     @pytest.mark.parametrize("N", range(1, 13))
     def test_quadrature_exactness(self, N):
         # GLL weights integrate polynomials of degree <= 2N-1 exactly
@@ -95,6 +139,12 @@ class TestGaussRule:
     def test_quartic(self):
         q = gauss_rule(3)
         assert abs(q.weights @ q.points**4 - 2 / 5) < 1e-14
+
+    def test_sizes_are_shared_and_read_only(self):
+        a, b = gauss_rule(7), gauss_rule(7)
+        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.weights, b.weights)
+        assert not a.points.flags.writeable and not a.weights.flags.writeable
 
     @pytest.mark.parametrize("M", [1, 2, 4, 8])
     def test_exactness_and_sum(self, M):
@@ -154,16 +204,17 @@ class TestLagrangeDeriv:
         x = rng.uniform(-1, 1, 20)
         np.testing.assert_allclose(lagrange_deriv(ns, x).sum(axis=0), 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("N", [2, 4, 8])
-    def test_against_polynomial_derivative(self, N):
+    @pytest.mark.parametrize("N, delta", _uniform([2, 4, 8]) + NEAR_NODES)
+    def test_against_polynomial_derivative(self, N, delta):
         rng = np.random.default_rng(11)
         ns = gll_nodes(N)
         coeffs = rng.standard_normal(N + 1)
-        x = rng.uniform(-1, 1, 30)
+        x = _points(ns, delta, rng, 30)
         p = np.polynomial.polynomial
-        np.testing.assert_allclose(
+        _assert_close(
             p.polyval(ns.nodes, coeffs) @ lagrange_deriv(ns, x),
             p.polyval(x, p.polyder(coeffs)),
+            delta,
             atol=1e-11,
         )
 
@@ -203,13 +254,13 @@ class TestEdgeBasis:
             table[:, j - 1] = edge_eval(ns, pts) @ q.weights * 0.5 * (b - a)
         np.testing.assert_allclose(table, np.eye(N), atol=1e-12)
 
-    @pytest.mark.parametrize("N", [3, 6, 9])
-    def test_derivative_identity(self, N):
+    @pytest.mark.parametrize("N, delta", _uniform([3, 6, 9]) + NEAR_NODES)
+    def test_derivative_identity(self, N, delta):
         # sum p_i h_i' == sum (p_i - p_{i-1}) e_i
         rng = np.random.default_rng(13)
         ns = gll_nodes(N)
         p = rng.standard_normal(N + 1)
-        x = rng.uniform(-1, 1, 50)
+        x = _points(ns, delta, rng, 50)
         lhs = p @ lagrange_deriv(ns, x)
         rhs = np.diff(p) @ edge_eval(ns, x)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        _assert_close(lhs, rhs, delta, atol=1e-12)

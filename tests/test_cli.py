@@ -1,9 +1,10 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from dualcurl import cli
+from dualcurl import basis1d, cli
 from dualcurl import curlcurl as cc
 from dualcurl.cli import (
     INVARIANTS,
@@ -209,6 +210,20 @@ class TestMain:
         for f in ("table1.csv", "fig3.csv", "fig2_xi.csv", "fig2_eta.csv",
                   "incidence.csv", "trace.csv"):
             assert (tmp_path / f).exists()
+
+    def test_each_gauss_rule_size_computed_once(self, tmp_path, monkeypatch):
+        basis1d._gauss_rule.cache_clear()
+        sizes = Counter()
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(M):
+            sizes[M] += 1
+            return leggauss(M)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        assert main(["--max-degree", "9", "--out", str(tmp_path),
+                     "--emit", "table1,fig3,fig2", "--self-check"]) == 0
+        assert sizes and set(sizes.values()) == {1}, sizes
 
     def test_invalid_emit_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
