@@ -13,6 +13,8 @@ Note: some references print the sum starting at k=1, which would make e_1
 vanish identically and break the integral property; the k=0 lower bound
 used here is the one consistent with that property.
 
+`gll_nodes` takes the nodes from the eigenvalues of a Jacobi matrix and
+both weight sets from one evaluation of L_N: no iteration, no degree limit.
 `lagrange_eval` is the one pointwise evaluator.  h_i' has degree N-1, so
 `lagrange_deriv` applies the nodal differentiation matrix Dn[j, i] = h_i'(x_j),
 built once per node set, to it (Berrut & Trefethen, SIAM Rev. 46, 2004, 9).
@@ -77,50 +79,36 @@ def legendre_eval(N, x):
 
 
 def gll_nodes(N):
-    """Gauss-Lobatto-Legendre nodes and weights for degree N.
+    """GLL nodes, quadrature and barycentric weights and Dn for degree N.
 
-    Interior nodes are the roots of L_N', found by Newton iteration from
-    Chebyshev-Gauss-Lobatto initial guesses; weights are
-    w_i = 2 / (N(N+1) L_N(x_i)^2).
+    The interior nodes, the roots of L_N' (of P^(1,1)_{N-1}), are the
+    eigenvalues of its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
+    polished by one Newton step.  The node polynomial (1-x^2) L_N' has
+    derivative -N(N+1) L_N, so one L_N at the nodes gives both
+    w_i = 2 / (N(N+1) L_N(x_i)^2) and b_i ∝ 1/L_N(x_i).  Dn[j, i] =
+    (b_i/b_j)/(x_j - x_i) off the diagonal; its rows sum to zero.
     """
     if N < 1:
         raise ValueError(f"GLL node set requires degree N >= 1, got {N}")
-    x = -np.cos(np.pi * np.arange(N + 1) / N)
-    if N > 1:
-        xi = x[1:-1]
-        for _ in range(100):
-            L, dL = legendre_eval(N, xi)
-            # L_N'' from the Legendre ODE (1-x^2) L'' = 2x L' - N(N+1) L
-            d2L = (2.0 * xi * dL - N * (N + 1) * L) / (1.0 - xi * xi)
-            dx = dL / d2L
-            xi -= dx
-            if np.max(np.abs(dx)) < 1e-15:
-                break
-        x[1:-1] = xi
-    x[0], x[-1] = -1.0, 1.0
+    k = np.arange(1, N - 1)
+    J = np.zeros((N - 1, N - 1))
+    J[k, k - 1] = J[k - 1, k] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    xi = np.linalg.eigvalsh(J)
+    L, dL = legendre_eval(N, xi)
+    # L_N'' from the Legendre ODE (1-x^2) L'' = 2x L' - N(N+1) L
+    xi -= dL * (1.0 - xi * xi) / (2.0 * xi * dL - N * (N + 1) * L)
+    x = np.concatenate([[-1.0], xi, [1.0]])
     x = 0.5 * (x - x[::-1])  # enforce symmetry about 0
     L, _ = legendre_eval(N, x)
     w = 2.0 / (N * (N + 1) * L * L)
-    return NodeSet1D(N, x, w, *_barycentric(x))
-
-
-def _barycentric(x):
-    """Normalized weights b_i = 1/prod_{k != i}(x_i - x_k) and Dn[j, i] =
-    (b_i/b_j)/(x_j - x_i) off the diagonal, whose rows sum to zero."""
+    b = 1.0 / L
+    b /= np.max(np.abs(b))
     gap = x[:, None] - x[None, :]
     np.fill_diagonal(gap, 1.0)
-    # doubled gaps scale the products by 2^(N+1), which the normalization
-    # cancels; undoubled they underflow from N=800, doubled from N=1098
-    try:
-        with np.errstate(over="raise", under="raise"):
-            b = 1.0 / np.prod(2.0 * gap, axis=1)
-    except FloatingPointError:
-        raise ValueError(f"barycentric weights of degree {len(x) - 1} out of range") from None
-    b /= np.max(np.abs(b))
     Dn = b / b[:, None] / gap
     np.fill_diagonal(Dn, 0.0)
     np.fill_diagonal(Dn, -Dn.sum(axis=1))
-    return b, Dn
+    return NodeSet1D(N, x, w, b, Dn)
 
 
 def gauss_rule(M):

@@ -92,25 +92,30 @@ def _fmt(v):
 
 
 def equivalence_residual(sol, disc):
-    """||Et - M1 E10 F|| / ||Et||, with M1 E10 F = (Ge (D f) Gh, Gh (-f D^T) Ge)
-    on the node grid f: np.diff and the 1D Grams, none of the solves' factors."""
+    """||Et - M1 E10 F|| / ||Et||, or the absolute distance where Et = 0, with
+    M1 E10 F = (Ge (D f) Gh, Gh (-f D^T) Ge) on the node grid f: np.diff and
+    the 1D Grams, none of the solves' factors."""
     N, Gh, Ge = disc.degree, disc.gram.Gh, disc.gram.Ge
     f = sol.neumann.reshape(N + 1, N + 1)
     ref = np.concatenate([(Ge @ np.diff(f, axis=0) @ Gh).ravel(),
                           (Gh @ -np.diff(f, axis=1) @ Ge).ravel()])
-    return float(np.linalg.norm(sol.dirichlet - ref) / np.linalg.norm(sol.dirichlet))
+    dist = float(np.linalg.norm(sol.dirichlet - ref))
+    size = float(np.linalg.norm(sol.dirichlet))
+    return dist / size if size else dist
 
 
 def norm_gap(nF, nE):
-    """|nF - nE| / nF: the relative gap between the two H(curl) norms."""
-    return abs(nF - nE) / nF
+    """|nF - nE| / nF, or |nF - nE| where nF = 0: the relative gap between
+    the two H(curl) norms."""
+    gap = abs(nF - nE)
+    return gap / nF if nF else gap
 
 
 def _solve_exponential(N, boost=15):
     """(disc, bd, sol) of the exponential pair at degree N, its boundary
     data projected with N + boost Gauss points per side."""
     disc = cc.Discretization(N)
-    bd = cc.project_boundary_data(cc.exponential_pair(), disc, n_quad=N + boost)
+    bd = cc.project_boundary_data(cc.exponential_pair(), disc, boost=boost)
     return disc, bd, cc.solve_both(bd, disc)
 
 

@@ -181,16 +181,18 @@ def _check(bd, disc):
         raise ValueError("boundary data dofs are not finite (NaN or inf)")
 
 
-def project_boundary_data(field, disc, n_quad=None):
+def project_boundary_data(field, disc, boost=15):
     """Project the tangential trace n x E onto the boundary loop basis.
 
     Ehat_k = closed-loop integral of psi_k(s) * (n x E)(s) ds, traversed
     counter-clockwise; corner dofs collect both adjacent sides.  The data
-    is generally non-polynomial, so the per-side Gauss rule defaults to
-    N+15 points.
+    is generally non-polynomial, so each side uses a Gauss rule of N+boost
+    points, as `error_norms` does; boost must be >= 0.
     """
+    if boost < 0:
+        raise ValueError(f"boost must be >= 0, got {boost}")
     N = disc.degree
-    q = gauss_rule(n_quad if n_quad is not None else N + 15)
+    q = gauss_rule(N + boost)
     H = lagrange_eval(disc.nodes, q.points)  # (N+1, M)
     coords = {
         "S": (q.points, np.full_like(q.points, -1.0)),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualcurl import basis1d
 from dualcurl.basis1d import (
     edge_eval,
     gauss_rule,
@@ -96,7 +97,6 @@ class TestGllNodes:
         assert np.all(np.abs(dL) <= 1e-12)
 
     def test_weights_hold_at_degree_1024(self):
-        # undoubled, the barycentric products underflow from about N=800
         rng = np.random.default_rng(17)
         ns = gll_nodes(1024)
         coeffs = rng.standard_normal(4)
@@ -106,9 +106,40 @@ class TestGllNodes:
             p(ns.nodes, coeffs) @ lagrange_eval(ns, x), p(x, coeffs), atol=1e-12
         )
 
-    def test_weights_out_of_range_raise(self):
-        with pytest.raises(ValueError, match="degree 1200"):
-            gll_nodes(1200)
+    def test_no_degree_ceiling(self):
+        # weights from L_N have no product over the node gaps to overflow
+        rng = np.random.default_rng(19)
+        ns = gll_nodes(1200)
+        assert np.all(np.isfinite(ns.bary)) and np.all(np.isfinite(ns.deriv))
+        assert np.all(np.diff(ns.nodes) > 0)
+        assert abs(ns.weights.sum() - 2.0) < 1e-13
+        coeffs = rng.standard_normal(4)
+        x = rng.uniform(-1, 1, 50)
+        p = np.polynomial.polynomial.polyval
+        np.testing.assert_allclose(
+            p(ns.nodes, coeffs) @ lagrange_eval(ns, x), p(x, coeffs), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("N", [16, 64, 256, 1024])
+    def test_interior_nodes_converged(self, N):
+        # the Newton correction L'/L'' left at each root of L_N', with L''
+        # from the Legendre ODE, is below one unit roundoff
+        x = gll_nodes(N).nodes[1:-1]
+        L, dL = legendre_eval(N, x)
+        step = dL * (1.0 - x * x) / (2.0 * x * dL - N * (N + 1) * L)
+        assert np.max(np.abs(step)) <= np.finfo(float).eps
+
+    def test_two_legendre_evaluations(self, monkeypatch):
+        # one for the Newton step, one for both weight sets
+        calls = []
+
+        def counted(N, x):
+            calls.append(N)
+            return legendre_eval(N, x)
+
+        monkeypatch.setattr(basis1d, "legendre_eval", counted)
+        gll_nodes(40)
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("N", range(1, 13))
     def test_quadrature_exactness(self, N):

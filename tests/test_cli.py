@@ -13,6 +13,7 @@ from dualcurl.cli import (
     emit_matrices,
     equivalence_residual,
     main,
+    norm_gap,
     run_study,
     self_check,
     theoretical_norm,
@@ -143,6 +144,19 @@ class TestEquivalenceResidual:
         Et = rng.standard_normal(ref.size)
         want = np.linalg.norm(Et - ref) / np.linalg.norm(Et)
         assert abs(residual(Et) - want) <= 1e-13 * want
+
+    def test_zero_field_reads_zero(self):
+        # F constant has E = curl F = 0: Et and both norms are 0, so the
+        # identities hold exactly and read as 0 rather than 0/0
+        zero = cc.AnalyticField(Ex=lambda x, y: 0.0 * x, Ey=lambda x, y: 0.0 * x)
+        disc = cc.Discretization(4)
+        bd = cc.project_boundary_data(zero, disc)
+        sol = cc.solve_both(bd, disc)
+        assert equivalence_residual(sol, disc) == 0.0
+        nF, nE = cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc)
+        assert nF == nE == 0.0
+        assert norm_gap(nF, nE) == 0.0
+        assert norm_gap(0.0, 1e-3) == 1e-3
 
 
 class TestSelfCheck:

@@ -69,6 +69,13 @@ class TestBoundaryProjection:
         bd = cc.project_boundary_data(zero, cc.Discretization(4))
         np.testing.assert_array_equal(bd.dofs, np.zeros(16))
 
+    def test_negative_boost_rejected(self, exact):
+        # a negative boost would under-integrate the trace data
+        disc = cc.Discretization(4)
+        with pytest.raises(ValueError, match="boost must be >= 0"):
+            cc.project_boundary_data(exact, disc, boost=-1)
+        assert np.all(np.isfinite(cc.project_boundary_data(exact, disc, boost=0).dofs))
+
     def test_unit_trace_corner_dofs(self):
         # with n x E == 1 everywhere, each N=1 corner hat integrates to
         # 1 over each of its two supporting sides
