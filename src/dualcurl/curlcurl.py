@@ -32,9 +32,14 @@ with eigenvalues lam_i + lam_j + 1.  The Dirichlet solve eliminates the
 xi grid and diagonalizes the Schur complement
 kron(Hi, X) - kron(P, D Hi D^T), P = Hi D^T inv(X) D Hi, with the pencils
 P U = Hi U nu and (D Hi D^T) W = X W mu, eigenvalues 1 - nu_i mu_j.  The
-two solves share no eigenpair, so their agreement stays a check.  Each
-solve is followed by one refinement step x += S(b - A x) with A applied
-on the grids.  Building the factors, each solve and its right-hand side
+first pencil needs no eigensolve of its own: for K v = lam Gh v,
+X (Ge D v) = D Hi K v + D v = (1 + lam) D v, so
+D^T inv(X) D v = K v / (1 + lam) = lam/(1 + lam) Gh v, and U = Gh V,
+nu = lam/(1 + lam) solve it exactly, with U^T Hi U = V^T Gh V = I.  The
+equivalence of the two solves is still a check: each solve is followed by
+one refinement step x += S(b - A x) against its own operator A, applied on
+the grids (`_neumann_apply`, `_dirichlet_apply`) and not through the shared
+eigenvectors.  Building the factors, each solve and its right-hand side
 cost O(N^3); the mass solves of `GramSet` run on the grids as well.
 
 Fields live on grids.  Nodal dofs F are the (N+1)x(N+1) node grid
@@ -137,16 +142,19 @@ class Discretization:
     exactly integrated masses.  The structural identities (equivalence of
     the two solves, equality of norms, E^h = curl F^h) hold for either.
 
-    The 1D factors of both solves are computed here, once: K, D Hi, X and
-    inv(X), the eigenvectors V (Neumann), U and W (Dirichlet) normalized
-    by their pencils' right-hand matrices, and the reciprocal eigenvalue
-    grids `neumann_scale` 1/(lam_i + lam_j + 1) and `dirichlet_scale`
-    1/(1 - nu_i mu_j); `loop` is `boundary_nodes(N)`.  The dense incidence
-    `E10` is built on first access; no solve, norm or error path reads it.
+    The 1D factors of both solves are computed here, once, from two
+    generalized eigensolves: K, D Hi, X and inv(X), the eigenvectors V
+    (Neumann) and W (Dirichlet) normalized by their pencils' right-hand
+    matrices, U = Gh V (Dirichlet, see the module docstring), and the
+    reciprocal eigenvalue grids `neumann_scale` 1/(lam_i + lam_j + 1) and
+    `dirichlet_scale` 1/(1 - nu_i mu_j) with nu = lam/(1 + lam); `loop` is
+    `boundary_nodes(N)`.  The degree N must be an integer >= 1 (a bool is
+    not one).  The dense incidence `E10` is built on first access; no
+    solve, norm or error path reads it.
     """
 
     def __init__(self, N, rule="lobatto"):
-        self.degree = N
+        self.degree = N = _integer("degree", N, 1)
         self.rule = rule
         self.gram = GramSet(N, rule)
         self.nodes = self.gram.nodes
@@ -160,13 +168,24 @@ class Discretization:
         self.X = Y + self.gram.Ge_inv
         mu, self.W = spd_eigh(Y, self.X)
         self.X_inv = self.W @ self.W.T  # W^T X W = I
-        nu, self.U = spd_eigh(DH.T @ self.X_inv @ DH, self.gram.Gh_inv)
+        self.U = self.gram.Gh @ self.V
+        nu = lam / (1.0 + lam)
         self.dirichlet_scale = 1.0 / (1.0 - nu[:, None] * mu)
 
     @cached_property
     def E10(self):
         """The dense int64 incidence, (2N(N+1), (N+1)^2)."""
         return build_incidence(self.degree)
+
+
+def _integer(name, value, least):
+    """`value` as an int >= `least`; a bool or a non-integer type raises
+    `TypeError` naming `name`, a smaller value `ValueError`."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _check(bd, disc):
@@ -187,10 +206,9 @@ def project_boundary_data(field, disc, boost=15):
     Ehat_k = closed-loop integral of psi_k(s) * (n x E)(s) ds, traversed
     counter-clockwise; corner dofs collect both adjacent sides.  The data
     is generally non-polynomial, so each side uses a Gauss rule of N+boost
-    points, as `error_norms` does; boost must be >= 0.
+    points, as `error_norms` does; boost must be an integer >= 0.
     """
-    if boost < 0:
-        raise ValueError(f"boost must be >= 0, got {boost}")
+    boost = _integer("boost", boost, 0)
     N = disc.degree
     q = gauss_rule(N + boost)
     H = lagrange_eval(disc.nodes, q.points)  # (N+1, M)
@@ -401,16 +419,16 @@ def reconstruct(kind, dofs, x, y, disc):
 def error_norms(sol, exact, disc, boost=15):
     """H(curl) errors (errF, errE) against the analytic pair.
 
-    Uses a tensor Gauss grid of one axis with N+boost points, whose 1D
-    factor tables are evaluated once for all four fields; the curl term
-    of the dual error uses the weak-curl reconstruction and the analytic
-    scalar curl of E, so `exact` needs `scalar` and `vector_curl`.
+    Uses a tensor Gauss grid of one axis with N+boost points (boost an
+    integer >= 0), whose 1D factor tables are evaluated once for all four
+    fields; the curl term of the dual error uses the weak-curl
+    reconstruction and the analytic scalar curl of E, so `exact` needs
+    `scalar` and `vector_curl`.
     """
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
-    if boost < 0:
-        raise ValueError(f"boost must be >= 0, got {boost}")
+    boost = _integer("boost", boost, 0)
     q = gauss_rule(disc.degree + boost)
     g = q.points
     X, Y = np.meshgrid(g, g, indexing="ij")

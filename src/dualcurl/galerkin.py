@@ -1,4 +1,4 @@
-"""Gram (mass) matrices, the SPD solver and the generalized eigensolver of
+"""Gram (mass) matrices, their inverses and the generalized eigensolver of
 the 1D factors.
 
 All matrices live on the reference square and are built from two 1D
@@ -11,8 +11,10 @@ grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve is two
 1D products on a grid, O(N^3): Hi f Hi^T on the node grid for M0, and
 Ei a Hi^T on the xi grid and Hi b Ei^T on the eta grid for M1, with
 Hi = inv(Gh) and Ei = inv(Ge).  Those two 1D inverses are the only
-factorizations a `GramSet` makes; no 2D mass or dual mass is formed
-unless a caller asks for one.
+factorizations a `GramSet` makes, each from one Cholesky factor G = L L^T
+and its one triangular inverse Li = inv(L) as inv(G) = Li^T Li; no 2D
+mass or dual mass is formed unless a caller asks for one.  `spd_eigh`
+reduces a symmetric-definite pencil with the same inverse factor.
 
 Two quadrature rules are supported for assembly.  The default "gauss"
 rule (Gauss-Legendre, N+1 points per direction) is exact for every
@@ -39,7 +41,6 @@ __all__ = [
     "gram_edge_1d",
     "assemble_mass0",
     "assemble_mass1",
-    "spd_solve",
     "spd_eigh",
     "GramSet",
 ]
@@ -99,19 +100,21 @@ def assemble_mass1(Gh, Ge):
     return M
 
 
-def spd_solve(A, b):
-    """Solve Ax = b for symmetric positive definite A (Cholesky)."""
-    L = np.linalg.cholesky(A)
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+def _inverse_factor(B):
+    """Li = inv(L) of the Cholesky factor B = L L^T of an SPD matrix B, so
+    that inv(B) = Li^T Li: one factorization and one triangular inverse.
+    Raises `LinAlgError` if B is not positive definite."""
+    L = np.linalg.cholesky(B)
+    return np.linalg.solve(L, np.eye(len(B)))
 
 
 def spd_eigh(A, B):
     """Eigenpairs (w, V) of the symmetric-definite pencil A V = B V diag(w),
-    w ascending and V normalized by V^T B V = I.  With B = L L^T, the
-    symmetric inv(L) A inv(L)^T = Y diag(w) Y^T and V = inv(L)^T Y."""
-    L = np.linalg.cholesky(B)
-    w, Y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A).T))
-    return w, np.linalg.solve(L.T, Y)
+    w ascending and V normalized by V^T B V = I.  With Li = inv(L) of
+    B = L L^T, the symmetric Li A Li^T = Y diag(w) Y^T and V = Li^T Y."""
+    Li = _inverse_factor(B)
+    w, Y = np.linalg.eigh(Li @ A @ Li.T)
+    return w, Li.T @ Y
 
 
 def _kron_apply(A, B, b):
@@ -132,8 +135,8 @@ class GramSet:
         self.nodes = gll_nodes(degree)
         self.Gh = gram_nodal_1d(self.nodes, rule)
         self.Ge = gram_edge_1d(self.nodes, rule)
-        self.Gh_inv = spd_solve(self.Gh, np.eye(degree + 1))
-        self.Ge_inv = spd_solve(self.Ge, np.eye(degree))
+        Lh, Le = _inverse_factor(self.Gh), _inverse_factor(self.Ge)
+        self.Gh_inv, self.Ge_inv = Lh.T @ Lh, Le.T @ Le
 
     @cached_property
     def M1(self):

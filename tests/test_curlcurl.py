@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -346,23 +347,40 @@ class TestFastDiagonalization:
 
         monkeypatch.setattr(cc, "spd_eigh", counting)
         disc = cc.Discretization(6)
-        assert len(calls) == 3   # the Neumann pencil and the two Dirichlet pencils
+        assert len(calls) == 2   # the Neumann pencil and the (Y, X) pencil
         bd = cc.project_boundary_data(exact, disc)
         cc.solve_both(bd, disc)
         cc.solve_both(bd, disc)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("N", [1, 6])
+    def test_four_cholesky_factors_per_degree(self, monkeypatch, N):
+        # Gh and Ge in `GramSet`, Gh and X in the two eigensolves
+        sizes = []
+        cholesky = galerkin.np.linalg.cholesky
+
+        def recording(A, *args, **kwargs):
+            sizes.append(len(A))
+            return cholesky(A, *args, **kwargs)
+
+        monkeypatch.setattr(galerkin.np.linalg, "cholesky", recording)
+        cc.Discretization(N)
+        assert sorted(sizes) == [N, N, N + 1, N + 1]
 
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     @pytest.mark.parametrize("N", [*range(1, 13), 24, 40, 64])
     def test_pencils_by_definition(self, N, rule):
         # A V = B V diag(w) and V^T B V = I for the three pencils the
-        # solves are built from; bounds fixed before the first run
+        # solves are built from, checked on the factors `disc` holds: V,
+        # W, and U with nu = lam/(1 + lam); bounds fixed before the first run
         disc = cc.Discretization(N, rule)
         Y = disc.DH @ disc.D.T
-        pencils = [(disc.K, disc.gram.Gh), (Y, disc.X),
-                   (disc.DH.T @ disc.X_inv @ disc.DH, disc.gram.Gh_inv)]
-        for A, B in pencils:
-            w, V = spd_eigh(A, B)
+        lam = np.diag(disc.V.T @ disc.K @ disc.V)
+        pencils = [(disc.K, disc.gram.Gh, disc.V, lam),
+                   (Y, disc.X, disc.W, np.diag(disc.W.T @ Y @ disc.W)),
+                   (disc.DH.T @ disc.X_inv @ disc.DH, disc.gram.Gh_inv, disc.U,
+                    lam / (1 + lam))]
+        for A, B, V, w in pencils:
             assert np.all(np.diff(w) >= 0)
             scale = np.abs(A).max() * np.abs(V).max()
             assert np.abs(A @ V - B @ V * w).max() <= 1e-13 * scale
@@ -615,6 +633,35 @@ class TestErrorNorms:
 
 
 class TestInputChecks:
+    @pytest.mark.parametrize("N", [3.5, 3.0, True, np.True_, "3"],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "str"])
+    def test_degree_must_be_an_integer(self, N):
+        # a bool is an int to Python; neither it nor a float may reach numpy,
+        # whose errors name no input
+        with pytest.raises(TypeError, match=rf"^degree must be an integer, got {re.escape(repr(N))}$"):
+            cc.Discretization(N)
+
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be >= 1, got 0$"):
+            cc.Discretization(0)
+
+    def test_numpy_integer_degree_accepted(self):
+        disc = cc.Discretization(np.int64(3))
+        assert disc.degree == 3 and type(disc.degree) is int
+        assert disc.V.shape == (4, 4)
+
+    @pytest.mark.parametrize("boost", [2.5, True])
+    def test_boost_must_be_an_integer(self, exact, solved, boost):
+        # boost=True would integrate on N+1 points without a word, and a
+        # float would fail inside numpy's Gauss rule naming N+boost
+        disc, bd, sol = solved[3]
+        for call in (lambda: cc.project_boundary_data(exact, disc, boost=boost),
+                     lambda: cc.error_norms(sol, exact, disc, boost=boost)):
+            with pytest.raises(TypeError, match=rf"^boost must be an integer, got {boost!r}$"):
+                call()
+        assert cc.error_norms(sol, exact, disc, boost=np.int64(2)) == \
+            cc.error_norms(sol, exact, disc, boost=2)
+
     def test_degree_mismatch(self):
         disc = cc.Discretization(4)
         bd = cc.BoundaryData(3, np.zeros(12))

@@ -9,8 +9,8 @@ from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.galerkin import (
     GramSet,
     assemble_mass0,
+    _inverse_factor,
     gram_nodal_1d,
-    spd_solve,
 )
 from conftest import assemble_mass0_direct, psi0_dense, psi1_dense
 
@@ -144,15 +144,23 @@ class TestMassSolve:
             getattr(GramSet(3), method)(np.zeros(bad))
 
 
-class TestSpdSolve:
+class TestInverseFactor:
+    """inv(L) of B = L L^T: inv(B) b = Li^T (Li b)."""
+
+    @staticmethod
+    def solve(A, b):
+        Li = _inverse_factor(A)
+        return Li.T @ (Li @ b)
+
     def test_identity(self):
         b = np.arange(5.0)
-        np.testing.assert_array_equal(spd_solve(np.eye(5), b), b)
+        np.testing.assert_array_equal(_inverse_factor(np.eye(5)), np.eye(5))
+        np.testing.assert_array_equal(self.solve(np.eye(5), b), b)
 
     def test_constructed_solution(self):
         M0 = assemble_mass0(GramSet(2).Gh)
         ones = np.ones(9)
-        np.testing.assert_allclose(spd_solve(M0, M0 @ ones), ones, atol=1e-12)
+        np.testing.assert_allclose(self.solve(M0, M0 @ ones), ones, atol=1e-12)
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(17)
@@ -160,13 +168,13 @@ class TestSpdSolve:
             R = rng.standard_normal((10, 10))
             A = R @ R.T + 10 * np.eye(10)
             b = rng.standard_normal(10)
-            x = spd_solve(A, b)
+            x = self.solve(A, b)
             assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
 
     def test_non_spd_rejected(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(np.linalg.LinAlgError):
-            spd_solve(A, np.ones(2))
+            _inverse_factor(A)
 
 
 class TestBiorthogonality:
