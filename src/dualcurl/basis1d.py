@@ -56,13 +56,24 @@ class QuadratureRule1D:
     weights: np.ndarray
 
 
+def _integer(name, value, least):
+    """`value` as an int >= `least`; a bool or a non-integer type raises
+    `TypeError` naming `name`, a smaller value `ValueError`.  The package's
+    one integer rule: every degree, point count, grid size and boost of a
+    public entry, in every layer, goes through it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def legendre_eval(N, x):
     """Return (L_N(x), L_N'(x)) by three-term recurrence.
 
     Accepts scalars or arrays.
     """
-    if N < 0:
-        raise ValueError(f"Legendre degree must be >= 0, got {N}")
+    N = _integer("degree", N, 0)
     x = np.asarray(x, dtype=float)
     L = np.ones_like(x)
     dL = np.zeros_like(x)
@@ -88,8 +99,7 @@ def gll_nodes(N):
     w_i = 2 / (N(N+1) L_N(x_i)^2) and b_i ∝ 1/L_N(x_i).  Dn[j, i] =
     (b_i/b_j)/(x_j - x_i) off the diagonal; its rows sum to zero.
     """
-    if N < 1:
-        raise ValueError(f"GLL node set requires degree N >= 1, got {N}")
+    N = _integer("degree", N, 1)
     k = np.arange(1, N - 1)
     J = np.zeros((N - 1, N - 1))
     J[k, k - 1] = J[k - 1, k] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
@@ -113,9 +123,7 @@ def gll_nodes(N):
 
 def gauss_rule(M):
     """Gauss-Legendre rule with M points, computed once per M (read-only)."""
-    if M < 1:
-        raise ValueError(f"Gauss rule requires M >= 1 points, got {M}")
-    return _gauss_rule(M)
+    return _gauss_rule(_integer("points", M, 1))
 
 
 @lru_cache(maxsize=None)

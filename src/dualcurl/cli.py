@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import curlcurl as cc
-from .basis1d import gauss_rule, gll_nodes, edge_eval, lagrange_eval
-from .galerkin import GramSet
+from .basis1d import _integer, gauss_rule, gll_nodes, edge_eval
+from .galerkin import GramSet, assemble_mass0
 from .operators2d import build_incidence, build_trace
 
 __all__ = [
@@ -59,12 +59,10 @@ class StudyConfig:
     emit: frozenset = frozenset({"table1", "fig3"})
 
     def __post_init__(self):
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
-        if self.quadrature_boost < 0:
-            raise ValueError("quadrature_boost must be >= 0")
+        for name, least in (("max_degree", 1), ("grid_size", 2), ("quadrature_boost", 0)):
+            _integer(name, getattr(self, name), least)
+        if isinstance(self.emit, str):  # a str would be read as a set of letters
+            raise TypeError(f"emit must be a set of target names, got {self.emit!r}")
         bad = set(self.emit) - set(EMIT_CHOICES)
         if bad:
             raise ValueError(f"unknown emit targets: {sorted(bad)}")
@@ -96,6 +94,9 @@ def equivalence_residual(sol, disc):
     M1 E10 F = (Ge (D f) Gh, Gh (-f D^T) Ge) on the node grid f: np.diff and
     the 1D Grams, none of the solves' factors."""
     N, Gh, Ge = disc.degree, disc.gram.Gh, disc.gram.Ge
+    if sol.degree != N:
+        raise ValueError(f"solution of degree {sol.degree} does not match the "
+                         f"degree-{N} discretization")
     f = sol.neumann.reshape(N + 1, N + 1)
     ref = np.concatenate([(Ge @ np.diff(f, axis=0) @ Gh).ravel(),
                           (Gh @ -np.diff(f, axis=1) @ Ge).ravel()])
@@ -266,10 +267,7 @@ def _volume_biorthogonality_residual():
     worst = 0.0
     for N in range(1, 9):
         gram = GramSet(N, rule="gauss")
-        q = gauss_rule(N + 1)
-        H = lagrange_eval(gram.nodes, q.points)
-        G = (H * q.weights) @ H.T  # the 2D integrals are kron(G, G)
-        M0 = np.kron(G, G)
+        M0 = assemble_mass0(gram.Gh)  # the 2D integrals are kron(Gh, Gh)
         worst = max(worst, float(np.abs(gram.solve_mass0(M0) - np.eye(M0.shape[0])).max()))
     return worst
 

@@ -60,8 +60,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis1d import edge_eval, gauss_rule, lagrange_eval
-from .galerkin import GramSet, spd_eigh
+from .basis1d import _integer, edge_eval, gauss_rule, lagrange_eval
+from .galerkin import GramSet, _inverse_factor, spd_eigh
 from .operators2d import boundary_nodes, build_incidence, side_dof_indices
 
 __all__ = [
@@ -118,10 +118,14 @@ def exponential_pair():
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """4N boundary dofs in loop order, ccw from node (0,0)."""
+    """4N boundary dofs in loop order, ccw from node (0,0); they must be finite."""
 
     degree: int
     dofs: np.ndarray
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.dofs)):
+            raise ValueError("boundary data dofs are not finite (NaN or inf)")
 
 
 @dataclass(frozen=True)
@@ -154,19 +158,19 @@ class Discretization:
     """
 
     def __init__(self, N, rule="lobatto"):
-        self.degree = N = _integer("degree", N, 1)
+        self.gram = GramSet(N, rule)  # checks the degree
+        self.degree = N = self.gram.degree
         self.rule = rule
-        self.gram = GramSet(N, rule)
         self.nodes = self.gram.nodes
         self.D = D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.loop = boundary_nodes(N)
         self.K = D.T @ self.gram.Ge @ D
-        lam, self.V = spd_eigh(self.K, self.gram.Gh)
+        lam, self.V = spd_eigh(self.K, self.gram.Lh)
         self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
         self.DH = DH = D @ self.gram.Gh_inv
         Y = DH @ D.T
         self.X = Y + self.gram.Ge_inv
-        mu, self.W = spd_eigh(Y, self.X)
+        mu, self.W = spd_eigh(Y, _inverse_factor(self.X))
         self.X_inv = self.W @ self.W.T  # W^T X W = I
         self.U = self.gram.Gh @ self.V
         nu = lam / (1.0 + lam)
@@ -178,26 +182,14 @@ class Discretization:
         return build_incidence(self.degree)
 
 
-def _integer(name, value, least):
-    """`value` as an int >= `least`; a bool or a non-integer type raises
-    `TypeError` naming `name`, a smaller value `ValueError`."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 def _check(bd, disc):
-    """Reject boundary data that does not belong to `disc` or is not finite."""
+    """Reject boundary data that does not belong to `disc`."""
     n = 4 * disc.degree
     if bd.degree != disc.degree or np.shape(bd.dofs) != (n,):
         raise ValueError(
             f"boundary data of degree {bd.degree} with {np.size(bd.dofs)} dofs "
             f"does not match the degree-{disc.degree} discretization ({n} dofs)"
         )
-    if not np.all(np.isfinite(bd.dofs)):
-        raise ValueError("boundary data dofs are not finite (NaN or inf)")
 
 
 def project_boundary_data(field, disc, boost=15):
@@ -397,8 +389,8 @@ def _evaluate(grids, x_tables, y_tables):
 
 def reconstruct(kind, dofs, x, y, disc):
     """Field values on the tensor grid of the 1D axes x (P values) and
-    y (Q values): (P, Q) arrays whose entry [a, b] is the value at
-    (x[a], y[b]), the orientation of meshgrid(x, y, indexing="ij").
+    y (Q values) in [-1, 1]: (P, Q) arrays whose entry [a, b] is the value
+    at (x[a], y[b]), the orientation of meshgrid(x, y, indexing="ij").
 
     kind: "primal-scalar"  -> psi0 F                  (scalar)
           "primal-curl"    -> psi1 E10 F              (vector: xi, eta)
@@ -413,6 +405,9 @@ def reconstruct(kind, dofs, x, y, disc):
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
         raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
+    for name, v in (("x", x), ("y", y)):
+        if not np.all(np.abs(v) <= 1.0):  # false for NaN; outside, the basis extrapolates
+            raise ValueError(f"{name} must hold finite points in [-1, 1], got {v}")
     return _evaluate(_grids(kind, dofs, disc), _tables(disc, x), _tables(disc, y))
 
 

@@ -14,7 +14,8 @@ Hi = inv(Gh) and Ei = inv(Ge).  Those two 1D inverses are the only
 factorizations a `GramSet` makes, each from one Cholesky factor G = L L^T
 and its one triangular inverse Li = inv(L) as inv(G) = Li^T Li; no 2D
 mass or dual mass is formed unless a caller asks for one.  `spd_eigh`
-reduces a symmetric-definite pencil with the same inverse factor.
+reduces a symmetric-definite pencil with such an inverse factor, so the
+pencil (K, Gh) reuses `GramSet.Lh`.
 
 Two quadrature rules are supported for assembly.  The default "gauss"
 rule (Gauss-Legendre, N+1 points per direction) is exact for every
@@ -108,11 +109,10 @@ def _inverse_factor(B):
     return np.linalg.solve(L, np.eye(len(B)))
 
 
-def spd_eigh(A, B):
+def spd_eigh(A, Li):
     """Eigenpairs (w, V) of the symmetric-definite pencil A V = B V diag(w),
-    w ascending and V normalized by V^T B V = I.  With Li = inv(L) of
-    B = L L^T, the symmetric Li A Li^T = Y diag(w) Y^T and V = Li^T Y."""
-    Li = _inverse_factor(B)
+    w ascending and V normalized by V^T B V = I, from Li = inv(L) of
+    B = L L^T (`_inverse_factor(B)`): Li A Li^T = Y diag(w) Y^T, V = Li^T Y."""
     w, Y = np.linalg.eigh(Li @ A @ Li.T)
     return w, Li.T @ Y
 
@@ -125,18 +125,19 @@ def _kron_apply(A, B, b):
 
 
 class GramSet:
-    """The node set, the 1D Gram factors of degree N and their inverses.
+    """The node set, the 1D Gram factors of degree N and their inverses,
+    with `Lh` the inverse Cholesky factor of Gh, Gh_inv = Lh^T Lh.
     Mass solves run on the grids from the 1D inverses.  The dense edge mass
     M1 is built on first access; the nodal mass M0 is not stored: callers
     apply it as Gh f Gh on the node grid, or build it with `assemble_mass0(Gh)`."""
 
     def __init__(self, degree, rule="gauss"):
-        self.degree, self.rule = degree, rule
-        self.nodes = gll_nodes(degree)
+        self.nodes = gll_nodes(degree)  # checks the degree
+        self.degree, self.rule = self.nodes.degree, rule
         self.Gh = gram_nodal_1d(self.nodes, rule)
         self.Ge = gram_edge_1d(self.nodes, rule)
-        Lh, Le = _inverse_factor(self.Gh), _inverse_factor(self.Ge)
-        self.Gh_inv, self.Ge_inv = Lh.T @ Lh, Le.T @ Le
+        self.Lh, Le = _inverse_factor(self.Gh), _inverse_factor(self.Ge)
+        self.Gh_inv, self.Ge_inv = self.Lh.T @ self.Lh, Le.T @ Le
 
     @cached_property
     def M1(self):

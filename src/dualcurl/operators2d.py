@@ -19,6 +19,8 @@ dofs to the loop: T f is f.ravel()[boundary_nodes(N)], one node per dof.
 
 import numpy as np
 
+from .basis1d import _integer
+
 __all__ = [
     "boundary_nodes",
     "build_incidence",
@@ -27,18 +29,13 @@ __all__ = [
 ]
 
 
-def _check_degree(N):
-    if N < 1:
-        raise ValueError(f"degree must be >= 1, got {N}")
-
-
 def build_incidence(N):
     """Integer incidence matrix, shape (2N(N+1), (N+1)^2).
 
     On a nodal grid f[j, i], E10 @ f.ravel() is
     [diff(f, axis=0).ravel(), -diff(f, axis=1).ravel()].
     """
-    _check_degree(N)
+    N = _integer("degree", N, 1)
     node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
     head = np.concatenate([node[1:].ravel(), node[:, :-1].ravel()])
     tail = np.concatenate([node[:-1].ravel(), node[:, 1:].ravel()])
@@ -72,6 +69,6 @@ def side_dof_indices(N):
     index k along that side (xi for S/N, eta for E/W).  Corner nodes
     appear in both adjacent sides.
     """
-    _check_degree(N)
+    N = _integer("degree", N, 1)
     k = np.arange(N + 1)
     return {"S": k, "E": N + k, "N": 3 * N - k, "W": (4 * N - k) % (4 * N)}

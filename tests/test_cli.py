@@ -53,6 +53,8 @@ class TestConfig:
             StudyConfig(emit=frozenset({"table9"}))
         with pytest.raises(ValueError, match="quadrature_boost must be >= 0"):
             StudyConfig(quadrature_boost=-1)
+        with pytest.raises(TypeError, match="^emit must be a set"):
+            StudyConfig(emit="table1")  # not the letters t, a, b, l, e and 1
 
 
 class TestRunStudy:

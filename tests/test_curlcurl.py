@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from dualcurl import cli, galerkin, operators2d
 from dualcurl import curlcurl as cc
-from dualcurl.basis1d import gauss_rule, gll_nodes
+from dualcurl.basis1d import gauss_rule, gll_nodes, legendre_eval
 from dualcurl.cli import equivalence_residual, norm_gap
 from dualcurl.galerkin import assemble_mass0, spd_eigh
-from dualcurl.operators2d import build_trace
+from dualcurl.operators2d import build_incidence, build_trace
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
@@ -354,8 +354,9 @@ class TestFastDiagonalization:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("N", [1, 6])
-    def test_four_cholesky_factors_per_degree(self, monkeypatch, N):
-        # Gh and Ge in `GramSet`, Gh and X in the two eigensolves
+    def test_three_cholesky_factors_per_degree(self, monkeypatch, N):
+        # Gh and Ge in `GramSet`, X in the Dirichlet eigensolve; the Neumann
+        # eigensolve reuses the inverse factor of Gh that `GramSet` keeps
         sizes = []
         cholesky = galerkin.np.linalg.cholesky
 
@@ -365,7 +366,7 @@ class TestFastDiagonalization:
 
         monkeypatch.setattr(galerkin.np.linalg, "cholesky", recording)
         cc.Discretization(N)
-        assert sorted(sizes) == [N, N, N + 1, N + 1]
+        assert sorted(sizes) == [N, N, N + 1]
 
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     @pytest.mark.parametrize("N", [*range(1, 13), 24, 40, 64])
@@ -632,7 +633,52 @@ class TestErrorNorms:
         assert calls == {"lagrange_eval": 1, "edge_eval": 1}, calls
 
 
+# every public entry that reads an integer: its call on (value, disc, sol),
+# the argument's name and the least value it accepts
+INTEGER_ENTRIES = {
+    "gll_nodes": (lambda v, disc, sol: gll_nodes(v), "degree", 1),
+    "legendre_eval": (lambda v, disc, sol: legendre_eval(v, 0.0), "degree", 0),
+    "gauss_rule": (lambda v, disc, sol: gauss_rule(v), "points", 1),
+    "build_incidence": (lambda v, disc, sol: build_incidence(v), "degree", 1),
+    "build_trace": (lambda v, disc, sol: build_trace(v), "degree", 1),
+    "boundary_nodes": (lambda v, disc, sol: operators2d.boundary_nodes(v), "degree", 1),
+    "side_dof_indices": (lambda v, disc, sol: operators2d.side_dof_indices(v), "degree", 1),
+    "GramSet": (lambda v, disc, sol: galerkin.GramSet(v), "degree", 1),
+    "Discretization": (lambda v, disc, sol: cc.Discretization(v), "degree", 1),
+    "project_boundary_data": (lambda v, disc, sol: cc.project_boundary_data(
+        cc.exponential_pair(), disc, boost=v), "boost", 0),
+    "error_norms": (lambda v, disc, sol: cc.error_norms(
+        sol, cc.exponential_pair(), disc, boost=v), "boost", 0),
+    "StudyConfig.max_degree": (lambda v, disc, sol: cli.StudyConfig(max_degree=v),
+                               "max_degree", 1),
+    "StudyConfig.grid_size": (lambda v, disc, sol: cli.StudyConfig(grid_size=v),
+                              "grid_size", 2),
+    "StudyConfig.quadrature_boost": (lambda v, disc, sol: cli.StudyConfig(quadrature_boost=v),
+                                     "quadrature_boost", 0),
+}
+
+
 class TestInputChecks:
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_integer_inputs_name_their_argument(self, solved, entry, data):
+        # floats (integral ones too), bools and strings are not integers;
+        # an int below the least value is out of range.  The floats stay
+        # small: a huge one that slipped through would size arrays by it
+        call, name, least = INTEGER_ENTRIES[entry]
+        value = data.draw(st.one_of(
+            st.floats(-64, 64), st.booleans(), st.text(max_size=3),
+            st.sampled_from([np.nan, np.inf, np.True_, np.float64(3.0)]),
+            st.integers(max_value=least - 1)))
+        disc, _, sol = solved[3]
+        if type(value) is int:
+            expected, message = ValueError, rf"^{name} must be >= {least}, got {value}$"
+        else:
+            expected, message = TypeError, rf"^{name} must be an integer, got "
+        with pytest.raises(expected, match=message):
+            call(value, disc, sol)
+
     @pytest.mark.parametrize("N", [3.5, 3.0, True, np.True_, "3"],
                              ids=["float", "integral-float", "bool", "numpy-bool", "str"])
     def test_degree_must_be_an_integer(self, N):
@@ -669,6 +715,7 @@ class TestInputChecks:
             lambda: cc.solve_neumann(bd, disc),
             lambda: cc.solve_dirichlet(bd, disc),
             lambda: cc.weak_curl(np.zeros(40), bd, disc),
+            lambda: equivalence_residual(cc.Solution(3, bd, np.zeros(16), np.zeros(24)), disc),
         ):
             with pytest.raises(ValueError, match="degree 3 .* degree-4 discretization"):
                 call()
@@ -679,6 +726,23 @@ class TestInputChecks:
         dofs[5] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             cc.solve_both(cc.BoundaryData(3, dofs), disc)
+
+    def test_non_finite_field_fails_at_projection(self, exact):
+        # the NaN would otherwise reach the solves as boundary dofs
+        field = cc.AnalyticField(Ex=lambda x, y: np.where(x > 0.5, np.nan, 1.0), Ey=exact.Ey)
+        with pytest.raises(ValueError, match="not finite"):
+            cc.project_boundary_data(field, cc.Discretization(3))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("point", [5.0, -1.0 - 1e-12, np.nan, np.inf])
+    def test_reconstruct_rejects_points_off_the_element(self, axis, point):
+        # outside [-1, 1] the basis would extrapolate; NaN would come back as values
+        disc = cc.Discretization(3)
+        points = {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}
+        assert cc.reconstruct("primal-scalar", np.ones(16), *points.values(), disc).shape == (2, 2)
+        points[axis] = [0.0, point]
+        with pytest.raises(ValueError, match=rf"^{axis} must hold finite points in \[-1, 1\]"):
+            cc.reconstruct("primal-scalar", np.ones(16), *points.values(), disc)
 
     @pytest.mark.parametrize("call, n", [
         (cc.weak_curl, 180),
