@@ -42,12 +42,11 @@ the grids (`_neumann_apply`, `_dirichlet_apply`) and not through the shared
 eigenvectors.  Building the factors, each solve and its right-hand side
 cost O(N^3); the mass solves of `GramSet` run on the grids as well.
 
-Fields live on grids.  Nodal dofs F are the (N+1)x(N+1) node grid
-f[j, i] (j along y), edge dofs Et the Nx(N+1) xi grid a and the (N+1)xN
-eta grid b (see `operators2d`).  On them E10 F is [D f; -f D^T], the
-differences of f along y and along x, and E10^T Et is D^T a - b D; the
-norms apply the masses as 1D Gram products on the grids, and
-`reconstruct` evaluates a field on the tensor grid of two 1D axes.
+Fields live on the grids of `operators2d`, which owns the dof layout and
+reads every dof vector through one rule: the node grid f of F and the edge
+grids (a, b) of Et.  On them E10 F is [D f; -f D^T] and E10^T Et is
+D^T a - b D; the norms apply the masses as 1D Gram products on the grids,
+and `reconstruct` evaluates a field on the tensor grid of two 1D axes.
 
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and a quadrature rule reach this module, so
@@ -62,7 +61,8 @@ import numpy as np
 
 from .basis1d import _integer, edge_eval, gauss_rule, lagrange_eval
 from .galerkin import GramSet, _inverse_factor, spd_eigh
-from .operators2d import boundary_nodes, build_incidence, side_dof_indices
+from .operators2d import (
+    _dofs, _edge_grids, _incidence, boundary_nodes, build_incidence, side_dof_indices)
 
 __all__ = [
     "AnalyticField",
@@ -124,8 +124,7 @@ class BoundaryData:
     dofs: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.dofs)):
-            raise ValueError("boundary data dofs are not finite (NaN or inf)")
+        object.__setattr__(self, "dofs", _dofs(self.dofs, self.degree, "loop"))
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,12 @@ class Discretization:
         return build_incidence(self.degree)
 
 
-def _check(bd, disc):
-    """Reject boundary data that does not belong to `disc`."""
-    n = 4 * disc.degree
-    if bd.degree != disc.degree or np.shape(bd.dofs) != (n,):
-        raise ValueError(
-            f"boundary data of degree {bd.degree} with {np.size(bd.dofs)} dofs "
-            f"does not match the degree-{disc.degree} discretization ({n} dofs)"
-        )
+def _check(obj, disc):
+    """Reject a `BoundaryData` or a `Solution` of another degree than `disc`."""
+    if obj.degree != disc.degree:
+        name = "solution" if isinstance(obj, Solution) else "boundary data"
+        raise ValueError(f"{name} of degree {obj.degree} does not match the "
+                         f"degree-{disc.degree} discretization")
 
 
 def project_boundary_data(field, disc, boost=15):
@@ -302,46 +299,19 @@ def solve_both(bd, disc):
     )
 
 
-def _dofs(v, disc, edges=False):
-    """`v` as a float vector of `disc`'s nodal dofs, or with `edges` of its
-    edge dofs; checked before a reshape could accept a grid or a column."""
-    N = disc.degree
-    n = 2 * N * (N + 1) if edges else (N + 1) ** 2
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"dofs of shape {v.shape} do not match the degree-{N} "
-                         f"discretization: expected a 1D vector of length {n}")
-    return v
-
-
-def _edge_grids(c, N):
-    """The xi grid (N, N+1) and the eta grid (N+1, N) of edge dofs c."""
-    xi, eta = np.split(c, 2)
-    return xi.reshape(N, N + 1), eta.reshape(N + 1, N)
-
-
-def _incidence(f):
-    """E10 F on the node grid f: the edge grids (D f, -f D^T)."""
-    return np.diff(f, axis=0), -np.diff(f, axis=1)
-
-
-def _incidence_T(a, b, D):
-    """E10^T Et on the edge grids (a, b) of Et: the node grid D^T a - b D."""
-    return D.T @ a - b @ D
-
-
 def weak_curl(Et, bd, disc):
-    """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat."""
+    """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat, with
+    E10^T Et the node grid D^T a - b D of the edge grids (a, b) of Et."""
     _check(bd, disc)
-    a, b = _edge_grids(_dofs(Et, disc, edges=True), disc.degree)
-    return _incidence_T(a, b, disc.D).ravel() + _scatter(bd, disc)
+    a, b = _edge_grids(_dofs(Et, disc.degree, "edges"), disc.degree)
+    return (disc.D.T @ a - b @ disc.D).ravel() + _scatter(bd, disc)
 
 
 def norm_F(F, disc):
     """H(curl) norm of the primal scalar field from its nodal dofs:
     F M0 F + c M1 c with c = E10 F, as 1D Gram products on the grids."""
     N, Gh, Ge = disc.degree, disc.gram.Gh, disc.gram.Ge
-    f = _dofs(F, disc).reshape(N + 1, N + 1)
+    f = _dofs(F, N).reshape(N + 1, N + 1)
     a, b = _incidence(f)
     return float(np.sqrt(
         np.vdot(f, Gh @ f @ Gh) + np.vdot(a, Ge @ a @ Gh) + np.vdot(b, Gh @ b @ Ge)
@@ -367,11 +337,9 @@ def _grids(kind, dofs, disc):
     if kind not in ("primal-scalar", "primal-curl", "dual-vector", "dual-weak-curl"):
         raise ValueError(f"unknown reconstruction kind {kind!r}")
     N = disc.degree
-    c = _dofs(dofs, disc, edges=kind == "dual-vector")
-    if kind == "dual-weak-curl":
-        c = disc.gram.solve_mass0(c)
-    elif kind == "dual-vector":
-        return _edge_grids(disc.gram.solve_mass1(c), N)
+    if kind == "dual-vector":
+        return _edge_grids(disc.gram.solve_mass1(dofs), N)
+    c = disc.gram.solve_mass0(dofs) if kind == "dual-weak-curl" else _dofs(dofs, N)
     f = c.reshape(N + 1, N + 1)
     return _incidence(f) if kind == "primal-curl" else f
 
@@ -423,6 +391,7 @@ def error_norms(sol, exact, disc, boost=15):
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
+    _check(sol, disc)
     boost = _integer("boost", boost, 0)
     q = gauss_rule(disc.degree + boost)
     g = q.points

@@ -7,15 +7,16 @@ computes once on one node set.  The masses are their tensor products,
 M0 = kron(Gh, Gh) and M1 = block_diag(kron(Ge, Gh), kron(Gh, Ge)).  The
 inverse of a Kronecker product is the Kronecker product of the inverses,
 inv(kron(A, B)) = kron(inv(A), inv(B)), and kron(A, B) b is A g B^T on the
-grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve is two
-1D products on a grid, O(N^3): Hi f Hi^T on the node grid for M0, and
-Ei a Hi^T on the xi grid and Hi b Ei^T on the eta grid for M1, with
-Hi = inv(Gh) and Ei = inv(Ge).  Those two 1D inverses are the only
-factorizations a `GramSet` makes, each from one Cholesky factor G = L L^T
-and its one triangular inverse Li = inv(L) as inv(G) = Li^T Li; no 2D
-mass or dual mass is formed unless a caller asks for one.  `spd_eigh`
-reduces a symmetric-definite pencil with such an inverse factor, so the
-pencil (K, Gh) reuses `GramSet.Lh`.
+grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve of one
+dof vector, read through `operators2d._dofs`, is two 1D products on its
+grids, O(N^3): Hi f Hi^T on the node grid for M0, and Ei a Hi^T on the xi
+grid and Hi b Ei^T on the eta grid for M1, with Hi = inv(Gh) and
+Ei = inv(Ge).  Those two 1D inverses are the only factorizations a
+`GramSet` makes, each from one Cholesky factor G = L L^T and its one
+triangular inverse Li = inv(L) as inv(G) = Li^T Li; no 2D mass or dual
+mass is formed unless a caller asks for one.  `spd_eigh` reduces a
+symmetric-definite pencil with such an inverse factor, so the pencil
+(K, Gh) reuses `GramSet.Lh`.
 
 Two quadrature rules are supported for assembly.  The default "gauss"
 rule (Gauss-Legendre, N+1 points per direction) is exact for every
@@ -36,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis1d import gauss_rule, gll_nodes, lagrange_eval, edge_eval
+from .operators2d import _dofs, _edge_grids
 
 __all__ = [
     "gram_nodal_1d",
@@ -117,19 +119,13 @@ def spd_eigh(A, Li):
     return w, Li.T @ Y
 
 
-def _kron_apply(A, B, b):
-    """kron(A, B) b as A g B^T on the grid g of each column of b: a vector
-    or a block of columns, returned in b's shape."""
-    g = np.moveaxis(b.reshape(A.shape[1], B.shape[1], -1), -1, 0)
-    return np.moveaxis(A @ g @ B.T, 0, -1).reshape(b.shape)
-
-
 class GramSet:
     """The node set, the 1D Gram factors of degree N and their inverses,
     with `Lh` the inverse Cholesky factor of Gh, Gh_inv = Lh^T Lh.
-    Mass solves run on the grids from the 1D inverses.  The dense edge mass
-    M1 is built on first access; the nodal mass M0 is not stored: callers
-    apply it as Gh f Gh on the node grid, or build it with `assemble_mass0(Gh)`."""
+    Mass solves take one finite dof vector and run on its grids from the
+    1D inverses.  The dense edge mass M1 is built on first access; the
+    nodal mass M0 is not stored: callers apply it as Gh f Gh on the node
+    grid, or build it with `assemble_mass0(Gh)`."""
 
     def __init__(self, degree, rule="gauss"):
         self.nodes = gll_nodes(degree)  # checks the degree
@@ -144,27 +140,19 @@ class GramSet:
         """The dense edge mass, (2N(N+1),)^2."""
         return assemble_mass1(self.Gh, self.Ge)
 
-    def _rhs(self, b, n, name):
-        b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ValueError(f"{name} of degree {self.degree} expects shape ({n},) or "
-                             f"({n}, k), got {b.shape}")
-        return b
-
     def solve_mass0(self, b):
-        """inv(M0) b = Hi f Hi^T on the (N+1)x(N+1) node grid f of each
-        column of b, a vector or a block of columns."""
-        b = self._rhs(b, (self.degree + 1) ** 2, "solve_mass0")
-        return _kron_apply(self.Gh_inv, self.Gh_inv, b)
+        """inv(M0) b = Hi f Hi^T on the (N+1)x(N+1) node grid f of the
+        nodal dof vector b."""
+        N, Hi = self.degree, self.Gh_inv
+        f = _dofs(b, N).reshape(N + 1, N + 1)
+        return (Hi @ f @ Hi.T).ravel()
 
     def solve_mass1(self, b):
         """inv(M1) b = (Ei a Hi^T, Hi e Ei^T) on the Nx(N+1) xi grid a and
-        the (N+1)xN eta grid e of each column of b."""
-        N = self.degree
-        b = self._rhs(b, 2 * N * (N + 1), "solve_mass1")
-        xi, eta = np.split(b, 2)
-        return np.concatenate([_kron_apply(self.Ge_inv, self.Gh_inv, xi),
-                               _kron_apply(self.Gh_inv, self.Ge_inv, eta)])
+        the (N+1)xN eta grid e of the edge dof vector b."""
+        Hi, Ei = self.Gh_inv, self.Ge_inv
+        a, e = _edge_grids(_dofs(b, self.degree, "edges"), self.degree)
+        return np.concatenate([(Ei @ a @ Hi.T).ravel(), (Hi @ e @ Ei.T).ravel()])
 
     # Dense references for tests; no solve, norm or error path reads them.
     @property

@@ -15,6 +15,10 @@ The incidence matrix maps nodal dofs to edge dofs and encodes the discrete
 curl as pure topology: it holds only entries -1, 0, +1 and is independent
 of any element geometry.  The trace is the 0/1 restriction of the nodal
 dofs to the loop: T f is f.ravel()[boundary_nodes(N)], one node per dof.
+
+Every dof array of the package is read through `_dofs`: a finite 1D float
+vector of one of the three lengths above.  `_edge_grids` alone splits edge
+dofs into their xi and eta grids.
 """
 
 import numpy as np
@@ -27,6 +31,31 @@ __all__ = [
     "build_trace",
     "side_dof_indices",
 ]
+
+
+def _dofs(v, N, layout="nodes"):
+    """`v` as a float vector of the degree-N "nodes", "edges" or "loop"
+    dofs; checked before a reshape could accept a grid or a block of
+    columns, and rejected if any entry is NaN or inf."""
+    n = {"nodes": (N + 1) ** 2, "edges": 2 * N * (N + 1), "loop": 4 * N}[layout]
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"dofs of shape {v.shape} do not match the degree-{N} "
+                         f"discretization: expected a 1D vector of length {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"dofs for the degree-{N} discretization are not finite (NaN or inf)")
+    return v
+
+
+def _edge_grids(c, N):
+    """The xi grid (N, N+1) and the eta grid (N+1, N) of edge dofs c."""
+    xi, eta = np.split(c, 2)
+    return xi.reshape(N, N + 1), eta.reshape(N + 1, N)
+
+
+def _incidence(f):
+    """E10 F on the node grid f: the edge grids (D f, -f D^T)."""
+    return np.diff(f, axis=0), -np.diff(f, axis=1)
 
 
 def build_incidence(N):

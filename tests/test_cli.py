@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,7 @@ class TestConfig:
         assert cfg.max_degree == 9 and cfg.grid_size == 30
         assert cfg.quadrature_boost == 15
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             StudyConfig(max_degree=0)
         with pytest.raises(ValueError):
@@ -55,6 +59,14 @@ class TestConfig:
             StudyConfig(quadrature_boost=-1)
         with pytest.raises(TypeError, match="^emit must be a set"):
             StudyConfig(emit="table1")  # not the letters t, a, b, l, e and 1
+        for bad in (5, None):
+            with pytest.raises(TypeError, match=rf"^output_dir must be a path, got {bad}$"):
+                StudyConfig(output_dir=bad)
+        # a str is a path: the CSVs are written after every degree is solved
+        cfg = StudyConfig(max_degree=1, output_dir=str(tmp_path), emit=frozenset({"table1"}))
+        assert cfg.output_dir == tmp_path
+        run_study(cfg, log=quiet)
+        assert (tmp_path / "table1.csv").exists()
 
 
 class TestRunStudy:
@@ -240,6 +252,25 @@ class TestMain:
         assert main(["--max-degree", "9", "--out", str(tmp_path),
                      "--emit", "table1,fig3,fig2", "--self-check"]) == 0
         assert sizes and set(sizes.values()) == {1}, sizes
+
+    def test_paper_cli_process(self, tmp_path):
+        # the benchmark's paper-cli command, as one fresh process
+        src = str(Path(cc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualcurl.cli", "--max-degree", "9",
+             "--emit", "table1,fig3,fig2", "--self-check", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert sum(line.startswith("PASS ") for line in lines) == 6
+        assert lines[-1] == "self-check: 6/6 passed"
+        for name in ("table1.csv", "fig3.csv", "fig2_xi.csv", "fig2_eta.csv"):
+            assert (tmp_path / name).exists(), name
+        # importing the package loads dualcurl.cli, which runpy warns about
+        assert re.fullmatch(r"<frozen runpy>:\d+: RuntimeWarning: 'dualcurl\.cli' found in "
+                            r"sys\.modules after import of package 'dualcurl'[^\n]*\n",
+                            proc.stderr), proc.stderr
 
     def test_invalid_emit_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -711,14 +711,19 @@ class TestInputChecks:
     def test_degree_mismatch(self):
         disc = cc.Discretization(4)
         bd = cc.BoundaryData(3, np.zeros(12))
+        sol = cc.Solution(3, bd, np.zeros(16), np.zeros(24))
+        messages = []
         for call in (
             lambda: cc.solve_neumann(bd, disc),
             lambda: cc.solve_dirichlet(bd, disc),
             lambda: cc.weak_curl(np.zeros(40), bd, disc),
-            lambda: equivalence_residual(cc.Solution(3, bd, np.zeros(16), np.zeros(24)), disc),
+            lambda: equivalence_residual(sol, disc),
+            lambda: cc.error_norms(sol, cc.exponential_pair(), disc),
         ):
-            with pytest.raises(ValueError, match="degree 3 .* degree-4 discretization"):
+            with pytest.raises(ValueError, match="degree 3 .* degree-4 discretization") as exc:
                 call()
+            messages.append(str(exc.value))
+        assert messages[-1] == messages[-2]  # one rule for a solution of another degree
 
     def test_non_finite_boundary_data(self):
         disc = cc.Discretization(3)
@@ -750,16 +755,35 @@ class TestInputChecks:
         (cc.norm_E, 180),
         (lambda v, bd, disc: cc.reconstruct("primal-curl", v, 0.0, 0.0, disc), 100),
         (lambda v, bd, disc: cc.reconstruct("dual-vector", v, 0.0, 0.0, disc), 180),
-    ], ids=["weak_curl", "norm_F", "norm_E", "reconstruct-nodal", "reconstruct-edge"])
-    @pytest.mark.parametrize("shape", ["long", "grid", "column"])
+        (lambda v, bd, disc: disc.gram.solve_mass0(v), 100),
+        (lambda v, bd, disc: disc.gram.solve_mass1(v), 180),
+        (lambda v, bd, disc: cc.BoundaryData(9, v), 36),
+        (lambda v, bd, disc: equivalence_residual(
+            cc.Solution(9, bd, v, np.zeros(180)), disc), 100),
+        (lambda v, bd, disc: equivalence_residual(
+            cc.Solution(9, bd, np.zeros(100), v), disc), 180),
+        (lambda v, bd, disc: cc.error_norms(
+            cc.Solution(9, bd, v, np.zeros(180)), cc.exponential_pair(), disc), 100),
+        (lambda v, bd, disc: cc.error_norms(
+            cc.Solution(9, bd, np.zeros(100), v), cc.exponential_pair(), disc), 180),
+    ], ids=["weak_curl", "norm_F", "norm_E", "reconstruct-nodal", "reconstruct-edge",
+            "GramSet.solve_mass0", "GramSet.solve_mass1", "BoundaryData",
+            "equivalence_residual-nodal", "equivalence_residual-edge",
+            "error_norms-nodal", "error_norms-edge"])
+    @pytest.mark.parametrize("shape", ["long", "grid", "column", "nan", "inf"])
     def test_bad_dof_vector(self, call, n, shape):
-        # N=9 has 100 nodal and 180 edge dofs; a grid or a column of the
-        # right size would reshape silently
+        # N=9 has 100 nodal, 180 edge and 36 loop dofs; a grid or a column
+        # of the right size would reshape silently, and one NaN or inf
+        # entry would come back as a nan result
         disc = cc.Discretization(9)
         bd = cc.BoundaryData(9, np.zeros(36))
         v = {"long": np.zeros(n + 1), "grid": np.zeros((n // 10, 10)),
-             "column": np.zeros((n, 1))}[shape]
-        with pytest.raises(ValueError, match=rf"degree-9 .* length {n}$"):
+             "column": np.zeros((n, 1)), "nan": np.zeros(n), "inf": np.zeros(n)}[shape]
+        message = rf"degree-9 .* length {n}$"
+        if shape in ("nan", "inf"):
+            v[n // 2] = float(shape)
+            message = "^dofs for the degree-9 discretization are not finite"
+        with pytest.raises(ValueError, match=message):
             call(v, bd, disc)
 
     def test_error_norms_rejects_negative_boost(self, exact, solved):
