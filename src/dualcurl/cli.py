@@ -23,7 +23,7 @@ import numpy as np
 from . import curlcurl as cc
 from .basis1d import _integer, gauss_rule, gll_nodes, edge_eval
 from .galerkin import GramSet, assemble_mass0
-from .operators2d import _dofs, _incidence, build_incidence, build_trace
+from .operators2d import _dofs, _flat, _incidence, build_incidence, build_trace
 
 __all__ = [
     "StudyConfig",
@@ -99,11 +99,10 @@ def equivalence_residual(sol, disc):
     incidence and the 1D Grams, none of the solves' factors."""
     cc._check(sol, disc)
     N, Gh, Ge = disc.degree, disc.gram.Gh, disc.gram.Ge
-    Et = _dofs(sol.dirichlet, N, "edges")
-    a, b = _incidence(_dofs(sol.neumann, N).reshape(N + 1, N + 1))
-    ref = np.concatenate([(Ge @ a @ Gh).ravel(), (Gh @ b @ Ge).ravel()])
-    dist = float(np.linalg.norm(Et - ref))
-    size = float(np.linalg.norm(Et))
+    xi, eta = _dofs(sol.dirichlet, N, "edges")
+    a, b = _incidence(_dofs(sol.neumann, N))
+    dist = float(np.linalg.norm(_flat(xi - Ge @ a @ Gh, eta - Gh @ b @ Ge)))
+    size = float(np.linalg.norm(_flat(xi, eta)))
     return dist / size if size else dist
 
 

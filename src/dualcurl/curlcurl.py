@@ -42,11 +42,12 @@ the grids (`_neumann_apply`, `_dirichlet_apply`) and not through the shared
 eigenvectors.  Building the factors, each solve and its right-hand side
 cost O(N^3); the mass solves of `GramSet` run on the grids as well.
 
-Fields live on the grids of `operators2d`, which owns the dof layout and
-reads every dof vector through one rule: the node grid f of F and the edge
-grids (a, b) of Et.  On them E10 F is [D f; -f D^T] and E10^T Et is
-D^T a - b D; the norms apply the masses as 1D Gram products on the grids,
-and `reconstruct` evaluates a field on the tensor grid of two 1D axes.
+Fields live on the grids of `operators2d`, the one module that splits dof
+vectors into grids and joins them: the node grid f of F and the edge grids
+(a, b) of Et, which the private helpers pass between them; a solve joins
+its grids once, on return.  On them E10 F is [D f; -f D^T] and E10^T Et is
+D^T a - b D, the norms are 1D Gram products, and `reconstruct` evaluates
+a field on the tensor grid of two 1D axes.
 
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and a quadrature rule reach this module, so
@@ -62,7 +63,7 @@ import numpy as np
 from .basis1d import _integer, edge_eval, gauss_rule, lagrange_eval
 from .galerkin import GramSet, _inverse_factor, spd_eigh
 from .operators2d import (
-    _dofs, _edge_grids, _incidence, boundary_nodes, build_incidence, side_dof_indices)
+    _dofs, _flat, _incidence, _unflat, boundary_nodes, build_incidence, side_dof_indices)
 
 __all__ = [
     "AnalyticField",
@@ -124,6 +125,7 @@ class BoundaryData:
     dofs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _integer("degree", self.degree, 1))
         object.__setattr__(self, "dofs", _dofs(self.dofs, self.degree, "loop"))
 
 
@@ -136,14 +138,17 @@ class Solution:
     neumann: np.ndarray    # nodal dofs F, length (N+1)^2
     dirichlet: np.ndarray  # dual edge dofs Et, length 2N(N+1)
 
+    def __post_init__(self):
+        object.__setattr__(self, "degree", _integer("degree", self.degree, 1))
+
 
 class Discretization:
     """Caches the operators for one degree N.
 
-    `rule` selects the mass-matrix quadrature: the collocated "lobatto"
-    rule (default) reproduces the published norm values; "gauss" gives
-    exactly integrated masses.  The structural identities (equivalence of
-    the two solves, equality of norms, E^h = curl F^h) hold for either.
+    `rule` selects the quadrature of the nodal Gram: the collocated
+    "lobatto" rule (default) reproduces the published norm values; "gauss"
+    gives exactly integrated masses.  The structural identities (equivalence
+    of the two solves, equality of norms, E^h = curl F^h) hold for either.
 
     The 1D factors of both solves are computed here, once, from two
     generalized eigensolves: K, D Hi, X and inv(X), the eigenvectors V
@@ -220,18 +225,17 @@ def _fdm(Q1, Q2, scale, r):
     return Q1 @ ((Q1.T @ r @ Q2) * scale) @ Q2.T
 
 
-def _neumann_apply(F, disc):
+def _neumann_apply(f, disc):
     """(E10^T M1 E10 + M0) F on the node grid f: K f Gh + Gh f (K + Gh)."""
-    N, Gh, K = disc.degree, disc.gram.Gh, disc.K
-    f = F.reshape(N + 1, N + 1)
-    return (K @ f @ Gh + Gh @ f @ (K + Gh)).ravel()
+    Gh, K = disc.gram.Gh, disc.K
+    return K @ f @ Gh + Gh @ f @ (K + Gh)
 
 
 def _scatter(bd, disc):
-    """T^T Ehat: each loop dof on its own node of a zero node vector."""
+    """T^T Ehat: each loop dof on its own node of a zero node grid."""
     r = np.zeros((disc.degree + 1) ** 2)
     r[disc.loop] = bd.dofs
-    return r
+    return _unflat(r, disc.degree)
 
 
 def _neumann_rhs(bd, disc):
@@ -243,29 +247,26 @@ def solve_neumann(bd, disc):
     the operator being kron(K + Gh, Gh) + kron(Gh, K) with K = D^T Ge D.
     Fast diagonalization with K V = Gh V lam, O(N^3)."""
     _check(bd, disc)
-    N, V = disc.degree, disc.V
 
     def solve(r):
-        return _fdm(V, V, disc.neumann_scale, r.reshape(N + 1, N + 1)).ravel()
+        return _fdm(disc.V, disc.V, disc.neumann_scale, r)
 
     rhs = _neumann_rhs(bd, disc)
-    F = solve(rhs)
-    return F + solve(rhs - _neumann_apply(F, disc))  # one refinement step
+    f = solve(rhs)
+    return _flat(f + solve(rhs - _neumann_apply(f, disc)))  # one refinement step
 
 
-def _dirichlet_apply(Et, disc):
+def _dirichlet_apply(grids, disc):
     """(E10 inv(M0) E10^T + inv(M1)) Et on the edge grids (a, b):
     X a Hi - (D Hi) b (D Hi) and -(Hi D^T) a (Hi D^T) + Hi b X."""
     Hi, X, DH = disc.gram.Gh_inv, disc.X, disc.DH
-    a, b = _edge_grids(Et, disc.degree)
-    return np.concatenate([(X @ a @ Hi - DH @ b @ DH).ravel(),
-                           (Hi @ b @ X - DH.T @ a @ DH.T).ravel()])
+    a, b = grids
+    return X @ a @ Hi - DH @ b @ DH, Hi @ b @ X - DH.T @ a @ DH.T
 
 
 def _dirichlet_rhs(bd, disc):
-    N = disc.degree
-    f = disc.gram.solve_mass0(_scatter(bd, disc)).reshape(N + 1, N + 1)
-    return -np.concatenate([g.ravel() for g in _incidence(f)])
+    f = _unflat(disc.gram.solve_mass0(_flat(_scatter(bd, disc))), disc.degree)
+    return tuple(-g for g in _incidence(f))
 
 
 def solve_dirichlet(bd, disc):
@@ -279,15 +280,15 @@ def solve_dirichlet(bd, disc):
     _check(bd, disc)
     D, DH, Gh, Xi = disc.D, disc.DH, disc.gram.Gh, disc.X_inv
 
-    def solve(r):
-        r_xi, r_eta = _edge_grids(r, disc.degree)
+    def solve(r_xi, r_eta):
         b = _fdm(disc.U, disc.W, disc.dirichlet_scale, r_eta + DH.T @ Xi @ r_xi @ D.T)
-        a = Xi @ (r_xi + DH @ b @ DH) @ Gh
-        return np.concatenate([a.ravel(), b.ravel()])
+        return Xi @ (r_xi + DH @ b @ DH) @ Gh, b
 
-    rhs = _dirichlet_rhs(bd, disc)
-    Et = solve(rhs)
-    return Et + solve(rhs - _dirichlet_apply(Et, disc))  # one refinement step
+    r_xi, r_eta = _dirichlet_rhs(bd, disc)
+    a, b = solve(r_xi, r_eta)
+    s_xi, s_eta = _dirichlet_apply((a, b), disc)
+    da, db = solve(r_xi - s_xi, r_eta - s_eta)
+    return _flat(a + da, b + db)  # one refinement step
 
 
 def solve_both(bd, disc):
@@ -303,15 +304,15 @@ def weak_curl(Et, bd, disc):
     """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat, with
     E10^T Et the node grid D^T a - b D of the edge grids (a, b) of Et."""
     _check(bd, disc)
-    a, b = _edge_grids(_dofs(Et, disc.degree, "edges"), disc.degree)
-    return (disc.D.T @ a - b @ disc.D).ravel() + _scatter(bd, disc)
+    a, b = _dofs(Et, disc.degree, "edges")
+    return _flat(disc.D.T @ a - b @ disc.D + _scatter(bd, disc))
 
 
 def norm_F(F, disc):
     """H(curl) norm of the primal scalar field from its nodal dofs:
     F M0 F + c M1 c with c = E10 F, as 1D Gram products on the grids."""
-    N, Gh, Ge = disc.degree, disc.gram.Gh, disc.gram.Ge
-    f = _dofs(F, N).reshape(N + 1, N + 1)
+    Gh, Ge = disc.gram.Gh, disc.gram.Ge
+    f = _dofs(F, disc.degree)
     a, b = _incidence(f)
     return float(np.sqrt(
         np.vdot(f, Gh @ f @ Gh) + np.vdot(a, Ge @ a @ Gh) + np.vdot(b, Gh @ b @ Ge)
@@ -336,11 +337,10 @@ def _grids(kind, dofs, disc):
     scalar kind, the (xi, eta) edge grids of a vector kind."""
     if kind not in ("primal-scalar", "primal-curl", "dual-vector", "dual-weak-curl"):
         raise ValueError(f"unknown reconstruction kind {kind!r}")
-    N = disc.degree
+    N, gram = disc.degree, disc.gram
     if kind == "dual-vector":
-        return _edge_grids(disc.gram.solve_mass1(dofs), N)
-    c = disc.gram.solve_mass0(dofs) if kind == "dual-weak-curl" else _dofs(dofs, N)
-    f = c.reshape(N + 1, N + 1)
+        return _unflat(gram.solve_mass1(dofs), N, "edges")
+    f = _unflat(gram.solve_mass0(dofs), N) if kind == "dual-weak-curl" else _dofs(dofs, N)
     return _incidence(f) if kind == "primal-curl" else f
 
 

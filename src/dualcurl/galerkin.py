@@ -8,23 +8,23 @@ M0 = kron(Gh, Gh) and M1 = block_diag(kron(Ge, Gh), kron(Gh, Ge)).  The
 inverse of a Kronecker product is the Kronecker product of the inverses,
 inv(kron(A, B)) = kron(inv(A), inv(B)), and kron(A, B) b is A g B^T on the
 grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve of one
-dof vector, read through `operators2d._dofs`, is two 1D products on its
-grids, O(N^3): Hi f Hi^T on the node grid for M0, and Ei a Hi^T on the xi
-grid and Hi b Ei^T on the eta grid for M1, with Hi = inv(Gh) and
-Ei = inv(Ge).  Those two 1D inverses are the only factorizations a
-`GramSet` makes, each from one Cholesky factor G = L L^T and its one
-triangular inverse Li = inv(L) as inv(G) = Li^T Li; no 2D mass or dual
-mass is formed unless a caller asks for one.  `spd_eigh` reduces a
+dof vector is two 1D products on the grids `operators2d._dofs` gives it,
+O(N^3): Hi f Hi^T on the node grid for M0, and Ei a Hi^T on the xi grid
+and Hi b Ei^T on the eta grid for M1, with Hi = inv(Gh) and Ei = inv(Ge);
+`operators2d._flat` joins the result.  Those two 1D inverses are the only
+factorizations a `GramSet` makes, each from one Cholesky factor G = L L^T
+and its one triangular inverse Li = inv(L) as inv(G) = Li^T Li; no 2D mass
+or dual mass is formed unless a caller asks for one.  `spd_eigh` reduces a
 symmetric-definite pencil with such an inverse factor, so the pencil
 (K, Gh) reuses `GramSet.Lh`.
 
-Two quadrature rules are supported for assembly.  The default "gauss"
-rule (Gauss-Legendre, N+1 points per direction) is exact for every
-integrand here (nodal x nodal is degree 2N, edge x edge is 2N-2).  The
-collocated "lobatto" rule uses the GLL nodes themselves, which lumps the
-nodal Gram to diag(w); the published norm table was produced with that
-rule, so the solver pipeline defaults to it while the library-level
-contracts here are stated for the exact rule.
+The quadrature rule picks only the nodal Gram: "gauss" (the default, N+1
+Gauss-Legendre points) integrates it exactly, degree 2N, while the
+collocated "lobatto" rule, on the GLL nodes where the nodal table is the
+identity, lumps it to diag(w).  The published norm table was produced
+with "lobatto", so the solver pipeline defaults to it; the contracts here
+are stated for the exact rule.  The edge Gram, degree 2N-2, is exact on
+the GLL nodes under either rule.
 
 Neither basis is tabulated in 2D.  A dual expansion with dofs d equals
 the primal expansion with coefficients inv(M) d, because M is symmetric,
@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis1d import gauss_rule, gll_nodes, lagrange_eval, edge_eval
-from .operators2d import _dofs, _edge_grids
+from .operators2d import _dofs, _flat
 
 __all__ = [
     "gram_nodal_1d",
@@ -49,37 +49,22 @@ __all__ = [
 ]
 
 
-def _quad(ns, rule):
-    """Quadrature points/weights for 1D Gram assembly.
-
-    "gauss":   Gauss-Legendre with N+1 points, exact for every integrand
-               here (nodal x nodal is degree 2N <= 2N+1).
-    "lobatto": the GLL nodes/weights themselves (N+1 points).  Inexact for
-               nodal x nodal, so the nodal Gram collapses to diag(w); this
-               is the collocated rule that reproduces the published norm
-               table.  Edge x edge (degree 2N-2) is still integrated
-               exactly.
-    """
-    if rule == "gauss":
-        q = gauss_rule(ns.degree + 1)
-        return q.points, q.weights
-    if rule == "lobatto":
-        return ns.nodes, ns.weights
-    raise ValueError(f"unknown quadrature rule {rule!r}")
-
-
 def gram_nodal_1d(ns, rule="gauss"):
-    """(N+1)x(N+1) matrix of int h_i h_k dx."""
-    pts, w = _quad(ns, rule)
-    H = lagrange_eval(ns, pts)
-    return (H * w) @ H.T
+    """(N+1)x(N+1) matrix of int h_i h_k dx: on N+1 Gauss points for
+    "gauss", diag(w) on the GLL nodes for "lobatto"."""
+    if rule == "lobatto":
+        return np.diag(ns.weights)
+    if rule != "gauss":
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    q = gauss_rule(ns.degree + 1)
+    H = lagrange_eval(ns, q.points)
+    return (H * q.weights) @ H.T
 
 
-def gram_edge_1d(ns, rule="gauss"):
-    """NxN matrix of int e_i e_k dx."""
-    pts, w = _quad(ns, rule)
-    E = edge_eval(ns, pts)
-    return (E * w) @ E.T
+def gram_edge_1d(ns):
+    """NxN matrix of int e_i e_k dx, exact on the GLL nodes."""
+    E = edge_eval(ns, ns.nodes)
+    return (E * ns.weights) @ E.T
 
 
 def assemble_mass0(G):
@@ -131,7 +116,7 @@ class GramSet:
         self.nodes = gll_nodes(degree)  # checks the degree
         self.degree, self.rule = self.nodes.degree, rule
         self.Gh = gram_nodal_1d(self.nodes, rule)
-        self.Ge = gram_edge_1d(self.nodes, rule)
+        self.Ge = gram_edge_1d(self.nodes)
         self.Lh, Le = _inverse_factor(self.Gh), _inverse_factor(self.Ge)
         self.Gh_inv, self.Ge_inv = self.Lh.T @ self.Lh, Le.T @ Le
 
@@ -143,16 +128,15 @@ class GramSet:
     def solve_mass0(self, b):
         """inv(M0) b = Hi f Hi^T on the (N+1)x(N+1) node grid f of the
         nodal dof vector b."""
-        N, Hi = self.degree, self.Gh_inv
-        f = _dofs(b, N).reshape(N + 1, N + 1)
-        return (Hi @ f @ Hi.T).ravel()
+        Hi = self.Gh_inv
+        return _flat(Hi @ _dofs(b, self.degree) @ Hi.T)
 
     def solve_mass1(self, b):
         """inv(M1) b = (Ei a Hi^T, Hi e Ei^T) on the Nx(N+1) xi grid a and
         the (N+1)xN eta grid e of the edge dof vector b."""
         Hi, Ei = self.Gh_inv, self.Ge_inv
-        a, e = _edge_grids(_dofs(b, self.degree, "edges"), self.degree)
-        return np.concatenate([(Ei @ a @ Hi.T).ravel(), (Hi @ e @ Ei.T).ravel()])
+        a, e = _dofs(b, self.degree, "edges")
+        return _flat(Ei @ a @ Hi.T, Hi @ e @ Ei.T)
 
     # Dense references for tests; no solve, norm or error path reads them.
     @property

@@ -16,9 +16,9 @@ curl as pure topology: it holds only entries -1, 0, +1 and is independent
 of any element geometry.  The trace is the 0/1 restriction of the nodal
 dofs to the loop: T f is f.ravel()[boundary_nodes(N)], one node per dof.
 
-Every dof array of the package is read through `_dofs`: a finite 1D float
-vector of one of the three lengths above.  `_edge_grids` alone splits edge
-dofs into their xi and eta grids.
+This module alone splits dof vectors into grids and joins them back:
+`_dofs` reads a dof array a caller hands the package as its grids,
+`_unflat` lays out a vector the package made, and `_flat` joins grids.
 """
 
 import numpy as np
@@ -34,9 +34,9 @@ __all__ = [
 
 
 def _dofs(v, N, layout="nodes"):
-    """`v` as a float vector of the degree-N "nodes", "edges" or "loop"
-    dofs; checked before a reshape could accept a grid or a block of
-    columns, and rejected if any entry is NaN or inf."""
+    """The grids of `v` (see `_unflat`; a loop stays a vector), checked to be
+    a finite 1D float vector of the degree-N "nodes", "edges" or "loop"
+    length before a reshape could accept a grid or a block of columns."""
     n = {"nodes": (N + 1) ** 2, "edges": 2 * N * (N + 1), "loop": 4 * N}[layout]
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
@@ -44,13 +44,21 @@ def _dofs(v, N, layout="nodes"):
                          f"discretization: expected a 1D vector of length {n}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"dofs for the degree-{N} discretization are not finite (NaN or inf)")
-    return v
+    return v if layout == "loop" else _unflat(v, N, layout)
 
 
-def _edge_grids(c, N):
-    """The xi grid (N, N+1) and the eta grid (N+1, N) of edge dofs c."""
-    xi, eta = np.split(c, 2)
-    return xi.reshape(N, N + 1), eta.reshape(N + 1, N)
+def _unflat(v, N, layout="nodes"):
+    """The grids of a degree-N vector the package made, unchecked: the node
+    grid f[j, i], or the xi (N, N+1) and eta (N+1, N) grids sliced apart."""
+    if layout == "nodes":
+        return v.reshape(N + 1, N + 1)
+    n = N * (N + 1)
+    return v[:n].reshape(N, N + 1), v[n:].reshape(N + 1, N)
+
+
+def _flat(*grids):
+    """The dof vector of a node grid, or of the xi and eta grids in turn."""
+    return np.concatenate(grids, axis=None)
 
 
 def _incidence(f):
@@ -59,11 +67,8 @@ def _incidence(f):
 
 
 def build_incidence(N):
-    """Integer incidence matrix, shape (2N(N+1), (N+1)^2).
-
-    On a nodal grid f[j, i], E10 @ f.ravel() is
-    [diff(f, axis=0).ravel(), -diff(f, axis=1).ravel()].
-    """
+    """Integer incidence matrix, shape (2N(N+1), (N+1)^2): on a node grid
+    f, E10 @ _flat(f) is _flat(*_incidence(f))."""
     N = _integer("degree", N, 1)
     node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
     head = np.concatenate([node[1:].ravel(), node[:, :-1].ravel()])

@@ -13,7 +13,7 @@ from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes, legendre_eval
 from dualcurl.cli import equivalence_residual, norm_gap
 from dualcurl.galerkin import assemble_mass0, spd_eigh
-from dualcurl.operators2d import build_incidence, build_trace
+from dualcurl.operators2d import _dofs, _flat, build_incidence, build_trace
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
@@ -279,14 +279,15 @@ class TestOperators:
             disc.E10, np.vstack([np.kron(disc.D, I), -np.kron(I, disc.D)])
         )
         cases = [
-            (cc._neumann_apply, cc._neumann_rhs, neumann_system(disc, bd)),
-            (cc._dirichlet_apply, cc._dirichlet_rhs, dirichlet_system(disc, bd)),
+            ("nodes", cc._neumann_apply, cc._neumann_rhs, neumann_system(disc, bd)),
+            ("edges", cc._dirichlet_apply, cc._dirichlet_rhs, dirichlet_system(disc, bd)),
         ]
-        for apply, rhs, (A_ref, b_ref) in cases:
+        for layout, apply, rhs, (A_ref, b_ref) in cases:
             x = rng.standard_normal(A_ref.shape[0])
             Ax = A_ref @ x
-            assert np.abs(apply(x, disc) - Ax).max() <= 1e-13 * np.abs(Ax).max()
-            b = rhs(bd, disc)
+            got = _vector(apply(_dofs(x, N, layout), disc))
+            assert np.abs(got - Ax).max() <= 1e-13 * np.abs(Ax).max()
+            b = _vector(rhs(bd, disc))
             assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
         # an entry of E10^T Et sums at most four dofs: summed in two orders
         # it differs by at most 12 eps max|Et|
@@ -300,10 +301,17 @@ class TestOperators:
         assert abs(cc.norm_F(F, disc) - ref) <= 1e-13 * ref
 
 
-def _residual(apply, rhs, x, bd, disc):
-    """Relative residual of a solve, with the operator applied on the grids."""
-    b = rhs(bd, disc)
-    return np.linalg.norm(apply(x, disc) - b) / np.linalg.norm(b)
+def _vector(grids):
+    """The dof vector of a node grid or of the (xi, eta) edge grids."""
+    return _flat(*grids) if isinstance(grids, tuple) else _flat(grids)
+
+
+def _residual(apply, rhs, x, layout, bd, disc):
+    """Relative residual of a solve, with the operator applied on the grids
+    of the dofs x in `layout`."""
+    b = _vector(rhs(bd, disc))
+    Ax = _vector(apply(_dofs(x, disc.degree, layout), disc))
+    return np.linalg.norm(Ax - b) / np.linalg.norm(b)
 
 
 class TestFastDiagonalization:
@@ -334,9 +342,10 @@ class TestFastDiagonalization:
         assert equivalence_residual(sol, disc) <= 1e-12
         nF = cc.norm_F(sol.neumann, disc)
         assert norm_gap(nF, cc.norm_E(sol.dirichlet, bd, disc)) <= 1e-12
-        assert _residual(cc._neumann_apply, cc._neumann_rhs, sol.neumann, bd, disc) <= 1e-12
         assert _residual(
-            cc._dirichlet_apply, cc._dirichlet_rhs, sol.dirichlet, bd, disc) <= 1e-12
+            cc._neumann_apply, cc._neumann_rhs, sol.neumann, "nodes", bd, disc) <= 1e-12
+        assert _residual(
+            cc._dirichlet_apply, cc._dirichlet_rhs, sol.dirichlet, "edges", bd, disc) <= 1e-12
 
     def test_factors_once_per_degree(self, monkeypatch, exact):
         calls = []
@@ -645,6 +654,9 @@ INTEGER_ENTRIES = {
     "side_dof_indices": (lambda v, disc, sol: operators2d.side_dof_indices(v), "degree", 1),
     "GramSet": (lambda v, disc, sol: galerkin.GramSet(v), "degree", 1),
     "Discretization": (lambda v, disc, sol: cc.Discretization(v), "degree", 1),
+    "BoundaryData": (lambda v, disc, sol: cc.BoundaryData(v, sol.boundary.dofs), "degree", 1),
+    "Solution": (lambda v, disc, sol: cc.Solution(
+        v, sol.boundary, sol.neumann, sol.dirichlet), "degree", 1),
     "project_boundary_data": (lambda v, disc, sol: cc.project_boundary_data(
         cc.exponential_pair(), disc, boost=v), "boost", 0),
     "error_norms": (lambda v, disc, sol: cc.error_norms(

@@ -228,3 +228,10 @@ def test_gramset_lobatto_lumps_nodal_mass():
     M0 = assemble_mass0(GramSet(3, rule="lobatto").Gh)
     assert np.count_nonzero(M0 - np.diag(np.diag(M0))) == 0
     assert M0.sum() == pytest.approx(4.0, abs=1e-12)
+
+
+def test_edge_gram_is_the_same_under_either_rule():
+    # edge x edge has degree 2N-2: the GLL nodes integrate it exactly, and
+    # the quadrature rule picks only the nodal Gram
+    for N in range(1, 41):
+        np.testing.assert_array_equal(GramSet(N, "gauss").Ge, GramSet(N, "lobatto").Ge)

@@ -1,11 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dualcurl import cli, curlcurl, galerkin
 from dualcurl.cli import INCIDENCE_N3, TRACE_N3
 from dualcurl.operators2d import (
-    boundary_nodes, build_incidence, build_trace, side_dof_indices)
+    _dofs, _flat, _incidence, boundary_nodes, build_incidence, build_trace, side_dof_indices)
 
 
 def node(N, i, j):
@@ -148,3 +151,33 @@ class TestBoundaryMap:
             assert cols[sd["E"][k]] == node(N, N, k)
             assert cols[sd["N"][k]] == node(N, k, N)
             assert cols[sd["W"][k]] == node(N, 0, k)
+
+
+class TestDofLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.sampled_from(["nodes", "edges", "loop"]), st.data())
+    def test_dofs_gives_grids_that_flat_joins(self, N, layout, data):
+        # the node grid, the xi and eta grids in that order, or the loop
+        # vector; joined they are the vector again
+        shapes = {"nodes": [(N + 1, N + 1)], "edges": [(N, N + 1), (N + 1, N)],
+                  "loop": [(4 * N,)]}[layout]
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        v = data.draw(arrays(np.float64, sum(int(np.prod(s)) for s in shapes), elements=values))
+        grids = _dofs(v, N, layout)
+        grids = grids if layout == "edges" else (grids,)
+        assert [g.shape for g in grids] == shapes
+        np.testing.assert_array_equal(_flat(*grids), v)
+        if layout == "nodes":  # the edge grids of E10 F join to the edge dofs
+            np.testing.assert_array_equal(_flat(*_incidence(grids[0])), build_incidence(N) @ v)
+
+
+@pytest.mark.parametrize("module", [galerkin, curlcurl, cli], ids=lambda m: m.__name__)
+def test_only_operators2d_splits_and_joins_dofs(module):
+    # the other modules keep fields on their grids; the one reshape left is
+    # the in-place kron fill of the dense edge mass
+    source = inspect.getsource(module)
+    for banned in ("np.split", "np.concatenate", ".ravel()", "_edge_grids"):
+        assert banned not in source, banned
+    fills = ["out=block.reshape(p, q, p, q)"] if module is galerkin else []
+    assert source.count(".reshape(") == len(fills)
+    assert all(fill in source for fill in fills)
