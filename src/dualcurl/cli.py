@@ -67,7 +67,8 @@ class StudyConfig:
             _integer(name, getattr(self, name), least)
         if isinstance(self.emit, str):  # a str would be read as a set of letters
             raise TypeError(f"emit must be a set of target names, got {self.emit!r}")
-        bad = set(self.emit) - set(EMIT_CHOICES)
+        object.__setattr__(self, "emit", frozenset(self.emit))  # hashable, equal as a set
+        bad = self.emit - set(EMIT_CHOICES)
         if bad:
             raise ValueError(f"unknown emit targets: {sorted(bad)}")
 
@@ -113,7 +114,7 @@ def norm_gap(nF, nE):
     return gap / nF if nF else gap
 
 
-def _solve_exponential(N, boost=15):
+def _solve_exponential(N, boost):
     """(disc, bd, sol) of the exponential pair at degree N, its boundary
     data projected with N + boost Gauss points per side."""
     disc = cc.Discretization(N)
@@ -324,27 +325,20 @@ def main(argv=None):
         description="Discrete curl-curl solvers on the reference square: "
         "norm table, pointwise identity grids, convergence study.",
     )
-    parser.add_argument("--max-degree", type=int, default=9)
-    parser.add_argument("--grid-size", type=int, default=30)
-    parser.add_argument("--quadrature-boost", type=int, default=15)
-    parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument(
-        "--emit",
-        default="table1,fig3",
-        help=f"comma-separated subset of {','.join(EMIT_CHOICES)}",
-    )
+    default = StudyConfig()
+    parser.add_argument("--max-degree", type=int, default=default.max_degree)
+    parser.add_argument("--grid-size", type=int, default=default.grid_size)
+    parser.add_argument("--quadrature-boost", type=int, default=default.quadrature_boost)
+    parser.add_argument("--out", type=Path, default=default.output_dir)
+    parser.add_argument("--emit", default=",".join(sorted(default.emit)),
+                        help=f"comma-separated subset of {','.join(EMIT_CHOICES)}")
     parser.add_argument("--self-check", action="store_true")
     args = parser.parse_args(argv)
 
-    emit = frozenset(t for t in args.emit.split(",") if t)
     try:
-        cfg = StudyConfig(
-            max_degree=args.max_degree,
-            grid_size=args.grid_size,
-            quadrature_boost=args.quadrature_boost,
-            output_dir=args.out,
-            emit=emit,
-        )
+        cfg = StudyConfig(max_degree=args.max_degree, grid_size=args.grid_size,
+                          quadrature_boost=args.quadrature_boost, output_dir=args.out,
+                          emit=[t for t in args.emit.split(",") if t])
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -357,11 +351,11 @@ def main(argv=None):
 
     report = None
     try:
-        if emit & {"table1", "fig3"}:
+        if cfg.emit & {"table1", "fig3"}:
             report = run_study(cfg)
-        if "fig2" in emit:
+        if "fig2" in cfg.emit:
             emit_fig2(cfg)
-        if "matrices" in emit:
+        if "matrices" in cfg.emit:
             emit_matrices(cfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,10 +44,11 @@ cost O(N^3); the mass solves of `GramSet` run on the grids as well.
 
 Fields live on the grids of `operators2d`, the one module that splits dof
 vectors into grids and joins them: the node grid f of F and the edge grids
-(a, b) of Et, which the private helpers pass between them; a solve joins
-its grids once, on return.  On them E10 F is [D f; -f D^T] and E10^T Et is
-D^T a - b D, the norms are 1D Gram products, and `reconstruct` evaluates
-a field on the tensor grid of two 1D axes.
+(a, b) of Et.  Each field operation has one form on the grids; a public
+entry reads each caller array once, with `_dofs`, and joins once, on
+return.  On the grids E10 F is [D f; -f D^T] and E10^T Et is D^T a - b D,
+the norms are 1D Gram products, and `reconstruct` evaluates a field on
+the tensor grid of two 1D axes.
 
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and a quadrature rule reach this module, so
@@ -63,7 +64,7 @@ import numpy as np
 from .basis1d import _integer, edge_eval, gauss_rule, lagrange_eval
 from .galerkin import GramSet, _inverse_factor, spd_eigh
 from .operators2d import (
-    _dofs, _flat, _incidence, _unflat, boundary_nodes, build_incidence, side_dof_indices)
+    _dofs, _flat, _incidence, boundary_nodes, build_incidence, side_dof_indices)
 
 __all__ = [
     "AnalyticField",
@@ -233,9 +234,9 @@ def _neumann_apply(f, disc):
 
 def _scatter(bd, disc):
     """T^T Ehat: each loop dof on its own node of a zero node grid."""
-    r = np.zeros((disc.degree + 1) ** 2)
-    r[disc.loop] = bd.dofs
-    return _unflat(r, disc.degree)
+    f = np.zeros((disc.degree + 1, disc.degree + 1))
+    np.put(f, disc.loop, bd.dofs)  # would repeat a short loop: callers _check bd
+    return f
 
 
 def _neumann_rhs(bd, disc):
@@ -265,8 +266,7 @@ def _dirichlet_apply(grids, disc):
 
 
 def _dirichlet_rhs(bd, disc):
-    f = _unflat(disc.gram.solve_mass0(_flat(_scatter(bd, disc))), disc.degree)
-    return tuple(-g for g in _incidence(f))
+    return tuple(-g for g in _incidence(disc.gram._solve_mass0(_scatter(bd, disc))))
 
 
 def solve_dirichlet(bd, disc):
@@ -300,12 +300,16 @@ def solve_both(bd, disc):
     )
 
 
+def _weak_curl(a, b, bd, disc):
+    """E10^T Et + T^T Ehat on the edge grids (a, b) of Et: the node grid
+    D^T a - b D plus the scattered boundary dofs."""
+    return disc.D.T @ a - b @ disc.D + _scatter(bd, disc)
+
+
 def weak_curl(Et, bd, disc):
-    """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat, with
-    E10^T Et the node grid D^T a - b D of the edge grids (a, b) of Et."""
+    """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat."""
     _check(bd, disc)
-    a, b = _dofs(Et, disc.degree, "edges")
-    return _flat(disc.D.T @ a - b @ disc.D + _scatter(bd, disc))
+    return _flat(_weak_curl(*_dofs(Et, disc.degree, "edges"), bd, disc))
 
 
 def norm_F(F, disc):
@@ -320,28 +324,17 @@ def norm_F(F, disc):
 
 
 def norm_E(Et, bd, disc):
-    """H(curl) norm of the dual vector field from its edge dofs."""
-    w = weak_curl(Et, bd, disc)  # checks Et
-    return float(
-        np.sqrt(w @ disc.gram.solve_mass0(w) + Et @ disc.gram.solve_mass1(Et))
-    )
+    """H(curl) norm of the dual vector field, sqrt(w inv(M0) w + Et inv(M1) Et)."""
+    _check(bd, disc)
+    grids, gram = _dofs(Et, disc.degree, "edges"), disc.gram
+    w = _weak_curl(*grids, bd, disc)
+    dual = sum(np.vdot(g, s) for g, s in zip(grids, gram._solve_mass1(*grids)))
+    return float(np.sqrt(np.vdot(w, gram._solve_mass0(w)) + dual))
 
 
 def _tables(disc, x):
     """The nodal table H (N+1, P) and the edge table E (N, P) on the axis x."""
     return lagrange_eval(disc.nodes, x), edge_eval(disc.nodes, x)
-
-
-def _grids(kind, dofs, disc):
-    """The coefficient grids of a field: the (N+1)x(N+1) node grid of a
-    scalar kind, the (xi, eta) edge grids of a vector kind."""
-    if kind not in ("primal-scalar", "primal-curl", "dual-vector", "dual-weak-curl"):
-        raise ValueError(f"unknown reconstruction kind {kind!r}")
-    N, gram = disc.degree, disc.gram
-    if kind == "dual-vector":
-        return _unflat(gram.solve_mass1(dofs), N, "edges")
-    f = _unflat(gram.solve_mass0(dofs), N) if kind == "dual-weak-curl" else _dofs(dofs, N)
-    return _incidence(f) if kind == "primal-curl" else f
 
 
 def _evaluate(grids, x_tables, y_tables):
@@ -367,8 +360,8 @@ def reconstruct(kind, dofs, x, y, disc):
 
     The dual kinds solve the mass matrix against the dofs, not against
     the basis: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
-    Three steps: the coefficient grids (`_grids`), the 1D factor tables
-    of each axis (`_tables`) and their contraction (`_evaluate`).
+    Three steps: the coefficient grids, the 1D factor tables of each axis
+    (`_tables`) and their contraction (`_evaluate`).
     """
     x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
@@ -376,7 +369,15 @@ def reconstruct(kind, dofs, x, y, disc):
     for name, v in (("x", x), ("y", y)):
         if not np.all(np.abs(v) <= 1.0):  # false for NaN; outside, the basis extrapolates
             raise ValueError(f"{name} must hold finite points in [-1, 1], got {v}")
-    return _evaluate(_grids(kind, dofs, disc), _tables(disc, x), _tables(disc, y))
+    N, gram = disc.degree, disc.gram
+    if kind == "dual-vector":
+        grids = gram._solve_mass1(*_dofs(dofs, N, "edges"))
+    elif kind in ("primal-scalar", "primal-curl", "dual-weak-curl"):
+        f = gram._solve_mass0(_dofs(dofs, N)) if kind == "dual-weak-curl" else _dofs(dofs, N)
+        grids = _incidence(f) if kind == "primal-curl" else f
+    else:
+        raise ValueError(f"unknown reconstruction kind {kind!r}")
+    return _evaluate(grids, _tables(disc, x), _tables(disc, y))
 
 
 def error_norms(sol, exact, disc, boost=15):
@@ -392,7 +393,9 @@ def error_norms(sol, exact, disc, boost=15):
     if missing:
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
     _check(sol, disc)
+    _check(sol.boundary, disc)
     boost = _integer("boost", boost, 0)
+    f, grids = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     q = gauss_rule(disc.degree + boost)
     g = q.points
     X, Y = np.meshgrid(g, g, indexing="ij")
@@ -400,17 +403,17 @@ def error_norms(sol, exact, disc, boost=15):
     t = _tables(disc, g)
     Ex, Ey = exact.Ex(X, Y), exact.Ey(X, Y)
 
-    Fh = _evaluate(_grids("primal-scalar", sol.neumann, disc), t, t)
-    cFx, cFy = _evaluate(_grids("primal-curl", sol.neumann, disc), t, t)
+    Fh = _evaluate(f, t, t)
+    cFx, cFy = _evaluate(_incidence(f), t, t)
     errF2 = np.vdot(w2, (
         (exact.scalar(X, Y) - Fh) ** 2
         + (Ex - cFx) ** 2
         + (Ey - cFy) ** 2
     ))
 
-    Ehx, Ehy = _evaluate(_grids("dual-vector", sol.dirichlet, disc), t, t)
-    w = weak_curl(sol.dirichlet, sol.boundary, disc)
-    cEh = _evaluate(_grids("dual-weak-curl", w, disc), t, t)
+    Ehx, Ehy = _evaluate(disc.gram._solve_mass1(*grids), t, t)
+    w = _weak_curl(*grids, sol.boundary, disc)
+    cEh = _evaluate(disc.gram._solve_mass0(w), t, t)
     errE2 = np.vdot(w2, (
         (Ex - Ehx) ** 2
         + (Ey - Ehy) ** 2

@@ -7,16 +7,15 @@ computes once on one node set.  The masses are their tensor products,
 M0 = kron(Gh, Gh) and M1 = block_diag(kron(Ge, Gh), kron(Gh, Ge)).  The
 inverse of a Kronecker product is the Kronecker product of the inverses,
 inv(kron(A, B)) = kron(inv(A), inv(B)), and kron(A, B) b is A g B^T on the
-grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve of one
-dof vector is two 1D products on the grids `operators2d._dofs` gives it,
-O(N^3): Hi f Hi^T on the node grid for M0, and Ei a Hi^T on the xi grid
-and Hi b Ei^T on the eta grid for M1, with Hi = inv(Gh) and Ei = inv(Ge);
-`operators2d._flat` joins the result.  Those two 1D inverses are the only
-factorizations a `GramSet` makes, each from one Cholesky factor G = L L^T
-and its one triangular inverse Li = inv(L) as inv(G) = Li^T Li; no 2D mass
-or dual mass is formed unless a caller asks for one.  `spd_eigh` reduces a
-symmetric-definite pencil with such an inverse factor, so the pencil
-(K, Gh) reuses `GramSet.Lh`.
+grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve is two
+1D products on the grids, O(N^3): Hi f Hi^T on the node grid for M0, and
+Ei a Hi^T on the xi grid and Hi b Ei^T on the eta grid for M1, with
+Hi = inv(Gh), Ei = inv(Ge); `solve_mass0/1` wrap them for one dof vector.
+Those two 1D inverses are the only factorizations a `GramSet` makes, each
+from one Cholesky factor G = L L^T and its one triangular inverse
+Li = inv(L) as inv(G) = Li^T Li; no 2D mass or dual mass is formed unless
+a caller asks for one.  `spd_eigh` reduces a symmetric-definite pencil
+with such an inverse factor, so the pencil (K, Gh) reuses `GramSet.Lh`.
 
 The quadrature rule picks only the nodal Gram: "gauss" (the default, N+1
 Gauss-Legendre points) integrates it exactly, degree 2N, while the
@@ -107,9 +106,9 @@ def spd_eigh(A, Li):
 class GramSet:
     """The node set, the 1D Gram factors of degree N and their inverses,
     with `Lh` the inverse Cholesky factor of Gh, Gh_inv = Lh^T Lh.
-    Mass solves take one finite dof vector and run on its grids from the
-    1D inverses.  The dense edge mass M1 is built on first access; the
-    nodal mass M0 is not stored: callers apply it as Gh f Gh on the node
+    Mass solves run on the grids from the 1D inverses; the public ones take
+    one finite dof vector.  The dense edge mass M1 is built on first access;
+    the nodal mass M0 is not stored: callers apply it as Gh f Gh on the node
     grid, or build it with `assemble_mass0(Gh)`."""
 
     def __init__(self, degree, rule="gauss"):
@@ -125,18 +124,22 @@ class GramSet:
         """The dense edge mass, (2N(N+1),)^2."""
         return assemble_mass1(self.Gh, self.Ge)
 
+    def _solve_mass0(self, f):
+        """inv(M0) F = Hi f Hi^T on the (N+1)x(N+1) node grid f of F."""
+        return self.Gh_inv @ f @ self.Gh_inv.T
+
+    def _solve_mass1(self, a, e):
+        """inv(M1) Et = (Ei a Hi^T, Hi e Ei^T) on the xi and eta grids of Et."""
+        Hi, Ei = self.Gh_inv, self.Ge_inv
+        return Ei @ a @ Hi.T, Hi @ e @ Ei.T
+
     def solve_mass0(self, b):
-        """inv(M0) b = Hi f Hi^T on the (N+1)x(N+1) node grid f of the
-        nodal dof vector b."""
-        Hi = self.Gh_inv
-        return _flat(Hi @ _dofs(b, self.degree) @ Hi.T)
+        """inv(M0) b for the nodal dof vector b."""
+        return _flat(self._solve_mass0(_dofs(b, self.degree)))
 
     def solve_mass1(self, b):
-        """inv(M1) b = (Ei a Hi^T, Hi e Ei^T) on the Nx(N+1) xi grid a and
-        the (N+1)xN eta grid e of the edge dof vector b."""
-        Hi, Ei = self.Gh_inv, self.Ge_inv
-        a, e = _dofs(b, self.degree, "edges")
-        return _flat(Ei @ a @ Hi.T, Hi @ e @ Ei.T)
+        """inv(M1) b for the edge dof vector b."""
+        return _flat(*self._solve_mass1(*_dofs(b, self.degree, "edges")))
 
     # Dense references for tests; no solve, norm or error path reads them.
     @property

@@ -17,8 +17,9 @@ of any element geometry.  The trace is the 0/1 restriction of the nodal
 dofs to the loop: T f is f.ravel()[boundary_nodes(N)], one node per dof.
 
 This module alone splits dof vectors into grids and joins them back:
-`_dofs` reads a dof array a caller hands the package as its grids,
-`_unflat` lays out a vector the package made, and `_flat` joins grids.
+`_dofs` checks a dof array a caller hands the package and lays it out as
+its grids, and `_flat` joins grids.  A public entry reads each caller
+array through `_dofs` once; the package's own fields stay on their grids.
 """
 
 import numpy as np
@@ -34,26 +35,23 @@ __all__ = [
 
 
 def _dofs(v, N, layout="nodes"):
-    """The grids of `v` (see `_unflat`; a loop stays a vector), checked to be
-    a finite 1D float vector of the degree-N "nodes", "edges" or "loop"
-    length before a reshape could accept a grid or a block of columns."""
+    """The grids of `v`, checked to be a finite real 1D vector of the degree-N
+    "nodes", "edges" or "loop" length before a reshape could accept a grid
+    or a block of columns: the node grid f[j, i], the xi (N, N+1) and eta
+    (N+1, N) grids sliced apart, or the loop vector itself."""
     n = {"nodes": (N + 1) ** 2, "edges": 2 * N * (N + 1), "loop": 4 * N}[layout]
+    if np.iscomplexobj(v):  # a float cast would drop the imaginary part
+        raise ValueError(f"dofs for the degree-{N} discretization must be real, not complex")
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"dofs of shape {v.shape} do not match the degree-{N} "
                          f"discretization: expected a 1D vector of length {n}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"dofs for the degree-{N} discretization are not finite (NaN or inf)")
-    return v if layout == "loop" else _unflat(v, N, layout)
-
-
-def _unflat(v, N, layout="nodes"):
-    """The grids of a degree-N vector the package made, unchecked: the node
-    grid f[j, i], or the xi (N, N+1) and eta (N+1, N) grids sliced apart."""
-    if layout == "nodes":
-        return v.reshape(N + 1, N + 1)
-    n = N * (N + 1)
-    return v[:n].reshape(N, N + 1), v[n:].reshape(N + 1, N)
+    if layout == "edges":
+        n = N * (N + 1)
+        return v[:n].reshape(N, N + 1), v[n:].reshape(N + 1, N)
+    return v.reshape(N + 1, N + 1) if layout == "nodes" else v
 
 
 def _flat(*grids):

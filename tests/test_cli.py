@@ -59,6 +59,11 @@ class TestConfig:
             StudyConfig(quadrature_boost=-1)
         with pytest.raises(TypeError, match="^emit must be a set"):
             StudyConfig(emit="table1")  # not the letters t, a, b, l, e and 1
+        # any iterable of names is stored as a frozenset: equal and hashable
+        listed = StudyConfig(emit=["table1"])
+        assert listed == StudyConfig(emit=frozenset({"table1"}))
+        assert type(listed.emit) is frozenset
+        assert hash(listed) == hash(StudyConfig(emit=frozenset({"table1"})))
         for bad in (5, None):
             with pytest.raises(TypeError, match=rf"^output_dir must be a path, got {bad}$"):
                 StudyConfig(output_dir=bad)
@@ -221,6 +226,14 @@ class TestMain:
     def test_default_run(self, tmp_path):
         assert main(["--max-degree", "2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "table1.csv").exists()
+
+    def test_no_flags_give_the_default_config(self, tmp_path, monkeypatch):
+        # the parser takes its defaults from the StudyConfig fields
+        configs = []
+        monkeypatch.setattr(cli, "run_study", configs.append)
+        monkeypatch.chdir(tmp_path)  # the default output dir is relative
+        assert main([]) == 0
+        assert configs == [StudyConfig()]
 
     def test_all_emissions_and_self_check(self, tmp_path):
         rc = main(

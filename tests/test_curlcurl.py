@@ -453,6 +453,47 @@ class TestGridOnlyPath:
         assert rc == 0
         assert "self-check: 6/6 passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entry", [
+        "solve_both", "weak_curl", "norm_F", "norm_E", "reconstruct-primal-scalar",
+        "reconstruct-primal-curl", "reconstruct-dual-vector", "reconstruct-dual-weak-curl",
+        "error_norms", "GramSet.solve_mass0", "GramSet.solve_mass1", "equivalence_residual"])
+    def test_each_caller_array_is_checked_once(self, exact, solved, monkeypatch, entry):
+        # a public entry reads each dof array its caller hands it through
+        # _dofs once; the fields the package makes itself stay on their
+        # grids and are never checked again
+        disc, bd, sol = solved[4]
+        w = cc.weak_curl(sol.dirichlet, bd, disc)
+        F, Et = sol.neumann, sol.dirichlet
+        call, layouts = {
+            "solve_both": (lambda: cc.solve_both(bd, disc), []),
+            "weak_curl": (lambda: cc.weak_curl(Et, bd, disc), ["edges"]),
+            "norm_F": (lambda: cc.norm_F(F, disc), ["nodes"]),
+            "norm_E": (lambda: cc.norm_E(Et, bd, disc), ["edges"]),
+            "reconstruct-primal-scalar":
+                (lambda: cc.reconstruct("primal-scalar", F, 0.0, 0.0, disc), ["nodes"]),
+            "reconstruct-primal-curl":
+                (lambda: cc.reconstruct("primal-curl", F, 0.0, 0.0, disc), ["nodes"]),
+            "reconstruct-dual-vector":
+                (lambda: cc.reconstruct("dual-vector", Et, 0.0, 0.0, disc), ["edges"]),
+            "reconstruct-dual-weak-curl":
+                (lambda: cc.reconstruct("dual-weak-curl", w, 0.0, 0.0, disc), ["nodes"]),
+            "error_norms": (lambda: cc.error_norms(sol, exact, disc), ["nodes", "edges"]),
+            "GramSet.solve_mass0": (lambda: disc.gram.solve_mass0(w), ["nodes"]),
+            "GramSet.solve_mass1": (lambda: disc.gram.solve_mass1(Et), ["edges"]),
+            "equivalence_residual":
+                (lambda: cli.equivalence_residual(sol, disc), ["edges", "nodes"]),
+        }[entry]
+        checked = []
+
+        def counting(v, N, layout="nodes"):
+            checked.append(layout)
+            return _dofs(v, N, layout)
+
+        for module in (galerkin, cc, cli):
+            monkeypatch.setattr(module, "_dofs", counting)
+        call()
+        assert checked == layouts
+
 
 class TestWeakCurl:
     def test_zero(self):
@@ -729,6 +770,10 @@ class TestInputChecks:
             lambda: cc.solve_neumann(bd, disc),
             lambda: cc.solve_dirichlet(bd, disc),
             lambda: cc.weak_curl(np.zeros(40), bd, disc),
+            lambda: cc.norm_E(np.zeros(40), bd, disc),
+            # a solution of the right degree whose boundary data is not
+            lambda: cc.error_norms(cc.Solution(4, bd, np.zeros(25), np.zeros(40)),
+                                   cc.exponential_pair(), disc),
             lambda: equivalence_residual(sol, disc),
             lambda: cc.error_norms(sol, cc.exponential_pair(), disc),
         ):
@@ -782,16 +827,20 @@ class TestInputChecks:
             "GramSet.solve_mass0", "GramSet.solve_mass1", "BoundaryData",
             "equivalence_residual-nodal", "equivalence_residual-edge",
             "error_norms-nodal", "error_norms-edge"])
-    @pytest.mark.parametrize("shape", ["long", "grid", "column", "nan", "inf"])
+    @pytest.mark.parametrize("shape", ["long", "grid", "column", "nan", "inf", "complex"])
     def test_bad_dof_vector(self, call, n, shape):
         # N=9 has 100 nodal, 180 edge and 36 loop dofs; a grid or a column
-        # of the right size would reshape silently, and one NaN or inf
-        # entry would come back as a nan result
+        # of the right size would reshape silently, one NaN or inf entry
+        # would come back as a nan result, and a float cast of complex dofs
+        # would drop their imaginary part
         disc = cc.Discretization(9)
         bd = cc.BoundaryData(9, np.zeros(36))
         v = {"long": np.zeros(n + 1), "grid": np.zeros((n // 10, 10)),
-             "column": np.zeros((n, 1)), "nan": np.zeros(n), "inf": np.zeros(n)}[shape]
+             "column": np.zeros((n, 1)), "nan": np.zeros(n), "inf": np.zeros(n),
+             "complex": np.full(n, 1 + 2j)}[shape]
         message = rf"degree-9 .* length {n}$"
+        if shape == "complex":
+            message = "^dofs for the degree-9 discretization must be real, not complex$"
         if shape in ("nan", "inf"):
             v[n // 2] = float(shape)
             message = "^dofs for the degree-9 discretization are not finite"
