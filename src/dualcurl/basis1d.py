@@ -14,10 +14,14 @@ vanish identically and break the integral property; the k=0 lower bound
 used here is the one consistent with that property.
 
 `gll_nodes` takes the nodes from the eigenvalues of a Jacobi matrix and
-both weight sets from one evaluation of L_N: no iteration, no degree limit.
-`lagrange_eval` is the one pointwise evaluator.  h_i' has degree N-1, so
-`lagrange_deriv` applies the nodal differentiation matrix Dn[j, i] = h_i'(x_j),
-built once per node set, to it (Berrut & Trefethen, SIAM Rev. 46, 2004, 9).
+the Newton step and both weight sets from one evaluation of L_N: no
+iteration, no degree limit.  `lagrange_eval` is the one pointwise
+evaluator.  h_i' has degree N-1, so `lagrange_deriv` applies the nodal
+differentiation matrix Dn[j, i] = h_i'(x_j), built once per node set, to
+it (Berrut & Trefethen, SIAM Rev. 46, 2004, 9), and the edge table is
+-cumsum(Dn^T H)[:-1] of the nodal table H (`_edge_table`): a caller that
+needs both tables evaluates H once, and at the nodes, where H is the
+identity, none.
 """
 
 from dataclasses import dataclass
@@ -96,8 +100,13 @@ def gll_nodes(N):
     eigenvalues of its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
     polished by one Newton step.  The node polynomial (1-x^2) L_N' has
     derivative -N(N+1) L_N, so one L_N at the nodes gives both
-    w_i = 2 / (N(N+1) L_N(x_i)^2) and b_i ∝ 1/L_N(x_i).  Dn[j, i] =
-    (b_i/b_j)/(x_j - x_i) off the diagonal; its rows sum to zero.
+    w_i = 2 / (N(N+1) L_N(x_i)^2) and b_i ∝ 1/L_N(x_i).  That L_N comes
+    from the same evaluation as the Newton step: the polished nodes lie
+    dx ~ 1e-16 from the eigenvalues, and L + dx (L' + dx L''/2), with L''
+    from the Legendre ODE, misses L_N there by O(dx^3).  The endpoints take
+    L_N(±1) = (±1)^N, and the weights are averaged with their mirror image,
+    so they are exactly symmetric.  Dn[j, i] = (b_i/b_j)/(x_j - x_i) off
+    the diagonal; its rows sum to zero.
     """
     N = _integer("degree", N, 1)
     k = np.arange(1, N - 1)
@@ -105,12 +114,14 @@ def gll_nodes(N):
     J[k, k - 1] = J[k - 1, k] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
     xi = np.linalg.eigvalsh(J)
     L, dL = legendre_eval(N, xi)
-    # L_N'' from the Legendre ODE (1-x^2) L'' = 2x L' - N(N+1) L
-    xi -= dL * (1.0 - xi * xi) / (2.0 * xi * dL - N * (N + 1) * L)
-    x = np.concatenate([[-1.0], xi, [1.0]])
+    # q = (1-x^2) L_N'' = 2x L_N' - N(N+1) L_N by the Legendre ODE
+    s, q = 1.0 - xi * xi, 2.0 * xi * dL - N * (N + 1) * L
+    x = np.concatenate([[-1.0], xi - dL * s / q, [1.0]])  # one Newton step
     x = 0.5 * (x - x[::-1])  # enforce symmetry about 0
-    L, _ = legendre_eval(N, x)
+    dx = x[1:-1] - xi
+    L = np.concatenate([[(-1.0) ** N], L + dx * (dL + dx * (q / s) / 2), [1.0]])
     w = 2.0 / (N * (N + 1) * L * L)
+    w = 0.5 * (w + w[::-1])
     b = 1.0 / L
     b /= np.max(np.abs(b))
     gap = x[:, None] - x[None, :]
@@ -158,4 +169,13 @@ def lagrange_deriv(ns, x):
 
 def edge_eval(ns, x):
     """Evaluate the edge basis e_i at x; returns (N,) or (N, M)."""
-    return -np.cumsum(lagrange_deriv(ns, x), axis=0)[:-1]
+    return _edge_table(ns, lagrange_eval(ns, x))
+
+
+def _edge_table(ns, H=None):
+    """The edge table -cumsum(Dn^T H)[:-1] of the nodal table H at the same
+    points; H=None stands for the nodes, where H is the identity.  Dn^T is
+    copied to C order, the layout of Dn^T @ H: a BLAS product of the table
+    sums in an order that depends on its layout."""
+    dH = ns.deriv.T.copy() if H is None else ns.deriv.T @ H
+    return -np.cumsum(dH, axis=0)[:-1]

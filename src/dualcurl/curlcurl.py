@@ -61,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis1d import _integer, edge_eval, gauss_rule, lagrange_eval
+from .basis1d import _edge_table, _integer, gauss_rule, lagrange_eval
 from .galerkin import GramSet, _inverse_factor, spd_eigh
 from .operators2d import (
     _dofs, _flat, _incidence, boundary_nodes, build_incidence, side_dof_indices)
@@ -103,9 +103,11 @@ class AnalyticField:
     vector_curl: Optional[Callable] = None   # curl (Ex, Ey)
 
     def tangential_trace(self, side, x, y):
-        """n x E = n_x Ey - n_y Ex on the given side."""
+        """n x E = n_x Ey - n_y Ex on the given side.  The normal is
+        axis-aligned, so only the component it selects is evaluated: Ex on
+        S and N, Ey on E and W."""
         nx, ny = _NORMALS[side]
-        return nx * self.Ey(x, y) - ny * self.Ex(x, y)
+        return nx * self.Ey(x, y) if nx else -ny * self.Ex(x, y)
 
 
 def exponential_pair():
@@ -333,8 +335,10 @@ def norm_E(Et, bd, disc):
 
 
 def _tables(disc, x):
-    """The nodal table H (N+1, P) and the edge table E (N, P) on the axis x."""
-    return lagrange_eval(disc.nodes, x), edge_eval(disc.nodes, x)
+    """The nodal table H (N+1, P) and the edge table E (N, P) on the axis x,
+    from one evaluation of H."""
+    H = lagrange_eval(disc.nodes, x)
+    return H, _edge_table(disc.nodes, H)
 
 
 def _evaluate(grids, x_tables, y_tables):

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis1d import gauss_rule, gll_nodes, lagrange_eval, edge_eval
+from .basis1d import _edge_table, gauss_rule, gll_nodes, lagrange_eval
 from .operators2d import _dofs, _flat
 
 __all__ = [
@@ -61,8 +61,9 @@ def gram_nodal_1d(ns, rule="gauss"):
 
 
 def gram_edge_1d(ns):
-    """NxN matrix of int e_i e_k dx, exact on the GLL nodes."""
-    E = edge_eval(ns, ns.nodes)
+    """NxN matrix of int e_i e_k dx, exact on the GLL nodes, where the
+    nodal table is the identity."""
+    E = _edge_table(ns)
     return (E * ns.weights) @ E.T
 
 

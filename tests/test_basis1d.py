@@ -41,6 +41,16 @@ def _assert_close(got, expected, delta, atol):
         assert err <= 1e-13, err
 
 
+def _legendre_longdouble(N, x):
+    """(L_N(x), L_N'(x)) by the three-term recurrence in the dtype of x."""
+    Lm, L = np.ones_like(x), x.copy()
+    dLm, dL = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, N):
+        Lm, L = L, ((2 * k + 1) * x * L - k * Lm) / (k + 1)
+        dLm, dL = dL, dLm + (2 * k + 1) * Lm
+    return L, dL
+
+
 class TestLegendre:
     def test_degree_zero(self):
         L, dL = legendre_eval(0, 0.37)
@@ -129,8 +139,9 @@ class TestGllNodes:
         step = dL * (1.0 - x * x) / (2.0 * x * dL - N * (N + 1) * L)
         assert np.max(np.abs(step)) <= np.finfo(float).eps
 
-    def test_two_legendre_evaluations(self, monkeypatch):
-        # one for the Newton step, one for both weight sets
+    def test_one_legendre_evaluation(self, monkeypatch):
+        # at the eigenvalues, for the Newton step; the weights take L_N at
+        # the polished nodes from the same values by Taylor expansion
         calls = []
 
         def counted(N, x):
@@ -139,7 +150,25 @@ class TestGllNodes:
 
         monkeypatch.setattr(basis1d, "legendre_eval", counted)
         gll_nodes(40)
-        assert len(calls) <= 2
+        assert calls == [40]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="longdouble carries no more precision than float64")
+    @pytest.mark.parametrize("N", [16, 40, 64, 128, 256])
+    def test_matches_extended_precision_reference(self, N):
+        # reference: three Newton steps on the roots of L_N' and the weights
+        # 2 / (N(N+1) L_N^2), all in extended precision
+        ns = gll_nodes(N)
+        x = ns.nodes[1:-1].astype(np.longdouble)
+        for _ in range(3):
+            L, dL = _legendre_longdouble(N, x)
+            x -= dL * (1 - x * x) / (2 * x * dL - N * (N + 1) * L)
+        x = np.concatenate([[-1], x, [1]]).astype(np.longdouble)
+        L, _ = _legendre_longdouble(N, x)
+        w = 2 / (N * (N + 1) * L * L)
+        assert np.max(np.abs(ns.nodes - x)) <= 2e-16
+        assert np.max(np.abs(ns.weights / w - 1)) <= N * 1e-15
+        assert np.array_equal(ns.weights, ns.weights[::-1])
 
     @pytest.mark.parametrize("N", range(1, 13))
     def test_quadrature_exactness(self, N):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcurl import cli, galerkin, operators2d
+from dualcurl import basis1d, cli, galerkin, operators2d
 from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes, legendre_eval
 from dualcurl.cli import equivalence_residual, norm_gap
@@ -16,6 +16,23 @@ from dualcurl.galerkin import assemble_mass0, spd_eigh
 from dualcurl.operators2d import _dofs, _flat, build_incidence, build_trace
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
+
+
+def _count_calls(monkeypatch, *names):
+    """Count every call of the `basis1d` functions `names`, at each module
+    that binds them, inner calls of `basis1d` included."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(basis1d, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for mod in (basis1d, galerkin, cc, cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +79,40 @@ class TestAnalyticField:
         assert exact.tangential_trace("N", 0.0, 1.0) == -exact.Ex(0.0, 1.0)
         assert exact.tangential_trace("E", 1.0, 0.0) == exact.Ey(1.0, 0.0)
         assert exact.tangential_trace("W", -1.0, 0.0) == -exact.Ey(-1.0, 0.0)
+
+    def test_trace_evaluates_only_the_selected_component(self, exact):
+        # one field call per side: Ex on S and N, Ey on E and W; a NaN in
+        # the other component does not reach the trace
+        calls = []
+
+        def counted(name, fn):
+            def call(x, y):
+                calls.append(name)
+                return fn(x, y)
+            return call
+
+        field = cc.AnalyticField(Ex=counted("Ex", exact.Ex), Ey=counted("Ey", exact.Ey))
+        cc.project_boundary_data(field, cc.Discretization(4))
+        assert sorted(calls) == ["Ex", "Ex", "Ey", "Ey"]
+        nan = lambda x, y: np.full_like(x, np.nan)
+        x = np.linspace(-1, 1, 5)
+        for side, field in (("S", cc.AnalyticField(exact.Ex, nan)),
+                            ("N", cc.AnalyticField(exact.Ex, nan)),
+                            ("E", cc.AnalyticField(nan, exact.Ey)),
+                            ("W", cc.AnalyticField(nan, exact.Ey))):
+            assert np.all(np.isfinite(field.tangential_trace(side, x, x))), side
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 9, 16])
+    def test_projection_matches_both_component_trace(self, exact, N):
+        # n_x Ey - n_y Ex with both components evaluated gives the same dofs
+        class BothComponents:
+            def tangential_trace(self, side, x, y):
+                nx, ny = cc._NORMALS[side]
+                return nx * exact.Ey(x, y) - ny * exact.Ex(x, y)
+
+        disc = cc.Discretization(N)
+        assert np.array_equal(cc.project_boundary_data(exact, disc).dofs,
+                              cc.project_boundary_data(BothComponents(), disc).dofs)
 
 
 class TestBoundaryProjection:
@@ -262,6 +313,14 @@ class TestDiscretization:
         disc = cc.Discretization(5)
         assert calls == [5]
         assert disc.nodes is disc.gram.nodes
+
+    @pytest.mark.parametrize("rule, nodal", [("lobatto", 0), ("gauss", 1)])
+    def test_no_basis_table_in_setup(self, monkeypatch, rule, nodal):
+        # the edge Gram needs no table: at the nodes the nodal table is the
+        # identity; only the exact nodal Gram evaluates one, at Gauss points
+        calls = _count_calls(monkeypatch, "lagrange_eval", "edge_eval")
+        cc.Discretization(6, rule)
+        assert calls == {"lagrange_eval": nodal, "edge_eval": 0}, calls
 
 
 class TestOperators:
@@ -670,17 +729,12 @@ class TestErrorNorms:
 
     def test_evaluates_each_table_once(self, exact, solved, monkeypatch):
         # one Gauss axis serves both directions and all four fields: its
-        # nodal and edge tables are evaluated once each
+        # nodal table is evaluated once, and the edge table derived from it
         disc, _, sol = solved[5]
         ref = cc.error_norms(sol, exact, disc)
-        calls = {"lagrange_eval": 0, "edge_eval": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(cc, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(cc, name, counted)
+        calls = _count_calls(monkeypatch, "lagrange_eval")
         assert cc.error_norms(sol, exact, disc) == ref
-        assert calls == {"lagrange_eval": 1, "edge_eval": 1}, calls
+        assert calls == {"lagrange_eval": 1}, calls
 
 
 # every public entry that reads an integer: its call on (value, disc, sol),

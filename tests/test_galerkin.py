@@ -5,11 +5,12 @@ import pytest
 
 from dualcurl import curlcurl as cc
 from dualcurl import galerkin
-from dualcurl.basis1d import gauss_rule, gll_nodes
+from dualcurl.basis1d import edge_eval, gauss_rule, gll_nodes
 from dualcurl.galerkin import (
     GramSet,
     assemble_mass0,
     _inverse_factor,
+    gram_edge_1d,
     gram_nodal_1d,
 )
 from conftest import assemble_mass0_direct, psi0_dense, psi1_dense
@@ -235,3 +236,11 @@ def test_edge_gram_is_the_same_under_either_rule():
     # the quadrature rule picks only the nodal Gram
     for N in range(1, 41):
         np.testing.assert_array_equal(GramSet(N, "gauss").Ge, GramSet(N, "lobatto").Ge)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 12, 32, 33, 40, 64])
+def test_edge_gram_matches_the_evaluated_edge_table(N):
+    # -cumsum(Dn^T)[:-1] is the edge table at the nodes, bit for bit
+    ns = gll_nodes(N)
+    E = edge_eval(ns, ns.nodes)
+    assert np.array_equal(gram_edge_1d(ns), (E * ns.weights) @ E.T)
