@@ -16,9 +16,9 @@ used here is the one consistent with that property.
 `gll_nodes` takes the nodes from the eigenvalues of a Jacobi matrix and
 the Newton step and both weight sets from one evaluation of L_N: no
 iteration, no degree limit.  `lagrange_eval` is the one pointwise
-evaluator.  h_i' has degree N-1, so `lagrange_deriv` applies the nodal
-differentiation matrix Dn[j, i] = h_i'(x_j), built once per node set, to
-it (Berrut & Trefethen, SIAM Rev. 46, 2004, 9), and the edge table is
+evaluator.  h_i' has degree N-1, so h_i'(x) = sum_j h_j(x) Dn[j, i] with
+the nodal differentiation matrix Dn[j, i] = h_i'(x_j), built once per node
+set (Berrut & Trefethen, SIAM Rev. 46, 2004, 9), and the edge table is
 -cumsum(Dn^T H)[:-1] of the nodal table H (`_edge_table`): a caller that
 needs both tables evaluates H once, and at the nodes, where H is the
 identity, none.
@@ -32,11 +32,9 @@ import numpy as np
 __all__ = [
     "NodeSet1D",
     "QuadratureRule1D",
-    "legendre_eval",
     "gll_nodes",
     "gauss_rule",
     "lagrange_eval",
-    "lagrange_deriv",
     "edge_eval",
 ]
 
@@ -72,19 +70,10 @@ def _integer(name, value, least):
     return int(value)
 
 
-def legendre_eval(N, x):
-    """Return (L_N(x), L_N'(x)) by three-term recurrence.
-
-    Accepts scalars or arrays.
-    """
-    N = _integer("degree", N, 0)
-    x = np.asarray(x, dtype=float)
-    L = np.ones_like(x)
-    dL = np.zeros_like(x)
-    if N == 0:
-        return L, dL
-    Lm, dLm = L, dL           # L_0, L_0'
-    L, dL = x.copy(), np.ones_like(x)  # L_1, L_1'
+def _legendre(N, x):
+    """(L_N(x), L_N'(x)) for N >= 1 by three-term recurrence."""
+    Lm, dLm = np.ones_like(x), np.zeros_like(x)  # L_0, L_0'
+    L, dL = x, np.ones_like(x)                    # L_1, L_1'
     for k in range(1, N):
         Lp = ((2 * k + 1) * x * L - k * Lm) / (k + 1)
         dLp = dLm + (2 * k + 1) * L     # L'_{k+1} = L'_{k-1} + (2k+1) L_k
@@ -113,7 +102,7 @@ def gll_nodes(N):
     J = np.zeros((N - 1, N - 1))
     J[k, k - 1] = J[k - 1, k] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
     xi = np.linalg.eigvalsh(J)
-    L, dL = legendre_eval(N, xi)
+    L, dL = _legendre(N, xi)
     # q = (1-x^2) L_N'' = 2x L_N' - N(N+1) L_N by the Legendre ODE
     s, q = 1.0 - xi * xi, 2.0 * xi * dL - N * (N + 1) * L
     x = np.concatenate([[-1.0], xi - dL * s / q, [1.0]])  # one Newton step
@@ -159,12 +148,6 @@ def lagrange_eval(ns, x):
         H = tmp / np.sum(tmp, axis=0)
     H[:, on_node] = hit[:, on_node]
     return H[:, 0] if x.ndim == 0 else H
-
-
-def lagrange_deriv(ns, x):
-    """Evaluate dh_i/dx at x; returns (N+1,) or (N+1, M).  h_i' has degree
-    N-1, so h_i'(x) = sum_j h_j(x) Dn[j, i] exactly, with Dn = `ns.deriv`."""
-    return ns.deriv.T @ lagrange_eval(ns, x)
 
 
 def edge_eval(ns, x):

@@ -96,13 +96,12 @@ def _fmt(v):
 
 def equivalence_residual(sol, disc):
     """||Et - M1 E10 F|| / ||Et||, or the absolute distance where Et = 0, with
-    M1 E10 F = (Ge a Gh, Gh b Ge) on the edge grids (a, b) = E10 F: the
-    incidence and the 1D Grams, none of the solves' factors."""
+    M1 E10 F = `GramSet._mass1` of the edge grids of E10 F: the incidence
+    and the 1D Grams, none of the solves' factors."""
     cc._check(sol, disc)
-    N, Gh, Ge = disc.degree, disc.gram.Gh, disc.gram.Ge
-    xi, eta = _dofs(sol.dirichlet, N, "edges")
-    a, b = _incidence(_dofs(sol.neumann, N))
-    dist = float(np.linalg.norm(_flat(xi - Ge @ a @ Gh, eta - Gh @ b @ Ge)))
+    xi, eta = _dofs(sol.dirichlet, disc.degree, "edges")
+    ma, mb = disc.gram._mass1(*_incidence(_dofs(sol.neumann, disc.degree)))
+    dist = float(np.linalg.norm(_flat(xi - ma, eta - mb)))
     size = float(np.linalg.norm(_flat(xi, eta)))
     return dist / size if size else dist
 

@@ -134,24 +134,25 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class Solution:
-    """Both discrete solutions for one boundary data set."""
+    """Both discrete solutions for one boundary data set, whose degree is theirs."""
 
-    degree: int
     boundary: BoundaryData
     neumann: np.ndarray    # nodal dofs F, length (N+1)^2
     dirichlet: np.ndarray  # dual edge dofs Et, length 2N(N+1)
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", _integer("degree", self.degree, 1))
+    @property
+    def degree(self):
+        return self.boundary.degree
 
 
 class Discretization:
     """Caches the operators for one degree N.
 
-    `rule` selects the quadrature of the nodal Gram: the collocated
-    "lobatto" rule (default) reproduces the published norm values; "gauss"
-    gives exactly integrated masses.  The structural identities (equivalence
-    of the two solves, equality of norms, E^h = curl F^h) hold for either.
+    `rule` selects the quadrature of the nodal Gram, kept as `gram.rule`:
+    the collocated "lobatto" rule (the package's one default) reproduces
+    the published norm values; "gauss" gives exactly integrated masses.
+    The structural identities (equivalence of the two solves, equality of
+    norms, E^h = curl F^h) hold for either.
 
     The 1D factors of both solves are computed here, once, from two
     generalized eigensolves: K, D Hi, X and inv(X), the eigenvectors V
@@ -167,7 +168,6 @@ class Discretization:
     def __init__(self, N, rule="lobatto"):
         self.gram = GramSet(N, rule)  # checks the degree
         self.degree = N = self.gram.degree
-        self.rule = rule
         self.nodes = self.gram.nodes
         self.D = D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.loop = boundary_nodes(N)
@@ -295,7 +295,6 @@ def solve_dirichlet(bd, disc):
 
 def solve_both(bd, disc):
     return Solution(
-        degree=disc.degree,
         boundary=bd,
         neumann=solve_neumann(bd, disc),
         dirichlet=solve_dirichlet(bd, disc),
@@ -317,12 +316,10 @@ def weak_curl(Et, bd, disc):
 def norm_F(F, disc):
     """H(curl) norm of the primal scalar field from its nodal dofs:
     F M0 F + c M1 c with c = E10 F, as 1D Gram products on the grids."""
-    Gh, Ge = disc.gram.Gh, disc.gram.Ge
-    f = _dofs(F, disc.degree)
+    Gh, f = disc.gram.Gh, _dofs(F, disc.degree)
     a, b = _incidence(f)
-    return float(np.sqrt(
-        np.vdot(f, Gh @ f @ Gh) + np.vdot(a, Ge @ a @ Gh) + np.vdot(b, Gh @ b @ Ge)
-    ))
+    ma, mb = disc.gram._mass1(a, b)
+    return float(np.sqrt(np.vdot(f, Gh @ f @ Gh) + np.vdot(a, ma) + np.vdot(b, mb)))
 
 
 def norm_E(Et, bd, disc):
@@ -391,26 +388,30 @@ def error_norms(sol, exact, disc, boost=15):
     integer >= 0), whose 1D factor tables are evaluated once for all four
     fields; the curl term of the dual error uses the weak-curl
     reconstruction and the analytic scalar curl of E, so `exact` needs
-    `scalar` and `vector_curl`.
+    `scalar` and `vector_curl`.  Each of the four exact components must be
+    finite on the grid.
     """
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
     _check(sol, disc)
-    _check(sol.boundary, disc)
     boost = _integer("boost", boost, 0)
     f, grids = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     q = gauss_rule(disc.degree + boost)
     g = q.points
     X, Y = np.meshgrid(g, g, indexing="ij")
+    names = ("Ex", "Ey", "scalar", "vector_curl")
+    Ex, Ey, F, cE = values = [getattr(exact, k)(X, Y) for k in names]
+    bad = [k for k, v in zip(names, values) if not np.all(np.isfinite(v))]
+    if bad:
+        raise ValueError(f"the exact field's {', '.join(bad)} is not finite on the error grid")
     w2 = np.outer(q.weights, q.weights)
     t = _tables(disc, g)
-    Ex, Ey = exact.Ex(X, Y), exact.Ey(X, Y)
 
     Fh = _evaluate(f, t, t)
     cFx, cFy = _evaluate(_incidence(f), t, t)
     errF2 = np.vdot(w2, (
-        (exact.scalar(X, Y) - Fh) ** 2
+        (F - Fh) ** 2
         + (Ex - cFx) ** 2
         + (Ey - cFy) ** 2
     ))
@@ -421,6 +422,6 @@ def error_norms(sol, exact, disc, boost=15):
     errE2 = np.vdot(w2, (
         (Ex - Ehx) ** 2
         + (Ey - Ehy) ** 2
-        + (exact.vector_curl(X, Y) - cEh) ** 2
+        + (cE - cEh) ** 2
     ))
     return float(np.sqrt(errF2)), float(np.sqrt(errE2))

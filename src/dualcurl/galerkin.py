@@ -17,13 +17,13 @@ Li = inv(L) as inv(G) = Li^T Li; no 2D mass or dual mass is formed unless
 a caller asks for one.  `spd_eigh` reduces a symmetric-definite pencil
 with such an inverse factor, so the pencil (K, Gh) reuses `GramSet.Lh`.
 
-The quadrature rule picks only the nodal Gram: "gauss" (the default, N+1
-Gauss-Legendre points) integrates it exactly, degree 2N, while the
-collocated "lobatto" rule, on the GLL nodes where the nodal table is the
-identity, lumps it to diag(w).  The published norm table was produced
-with "lobatto", so the solver pipeline defaults to it; the contracts here
-are stated for the exact rule.  The edge Gram, degree 2N-2, is exact on
-the GLL nodes under either rule.
+The quadrature rule picks only the nodal Gram: "gauss" (N+1 Gauss-Legendre
+points) integrates it exactly, degree 2N, while the collocated "lobatto"
+rule, on the GLL nodes where the nodal table is the identity, lumps it to
+diag(w).  A `GramSet` takes its rule from the caller; the package's one
+default is `Discretization`'s "lobatto", the rule of the published norm
+table.  The contracts here are stated for the exact rule.  The edge Gram,
+degree 2N-2, is exact on the GLL nodes under either rule.
 
 Neither basis is tabulated in 2D.  A dual expansion with dofs d equals
 the primal expansion with coefficients inv(M) d, because M is symmetric,
@@ -39,32 +39,11 @@ from .basis1d import _edge_table, gauss_rule, gll_nodes, lagrange_eval
 from .operators2d import _dofs, _flat
 
 __all__ = [
-    "gram_nodal_1d",
-    "gram_edge_1d",
     "assemble_mass0",
     "assemble_mass1",
     "spd_eigh",
     "GramSet",
 ]
-
-
-def gram_nodal_1d(ns, rule="gauss"):
-    """(N+1)x(N+1) matrix of int h_i h_k dx: on N+1 Gauss points for
-    "gauss", diag(w) on the GLL nodes for "lobatto"."""
-    if rule == "lobatto":
-        return np.diag(ns.weights)
-    if rule != "gauss":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    q = gauss_rule(ns.degree + 1)
-    H = lagrange_eval(ns, q.points)
-    return (H * q.weights) @ H.T
-
-
-def gram_edge_1d(ns):
-    """NxN matrix of int e_i e_k dx, exact on the GLL nodes, where the
-    nodal table is the identity."""
-    E = _edge_table(ns)
-    return (E * ns.weights) @ E.T
 
 
 def assemble_mass0(G):
@@ -105,18 +84,27 @@ def spd_eigh(A, Li):
 
 
 class GramSet:
-    """The node set, the 1D Gram factors of degree N and their inverses,
-    with `Lh` the inverse Cholesky factor of Gh, Gh_inv = Lh^T Lh.
-    Mass solves run on the grids from the 1D inverses; the public ones take
-    one finite dof vector.  The dense edge mass M1 is built on first access;
+    """The node set, the 1D Gram factors of degree N under the quadrature
+    `rule`, "gauss" or "lobatto", and their inverses, with `Lh` the inverse
+    Cholesky factor of Gh, Gh_inv = Lh^T Lh.  M1 is applied and solved on
+    the grids from the 1D factors; the public solves take one finite dof
+    vector.  The dense edge mass M1 is built on first access;
     the nodal mass M0 is not stored: callers apply it as Gh f Gh on the node
     grid, or build it with `assemble_mass0(Gh)`."""
 
-    def __init__(self, degree, rule="gauss"):
-        self.nodes = gll_nodes(degree)  # checks the degree
-        self.degree, self.rule = self.nodes.degree, rule
-        self.Gh = gram_nodal_1d(self.nodes, rule)
-        self.Ge = gram_edge_1d(self.nodes)
+    def __init__(self, degree, rule):
+        self.nodes = ns = gll_nodes(degree)  # checks the degree
+        self.degree, self.rule = ns.degree, rule
+        if rule == "lobatto":  # int h_i h_k dx, lumped on the GLL nodes
+            self.Gh = np.diag(ns.weights)
+        elif rule == "gauss":  # exact on N+1 Gauss points
+            q = gauss_rule(ns.degree + 1)
+            H = lagrange_eval(ns, q.points)
+            self.Gh = (H * q.weights) @ H.T
+        else:
+            raise ValueError(f"unknown quadrature rule {rule!r}")
+        E = _edge_table(ns)  # int e_i e_k dx, exact on the GLL nodes
+        self.Ge = (E * ns.weights) @ E.T
         self.Lh, Le = _inverse_factor(self.Gh), _inverse_factor(self.Ge)
         self.Gh_inv, self.Ge_inv = self.Lh.T @ self.Lh, Le.T @ Le
 
@@ -124,6 +112,10 @@ class GramSet:
     def M1(self):
         """The dense edge mass, (2N(N+1),)^2."""
         return assemble_mass1(self.Gh, self.Ge)
+
+    def _mass1(self, a, e):
+        """M1 Et = (Ge a Gh, Gh e Ge) on the xi and eta grids of Et."""
+        return self.Ge @ a @ self.Gh, self.Gh @ e @ self.Ge
 
     def _solve_mass0(self, f):
         """inv(M0) F = Hi f Hi^T on the (N+1)x(N+1) node grid f of F."""

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from dualcurl import basis1d
-from dualcurl.basis1d import (
-    edge_eval,
-    gauss_rule,
-    gll_nodes,
-    lagrange_deriv,
-    lagrange_eval,
-    legendre_eval,
-)
+from dualcurl.basis1d import _legendre, edge_eval, gauss_rule, gll_nodes, lagrange_eval
 
 
 def _uniform(degrees):
@@ -41,6 +34,12 @@ def _assert_close(got, expected, delta, atol):
         assert err <= 1e-13, err
 
 
+def _deriv(ns, x):
+    """h_i'(x) = sum_j h_j(x) Dn[j, i], exact because h_i' has degree N-1:
+    the nodal derivatives through `ns.deriv`, (N+1,) or (N+1, M)."""
+    return ns.deriv.T @ lagrange_eval(ns, x)
+
+
 def _legendre_longdouble(N, x):
     """(L_N(x), L_N'(x)) by the three-term recurrence in the dtype of x."""
     Lm, L = np.ones_like(x), x.copy()
@@ -52,24 +51,16 @@ def _legendre_longdouble(N, x):
 
 
 class TestLegendre:
-    def test_degree_zero(self):
-        L, dL = legendre_eval(0, 0.37)
-        assert L == 1.0 and dL == 0.0
-
     def test_quadratic_at_zero(self):
-        L, dL = legendre_eval(2, 0.0)
+        L, dL = _legendre(2, 0.0)
         assert L == pytest.approx(-0.5, abs=1e-15)
         assert dL == pytest.approx(0.0, abs=1e-15)
 
     def test_endpoint_values(self):
         # L_N(1) = 1, L_N'(1) = N(N+1)/2
-        L, dL = legendre_eval(3, 1.0)
+        L, dL = _legendre(3, 1.0)
         assert L == pytest.approx(1.0, abs=1e-15)
         assert dL == pytest.approx(6.0, abs=1e-14)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            legendre_eval(-1, 0.0)
 
 
 class TestGllNodes:
@@ -103,7 +94,7 @@ class TestGllNodes:
         np.testing.assert_allclose(ns.nodes + ns.nodes[::-1], 0.0, atol=1e-14)
         assert np.all(ns.weights > 0)
         assert abs(ns.weights.sum() - 2.0) < 1e-13
-        _, dL = legendre_eval(N, ns.nodes[1:-1])
+        _, dL = _legendre(N, ns.nodes[1:-1])
         assert np.all(np.abs(dL) <= 1e-12)
 
     def test_weights_hold_at_degree_1024(self):
@@ -135,7 +126,7 @@ class TestGllNodes:
         # the Newton correction L'/L'' left at each root of L_N', with L''
         # from the Legendre ODE, is below one unit roundoff
         x = gll_nodes(N).nodes[1:-1]
-        L, dL = legendre_eval(N, x)
+        L, dL = _legendre(N, x)
         step = dL * (1.0 - x * x) / (2.0 * x * dL - N * (N + 1) * L)
         assert np.max(np.abs(step)) <= np.finfo(float).eps
 
@@ -146,9 +137,9 @@ class TestGllNodes:
 
         def counted(N, x):
             calls.append(N)
-            return legendre_eval(N, x)
+            return _legendre(N, x)
 
-        monkeypatch.setattr(basis1d, "legendre_eval", counted)
+        monkeypatch.setattr(basis1d, "_legendre", counted)
         gll_nodes(40)
         assert calls == [40]
 
@@ -252,17 +243,17 @@ class TestLagrange:
 class TestLagrangeDeriv:
     def test_linear(self):
         ns = gll_nodes(1)
-        np.testing.assert_allclose(lagrange_deriv(ns, 0.3), [-0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(_deriv(ns, 0.3), [-0.5, 0.5], atol=1e-15)
 
     def test_quadratic_at_node(self):
         ns = gll_nodes(2)
-        np.testing.assert_allclose(lagrange_deriv(ns, 0.0), [-0.5, 0.0, 0.5], atol=1e-14)
+        np.testing.assert_allclose(_deriv(ns, 0.0), [-0.5, 0.0, 0.5], atol=1e-14)
 
     def test_column_sums_vanish(self):
         rng = np.random.default_rng(3)
         ns = gll_nodes(6)
         x = rng.uniform(-1, 1, 20)
-        np.testing.assert_allclose(lagrange_deriv(ns, x).sum(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(_deriv(ns, x).sum(axis=0), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("N, delta", _uniform([2, 4, 8]) + NEAR_NODES)
     def test_against_polynomial_derivative(self, N, delta):
@@ -272,7 +263,7 @@ class TestLagrangeDeriv:
         x = _points(ns, delta, rng, 30)
         p = np.polynomial.polynomial
         _assert_close(
-            p.polyval(ns.nodes, coeffs) @ lagrange_deriv(ns, x),
+            p.polyval(ns.nodes, coeffs) @ _deriv(ns, x),
             p.polyval(x, p.polyder(coeffs)),
             delta,
             atol=1e-11,
@@ -300,7 +291,7 @@ class TestEdgeBasis:
         ns = gll_nodes(6)
         x = rng.uniform(-1, 1, 20)
         np.testing.assert_allclose(
-            edge_eval(ns, x)[-1], lagrange_deriv(ns, x)[-1], atol=1e-12
+            edge_eval(ns, x)[-1], _deriv(ns, x)[-1], atol=1e-12
         )
 
     @pytest.mark.parametrize("N", range(1, 13))
@@ -321,6 +312,6 @@ class TestEdgeBasis:
         ns = gll_nodes(N)
         p = rng.standard_normal(N + 1)
         x = _points(ns, delta, rng, 50)
-        lhs = p @ lagrange_deriv(ns, x)
+        lhs = p @ _deriv(ns, x)
         rhs = np.diff(p) @ edge_eval(ns, x)
         _assert_close(lhs, rhs, delta, atol=1e-12)

@@ -157,7 +157,7 @@ class TestEquivalenceResidual:
         bd = cc.BoundaryData(N, np.zeros(4 * N))
 
         def residual(Et):
-            return equivalence_residual(cc.Solution(N, bd, F, Et), disc)
+            return equivalence_residual(cc.Solution(bd, F, Et), disc)
 
         assert residual(ref) <= 1e-13
         Et = rng.standard_normal(ref.size)

@@ -6,13 +6,7 @@ import pytest
 from dualcurl import curlcurl as cc
 from dualcurl import galerkin
 from dualcurl.basis1d import edge_eval, gauss_rule, gll_nodes
-from dualcurl.galerkin import (
-    GramSet,
-    assemble_mass0,
-    _inverse_factor,
-    gram_edge_1d,
-    gram_nodal_1d,
-)
+from dualcurl.galerkin import GramSet, assemble_mass0, _inverse_factor
 from conftest import assemble_mass0_direct, psi0_dense, psi1_dense
 
 
@@ -29,9 +23,9 @@ def rule_cases(degrees):
 class TestMass0:
     def test_n1_analytic_entries(self):
         # 1D Gram of the linear hats is [[2/3,1/3],[1/3,2/3]]
-        G = gram_nodal_1d(gll_nodes(1))
+        G = GramSet(1, "gauss").Gh
         np.testing.assert_allclose(G, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-14)
-        M0 = assemble_mass0(GramSet(1).Gh)
+        M0 = assemble_mass0(G)
         assert M0[0, 0] == pytest.approx(4 / 9, abs=1e-14)
         # the exact rule keeps the off-diagonal coupling; a GLL-collocated
         # rule would lump it away
@@ -40,17 +34,17 @@ class TestMass0:
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_entry_sum_is_area(self, N):
-        assert assemble_mass0(GramSet(N).Gh).sum() == pytest.approx(4.0, abs=1e-12)
+        assert assemble_mass0(GramSet(N, "gauss").Gh).sum() == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("N", range(1, 7))
     def test_tensor_matches_direct_quadrature(self, N):
         np.testing.assert_allclose(
-            assemble_mass0(GramSet(N).Gh), assemble_mass0_direct(N), atol=1e-13
+            assemble_mass0(GramSet(N, "gauss").Gh), assemble_mass0_direct(N), atol=1e-13
         )
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_symmetric_spd(self, N):
-        M0 = assemble_mass0(GramSet(N).Gh)
+        M0 = assemble_mass0(GramSet(N, "gauss").Gh)
         np.testing.assert_allclose(M0, M0.T, rtol=1e-13)
         np.linalg.cholesky(M0)  # raises if not positive definite
 
@@ -58,14 +52,14 @@ class TestMass0:
 class TestMass1:
     def test_n1_analytic_block(self):
         # e_1 = 1/2, so int e_1 e_1 = 1/2 and block 1 is that times the hat Gram
-        M1 = GramSet(1).M1
+        M1 = GramSet(1, "gauss").M1
         np.testing.assert_allclose(
             M1[:2, :2], 0.5 * np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]]), atol=1e-14
         )
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_symmetric_spd_block_diagonal(self, N):
-        M1 = GramSet(N).M1
+        M1 = GramSet(N, "gauss").M1
         np.testing.assert_allclose(M1, M1.T, rtol=1e-13)
         np.linalg.cholesky(M1)
         n = N * (N + 1)
@@ -146,7 +140,7 @@ class TestMassSolve:
         # column would be solved silently, and a solve takes one vector,
         # not a block of columns
         with pytest.raises(ValueError, match=rf"{re.escape(str(bad))} .*degree-3 .* length {n}$"):
-            getattr(GramSet(3), method)(np.zeros(bad))
+            getattr(GramSet(3, "gauss"), method)(np.zeros(bad))
 
 
 class TestInverseFactor:
@@ -163,7 +157,7 @@ class TestInverseFactor:
         np.testing.assert_array_equal(self.solve(np.eye(5), b), b)
 
     def test_constructed_solution(self):
-        M0 = assemble_mass0(GramSet(2).Gh)
+        M0 = assemble_mass0(GramSet(2, "gauss").Gh)
         ones = np.ones(9)
         np.testing.assert_allclose(self.solve(M0, M0 @ ones), ones, atol=1e-12)
 
@@ -241,6 +235,20 @@ def test_edge_gram_is_the_same_under_either_rule():
 @pytest.mark.parametrize("N", [1, 2, 5, 12, 32, 33, 40, 64])
 def test_edge_gram_matches_the_evaluated_edge_table(N):
     # -cumsum(Dn^T)[:-1] is the edge table at the nodes, bit for bit
-    ns = gll_nodes(N)
+    gram = GramSet(N, "gauss")
+    ns = gram.nodes
     E = edge_eval(ns, ns.nodes)
-    assert np.array_equal(gram_edge_1d(ns), (E * ns.weights) @ E.T)
+    assert np.array_equal(gram.Ge, (E * ns.weights) @ E.T)
+
+
+@pytest.mark.parametrize("make", [GramSet, cc.Discretization], ids=["GramSet", "Discretization"])
+def test_unknown_rule_rejected(make):
+    with pytest.raises(ValueError, match=r"^unknown quadrature rule 'simpson'$"):
+        make(3, "simpson")
+
+
+def test_one_rule_default():
+    # the collocated rule of the published norm table; a GramSet is always told
+    assert cc.Discretization(3).gram.rule == "lobatto"
+    with pytest.raises(TypeError):
+        GramSet(3)
