@@ -137,9 +137,11 @@ def lagrange_eval(ns, x):
     """Evaluate the nodal basis h_i at x; returns (N+1,) or (N+1, M).
 
     Uses the second barycentric form; exact node hits return the
-    Kronecker column.
+    Kronecker column.  x must be a scalar or a 1D array.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim > 1:  # numpy would fail broadcasting it against the nodes
+        raise ValueError(f"points must be a scalar or a 1D array, not of shape {x.shape}")
     diff = np.atleast_1d(x)[None, :] - ns.nodes[:, None]
     hit = diff == 0.0
     on_node = hit.any(axis=0)

@@ -15,32 +15,26 @@ with positive arclength measure, and T^T Ehat places each on its boundary
 node.  The two solutions are linked exactly by Et = M1 E10 F, the discrete
 form of E = curl F, and carry equal H(curl) norms.
 
-Both operators are sums of Kronecker products of the 1D factors.  The
-incidence is pure topology, E10 = [kron(D, I); -kron(I, D)] with D the
-Nx(N+1) 1D difference, and the masses are Kronecker products of the 1D
-Grams Gh, Ge (see `galerkin`).  With K = D^T Ge D,
-Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T):
-
-    E10^T M1 E10 + M0             = kron(K + Gh, Gh) + kron(Gh, K)
-    E10 inv(M0) E10^T + inv(M1)   = [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]]
-
-Neither is formed: both are solved by fast diagonalization (Lynch, Rice
-& Thomas, Numer. Math. 6, 1964; Deville, Fischer & Mund 2002, 4.5) from
-1D generalized eigenpairs that `Discretization` computes once per degree.
-The Neumann operator is diagonal in the eigenvectors of K V = Gh V lam,
-with eigenvalues lam_i + lam_j + 1.  The Dirichlet solve eliminates the
-xi grid and diagonalizes the Schur complement
-kron(Hi, X) - kron(P, D Hi D^T), P = Hi D^T inv(X) D Hi, with the pencils
-P U = Hi U nu and (D Hi D^T) W = X W mu, eigenvalues 1 - nu_i mu_j.  The
-first pencil needs no eigensolve of its own: for K v = lam Gh v,
-X (Ge D v) = D Hi K v + D v = (1 + lam) D v, so
-D^T inv(X) D v = K v / (1 + lam) = lam/(1 + lam) Gh v, and U = Gh V,
-nu = lam/(1 + lam) solve it exactly, with U^T Hi U = V^T Gh V = I.  The
-equivalence of the two solves is still a check: each solve is followed by
-one refinement step x += S(b - A x) against its own operator A, applied on
-the grids (`_neumann_apply`, `_dirichlet_apply`) and not through the shared
-eigenvectors.  Building the factors, each solve and its right-hand side
-cost O(N^3); the mass solves of `GramSet` run on the grids as well.
+The incidence is pure topology, E10 = [kron(D, I); -kron(I, D)] with D
+the Nx(N+1) 1D difference, and the masses are Kronecker products of the 1D
+Grams Gh, Ge (see `galerkin`).  With K = D^T Ge D the Neumann operator,
+kron(K + Gh, Gh) + kron(Gh, K), is diagonal in the eigenvectors of the one
+pencil K V = Gh V lam that `Discretization` solves per degree, with
+eigenvalues lam_i + lam_j + 1: fast diagonalization (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964; Deville, Fischer & Mund 2002, 4.5).  The Dirichlet
+operator is inverted through it by the Woodbury identity (Hager, SIAM
+Rev. 31, 1989), S r = M1 r - M1 E10 g with g the Neumann solve of
+E10^T M1 r.  Neither operator is formed, and each solve costs O(N^3).
+Each is refined, x += S(b - A x), against its own operator A applied by
+its definition on the grids (`_neumann_apply`, `_dirichlet_apply`), not
+through the shared eigenvectors, so the equivalence of the two solves is
+still a check.  The Neumann solve takes one step.  S subtracts nearly
+equal terms in the high-curl modes, so a Dirichlet step multiplies their
+error by about eps kappa, kappa = 1/min(neumann_scale) = 2 max(lam) + 1
+(Higham 2002, ch. 12), which grows like N^4: eps kappa is 3e-12 at N=16
+and 5e-5 at N=1024.  So the Dirichlet solve takes the least k >= 1 steps
+with (eps kappa)^(k+1) <= eps/4: one up to N=64, two for N=128..512,
+three at N=1024.
 
 Fields live on the grids of `operators2d`, the one module that splits dof
 vectors into grids and joins them: the node grid f of F and the edge grids
@@ -55,6 +49,7 @@ it is the only way a degree and a quadrature rule reach this module, so
 both solves, the norms and the errors always share the same operators.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -62,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis1d import _edge_table, _integer, gauss_rule, lagrange_eval
-from .galerkin import GramSet, _inverse_factor, spd_eigh
+from .galerkin import GramSet, spd_eigh
 from .operators2d import (
     _dofs, _flat, _incidence, boundary_nodes, build_incidence, side_dof_indices)
 
@@ -154,12 +149,11 @@ class Discretization:
     The structural identities (equivalence of the two solves, equality of
     norms, E^h = curl F^h) hold for either.
 
-    The 1D factors of both solves are computed here, once, from two
-    generalized eigensolves: K, D Hi, X and inv(X), the eigenvectors V
-    (Neumann) and W (Dirichlet) normalized by their pencils' right-hand
-    matrices, U = Gh V (Dirichlet, see the module docstring), and the
-    reciprocal eigenvalue grids `neumann_scale` 1/(lam_i + lam_j + 1) and
-    `dirichlet_scale` 1/(1 - nu_i mu_j) with nu = lam/(1 + lam); `loop` is
+    The 1D factors of both solves are computed here, once, from one
+    generalized eigensolve: K = D^T Ge D, the eigenvectors V of
+    K V = Gh V lam normalized by V^T Gh V = I, and the reciprocal
+    eigenvalue grid `neumann_scale` 1/(lam_i + lam_j + 1); the Dirichlet
+    solve reuses them (see the module docstring).  `loop` is
     `boundary_nodes(N)`.  The degree N must be an integer >= 1 (a bool is
     not one).  The dense incidence `E10` is built on first access; no
     solve, norm or error path reads it.
@@ -174,14 +168,6 @@ class Discretization:
         self.K = D.T @ self.gram.Ge @ D
         lam, self.V = spd_eigh(self.K, self.gram.Lh)
         self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
-        self.DH = DH = D @ self.gram.Gh_inv
-        Y = DH @ D.T
-        self.X = Y + self.gram.Ge_inv
-        mu, self.W = spd_eigh(Y, _inverse_factor(self.X))
-        self.X_inv = self.W @ self.W.T  # W^T X W = I
-        self.U = self.gram.Gh @ self.V
-        nu = lam / (1.0 + lam)
-        self.dirichlet_scale = 1.0 / (1.0 - nu[:, None] * mu)
 
     @cached_property
     def E10(self):
@@ -259,38 +245,49 @@ def solve_neumann(bd, disc):
     return _flat(f + solve(rhs - _neumann_apply(f, disc)))  # one refinement step
 
 
+def _incidence_t(a, b, disc):
+    """E10^T Et on the edge grids (a, b) of Et: the node grid D^T a - b D."""
+    return disc.D.T @ a - b @ disc.D
+
+
 def _dirichlet_apply(grids, disc):
-    """(E10 inv(M0) E10^T + inv(M1)) Et on the edge grids (a, b):
-    X a Hi - (D Hi) b (D Hi) and -(Hi D^T) a (Hi D^T) + Hi b X."""
-    Hi, X, DH = disc.gram.Gh_inv, disc.X, disc.DH
-    a, b = grids
-    return X @ a @ Hi - DH @ b @ DH, Hi @ b @ X - DH.T @ a @ DH.T
+    """(E10 inv(M0) E10^T + inv(M1)) Et on the edge grids (a, b), by its
+    definition: the mass solves of `GramSet` and the incidence."""
+    gram = disc.gram
+    s_xi, s_eta = gram._solve_mass1(*grids)
+    c_xi, c_eta = _incidence(gram._solve_mass0(_incidence_t(*grids, disc)))
+    return s_xi + c_xi, s_eta + c_eta
 
 
 def _dirichlet_rhs(bd, disc):
     return tuple(-g for g in _incidence(disc.gram._solve_mass0(_scatter(bd, disc))))
 
 
+def _dirichlet_steps(disc):
+    """The refinement steps of the Dirichlet solve (see the module docstring)."""
+    eps = np.finfo(float).eps
+    return max(1, math.ceil(math.log(eps / 4) / math.log(eps / disc.neumann_scale.min())) - 1)
+
+
 def solve_dirichlet(bd, disc):
     """Dual solve: edge dofs Et from
     (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat,
-    the operator being [[kron(X, Hi), -C], [-C^T, kron(Hi, X)]] with
-    Hi = inv(Gh), X = D Hi D^T + inv(Ge) and C = kron(D Hi, Hi D^T).
-    The xi grid a is eliminated; the eta grid b solves the Schur complement
-    Hi b X - P b (D Hi D^T) = r_eta + Hi D^T inv(X) r_xi D^T by fast
-    diagonalization, and a = inv(X) (r_xi + D Hi b D Hi) Gh.  O(N^3)."""
+    by the Woodbury inverse M1 r - M1 E10 g, g the Neumann solve of
+    E10^T M1 r, and `_dirichlet_steps` refinement steps.  O(N^3)."""
     _check(bd, disc)
-    D, DH, Gh, Xi = disc.D, disc.DH, disc.gram.Gh, disc.X_inv
+    mass1 = disc.gram._mass1
 
-    def solve(r_xi, r_eta):
-        b = _fdm(disc.U, disc.W, disc.dirichlet_scale, r_eta + DH.T @ Xi @ r_xi @ D.T)
-        return Xi @ (r_xi + DH @ b @ DH) @ Gh, b
+    def solve(r):
+        m = mass1(*r)
+        g = _fdm(disc.V, disc.V, disc.neumann_scale, _incidence_t(*m, disc))
+        return [a - c for a, c in zip(m, mass1(*_incidence(g)))]
 
-    r_xi, r_eta = _dirichlet_rhs(bd, disc)
-    a, b = solve(r_xi, r_eta)
-    s_xi, s_eta = _dirichlet_apply((a, b), disc)
-    da, db = solve(r_xi - s_xi, r_eta - s_eta)
-    return _flat(a + da, b + db)  # one refinement step
+    rhs = _dirichlet_rhs(bd, disc)
+    x = solve(rhs)
+    for _ in range(_dirichlet_steps(disc)):
+        r = [b - s for b, s in zip(rhs, _dirichlet_apply(x, disc))]
+        x = [a + d for a, d in zip(x, solve(r))]
+    return _flat(*x)
 
 
 def solve_both(bd, disc):
@@ -304,7 +301,7 @@ def solve_both(bd, disc):
 def _weak_curl(a, b, bd, disc):
     """E10^T Et + T^T Ehat on the edge grids (a, b) of Et: the node grid
     D^T a - b D plus the scattered boundary dofs."""
-    return disc.D.T @ a - b @ disc.D + _scatter(bd, disc)
+    return _incidence_t(a, b, disc) + _scatter(bd, disc)
 
 
 def weak_curl(Et, bd, disc):

@@ -2,12 +2,17 @@
 tracer wraps, the modules it reads after `import dualcurl` and the dense
 product its in-process gate evaluates.  A traced benchmark run crashes
 without them, and no other test here runs one; when the benchmark stops
-binding an internal, its check here goes with it."""
+binding an internal, its check here goes with it.  Each workload of
+BENCHMARK.json also runs end to end, untraced, at its smoke size, so a
+change that breaks the benchmark's correctness gate fails here."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dualcurl
 from dualcurl import curlcurl as cc
@@ -44,3 +49,16 @@ def test_bound_names_exist():
     assert dualcurl.Discretization is cc.Discretization
     assert dualcurl.Discretization(3, rule="gauss").degree == 3
     assert isinstance(cc.AnalyticField, type)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_smoke_run_passes_the_gate(workload):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", "1", "--seconds", "0.3", "--size", "smoke"]
+    run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True, run.stdout

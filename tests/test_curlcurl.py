@@ -60,6 +60,15 @@ def _best_h1_error(N, m=60):
     return float(np.sqrt(np.sum(np.outer(w, w) * e2)))
 
 
+@functools.lru_cache(maxsize=None)
+def _exponential_solution(N, rule):
+    """(disc, bd, sol) of the exponential pair at degree N under `rule`,
+    solved once for the tests that share it."""
+    disc = cc.Discretization(N, rule)
+    bd = cc.project_boundary_data(cc.exponential_pair(), disc)
+    return disc, bd, cc.solve_both(bd, disc)
+
+
 @pytest.fixture(scope="module")
 def exact():
     return cc.exponential_pair()
@@ -219,7 +228,7 @@ class TestSolvers:
 
     @pytest.mark.parametrize("rule", ["gauss", "lobatto"])
     @pytest.mark.parametrize("N", [64, 128, 256])
-    def test_identities_hold_to_degree_256(self, exact, N, rule):
+    def test_identities_hold_to_degree_256(self, N, rule):
         # Bounds c N^2 eps, fixed before running: c = 10 for the
         # equivalence residual and the norm gap, c = 50 for the pointwise
         # E^h = curl F^h relative to max|curl F^h|.  The growth is rounding
@@ -227,11 +236,9 @@ class TestSolvers:
         # identities are algebraic in the computed 1D Grams, and Grams
         # perturbed by a relative 1e-9 leave the residuals at their size
         # (gauss rule, N=64..256).  A c kappa eps bound would catch nothing:
-        # the pencils' kappa is 8.8e8 at N=256, which allows about 2e-7.
+        # the Neumann pencil's kappa is 8.8e8 at N=256, which allows about 2e-7.
         bound = N**2 * np.finfo(float).eps
-        disc = cc.Discretization(N, rule)
-        bd = cc.project_boundary_data(exact, disc)
-        sol = cc.solve_both(bd, disc)
+        disc, bd, sol = _exponential_solution(N, rule)
         assert equivalence_residual(sol, disc) <= 10 * bound
         nF = cc.norm_F(sol.neumann, disc)
         assert norm_gap(nF, cc.norm_E(sol.dirichlet, bd, disc)) <= 10 * bound
@@ -240,6 +247,18 @@ class TestSolvers:
         C = cc.reconstruct("primal-curl", sol.neumann, g, g, disc)
         gap = max(np.abs(e - c).max() for e, c in zip(E, C))
         assert gap <= 50 * bound * max(np.abs(c).max() for c in C)
+
+    @pytest.mark.parametrize("rule", ["gauss", "lobatto"])
+    @pytest.mark.parametrize("N", [*range(1, 10), 16, 64, 128, 256])
+    def test_weak_curl_is_minus_the_primal_field(self, N, rule):
+        # the third discrete identity, curl E^h = -F^h, on the node grid:
+        # inv(M0) (E10^T Et + T^T Ehat) = -F.  Bound 10 N^2 eps, fixed
+        # before the run; the worst measured is 1.6 N^2 eps, at N=1 (gauss)
+        disc, bd, sol = _exponential_solution(N, rule)
+        f = _dofs(sol.neumann, N)
+        w = cc._weak_curl(*_dofs(sol.dirichlet, N, "edges"), bd, disc)
+        gap = np.linalg.norm(disc.gram._solve_mass0(w) + f) / np.linalg.norm(f)
+        assert gap <= 10 * N**2 * np.finfo(float).eps
 
     @pytest.mark.parametrize("N", [2, 5])
     def test_substitution_reproduces_dirichlet_rhs(self, solved, N):
@@ -440,16 +459,16 @@ class TestFastDiagonalization:
 
         monkeypatch.setattr(cc, "spd_eigh", counting)
         disc = cc.Discretization(6)
-        assert len(calls) == 2   # the Neumann pencil and the (Y, X) pencil
+        assert len(calls) == 1   # the Neumann pencil; the Dirichlet solve reuses it
         bd = cc.project_boundary_data(exact, disc)
         cc.solve_both(bd, disc)
         cc.solve_both(bd, disc)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("N", [1, 6])
-    def test_three_cholesky_factors_per_degree(self, monkeypatch, N):
-        # Gh and Ge in `GramSet`, X in the Dirichlet eigensolve; the Neumann
-        # eigensolve reuses the inverse factor of Gh that `GramSet` keeps
+    def test_two_cholesky_factors_per_degree(self, monkeypatch, N):
+        # Gh and Ge in `GramSet`; the Neumann eigensolve reuses the inverse
+        # factor of Gh that `GramSet` keeps
         sizes = []
         cholesky = galerkin.np.linalg.cholesky
 
@@ -459,26 +478,39 @@ class TestFastDiagonalization:
 
         monkeypatch.setattr(galerkin.np.linalg, "cholesky", recording)
         cc.Discretization(N)
-        assert sorted(sizes) == [N, N, N + 1]
+        assert sorted(sizes) == [N, N + 1]
 
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     @pytest.mark.parametrize("N", [*range(1, 13), 24, 40, 64])
     def test_pencils_by_definition(self, N, rule):
-        # A V = B V diag(w) and V^T B V = I for the three pencils the
-        # solves are built from, checked on the factors `disc` holds: V,
-        # W, and U with nu = lam/(1 + lam); bounds fixed before the first run
+        # K V = Gh V diag(lam) and V^T Gh V = I for the one pencil both
+        # solves are built from, checked on the factors `disc` holds;
+        # bounds fixed before the first run
         disc = cc.Discretization(N, rule)
-        Y = disc.DH @ disc.D.T
-        lam = np.diag(disc.V.T @ disc.K @ disc.V)
-        pencils = [(disc.K, disc.gram.Gh, disc.V, lam),
-                   (Y, disc.X, disc.W, np.diag(disc.W.T @ Y @ disc.W)),
-                   (disc.DH.T @ disc.X_inv @ disc.DH, disc.gram.Gh_inv, disc.U,
-                    lam / (1 + lam))]
-        for A, B, V, w in pencils:
-            assert np.all(np.diff(w) >= 0)
-            scale = np.abs(A).max() * np.abs(V).max()
-            assert np.abs(A @ V - B @ V * w).max() <= 1e-13 * scale
-            assert np.abs(V.T @ B @ V - np.eye(len(w))).max() <= 1e-12
+        A, B, V = disc.K, disc.gram.Gh, disc.V
+        w = np.diag(V.T @ A @ V)
+        assert np.all(np.diff(w) >= 0)
+        scale = np.abs(A).max() * np.abs(V).max()
+        assert np.abs(A @ V - B @ V * w).max() <= 1e-13 * scale
+        assert np.abs(V.T @ B @ V - np.eye(len(w))).max() <= 1e-12
+
+    @pytest.mark.parametrize("N, steps", [(16, 1), (128, 2), (256, 2)])
+    def test_dirichlet_refinement_steps_grow_with_kappa(self, exact, monkeypatch, N, steps):
+        # each step multiplies the error of the high-curl modes by about
+        # eps kappa, kappa = 1/min(neumann_scale); the solve stops at the
+        # least k >= 1 with (eps kappa)^(k+1) <= eps/4
+        disc = cc.Discretization(N)
+        bd = cc.project_boundary_data(exact, disc)
+        calls = []
+        apply = cc._dirichlet_apply
+
+        def counting(grids, disc):
+            calls.append(1)
+            return apply(grids, disc)
+
+        monkeypatch.setattr(cc, "_dirichlet_apply", counting)
+        cc.solve_dirichlet(bd, disc)
+        assert len(calls) == steps
 
 
 class TestGridOnlyPath:
@@ -774,6 +806,16 @@ class TestErrorNorms:
             errF, errE = cc.error_norms(sol, exact, disc)
             assert abs(errE - errF) <= 1e-14, (N, errF, errE)
 
+    @pytest.mark.parametrize("rule", ["gauss", "lobatto"])
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_dual_error_tracks_primal_error_at_high_degree(self, exact, N, rule):
+        # from N=16 both errors are rounding, and the identities tie them
+        # to N^2 eps of the field's H(curl) norm: a dual solve that loses
+        # digits in its high-curl modes shows here first
+        disc, _, sol = _exponential_solution(N, rule)
+        errF, errE = cc.error_norms(sol, exact, disc)
+        assert abs(errE - errF) <= N**2 * np.finfo(float).eps * cli.theoretical_norm()
+
     def test_primal_error_is_the_best_h1_approximation(self, exact):
         # the Neumann solve is the H1 projection of F onto Q_N; the "gauss"
         # rule integrates it exactly, so errF is the best-approximation
@@ -915,6 +957,14 @@ class TestInputChecks:
         field = cc.AnalyticField(Ex=lambda x, y: np.where(x > 0.5, np.nan, 1.0), Ey=exact.Ey)
         with pytest.raises(ValueError, match="not finite"):
             cc.project_boundary_data(field, cc.Discretization(3))
+
+    @pytest.mark.parametrize("evaluate", ["lagrange_eval", "edge_eval"])
+    def test_basis_points_must_be_scalar_or_1d(self, evaluate):
+        # numpy would fail broadcasting a grid against the nodes, naming
+        # neither the points nor their shape
+        with pytest.raises(ValueError, match=r"^points must be a scalar or a 1D array, "
+                                             r"not of shape \(2, 2\)$"):
+            getattr(basis1d, evaluate)(gll_nodes(3), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("point", [5.0, -1.0 - 1e-12, np.nan, np.inf])
