@@ -13,12 +13,14 @@ Note: some references print the sum starting at k=1, which would make e_1
 vanish identically and break the integral property; the k=0 lower bound
 used here is the one consistent with that property.
 
-`gll_nodes` takes the nodes from the eigenvalues of a Jacobi matrix and
-the Newton step and both weight sets from one evaluation of L_N: no
-iteration, no degree limit.  `lagrange_eval` is the one pointwise
-evaluator.  h_i' has degree N-1, so h_i'(x) = sum_j h_j(x) Dn[j, i] with
-the nodal differentiation matrix Dn[j, i] = h_i'(x_j), built once per node
-set (Berrut & Trefethen, SIAM Rev. 46, 2004, 9), and the edge table is
+`gll_nodes` and `gauss_rule` share one node algorithm, with no iteration and
+no degree limit: the eigenvalues of a Jacobi matrix (Golub & Welsch, Math.
+Comp. 23, 1969), one Newton step, and the weights from that one evaluation
+of L_N, taken to the polished nodes by a Taylor step with L'' from the
+Legendre ODE.  `lagrange_eval` is the one pointwise evaluator.  h_i' has
+degree N-1, so h_i'(x) = sum_j h_j(x) Dn[j, i] with the nodal
+differentiation matrix Dn[j, i] = h_i'(x_j), built once per node set
+(Berrut & Trefethen, SIAM Rev. 46, 2004, 9), and the edge table is
 -cumsum(Dn^T H)[:-1] of the nodal table H (`_edge_table`): a caller that
 needs both tables evaluates H once, and at the nodes, where H is the
 identity, none.
@@ -85,23 +87,18 @@ def _legendre(N, x):
 def gll_nodes(N):
     """GLL nodes, quadrature and barycentric weights and Dn for degree N.
 
-    The interior nodes, the roots of L_N' (of P^(1,1)_{N-1}), are the
-    eigenvalues of its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
-    polished by one Newton step.  The node polynomial (1-x^2) L_N' has
-    derivative -N(N+1) L_N, so one L_N at the nodes gives both
-    w_i = 2 / (N(N+1) L_N(x_i)^2) and b_i ∝ 1/L_N(x_i).  That L_N comes
-    from the same evaluation as the Newton step: the polished nodes lie
-    dx ~ 1e-16 from the eigenvalues, and L + dx (L' + dx L''/2), with L''
-    from the Legendre ODE, misses L_N there by O(dx^3).  The endpoints take
-    L_N(±1) = (±1)^N, and the weights are averaged with their mirror image,
-    so they are exactly symmetric.  Dn[j, i] = (b_i/b_j)/(x_j - x_i) off
-    the diagonal; its rows sum to zero.
+    The interior nodes are the roots of L_N' (of P^(1,1)_{N-1}).  The node
+    polynomial (1-x^2) L_N' has derivative -N(N+1) L_N, so one L_N at the
+    nodes gives both w_i = 2 / (N(N+1) L_N(x_i)^2) and b_i ∝ 1/L_N(x_i):
+    the polished nodes lie dx ~ 1e-16 from the eigenvalues, and
+    L + dx (L' + dx L''/2) misses L_N there by O(dx^3).  The endpoints take
+    L_N(±1) = (±1)^N.  Dn[j, i] = (b_i/b_j)/(x_j - x_i) off the diagonal;
+    its rows sum to zero.
     """
     N = _integer("degree", N, 1)
-    k = np.arange(1, N - 1)
-    J = np.zeros((N - 1, N - 1))
-    J[k, k - 1] = J[k - 1, k] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
-    xi = np.linalg.eigvalsh(J)
+    k = np.arange(1, N - 1)  # the lower triangle of J; N=1 has no interior node
+    beta = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    xi = np.linalg.eigvalsh(np.diag(beta, -1))[:N - 1]
     L, dL = _legendre(N, xi)
     # q = (1-x^2) L_N'' = 2x L_N' - N(N+1) L_N by the Legendre ODE
     s, q = 1.0 - xi * xi, 2.0 * xi * dL - N * (N + 1) * L
@@ -122,13 +119,22 @@ def gll_nodes(N):
 
 
 def gauss_rule(M):
-    """Gauss-Legendre rule with M points, computed once per M (read-only)."""
+    """Gauss-Legendre rule with M points, computed once per M (read-only):
+    w_i = 2 / ((1-x_i^2) L_M'(x_i)^2), with L_M' at the polished nodes from
+    L' + dx L'' (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013)."""
     return _gauss_rule(_integer("points", M, 1))
 
 
 @lru_cache(maxsize=None)
 def _gauss_rule(M):
-    p, w = np.polynomial.legendre.leggauss(M)
+    k = np.arange(1, M)  # eigvalsh reads only the lower triangle
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1), -1))
+    L, dL = _legendre(M, x)
+    p = x - L / dL  # one Newton step
+    p = 0.5 * (p - p[::-1])  # nodes and weights symmetric about 0
+    dL = dL + (p - x) * (2.0 * x * dL - M * (M + 1) * L) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - p * p) * dL * dL)
+    w = 0.5 * (w + w[::-1])
     p.flags.writeable = w.flags.writeable = False
     return QuadratureRule1D(points=p, weights=w)
 

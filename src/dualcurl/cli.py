@@ -22,7 +22,7 @@ import numpy as np
 
 from . import curlcurl as cc
 from .basis1d import _integer, gauss_rule, gll_nodes, edge_eval
-from .galerkin import GramSet, assemble_mass0
+from .galerkin import GramSet
 from .operators2d import _dofs, _flat, _incidence, build_incidence, build_trace
 
 __all__ = [
@@ -249,28 +249,27 @@ TRACE_N3 = np.eye(16, dtype=np.int64)[
 
 
 def _edge_kronecker_residual():
-    """Edge-basis integrals over the node intervals against the identity."""
+    """Edge-basis interval integrals against the identity, one table per degree."""
     worst = 0.0
     for N in range(1, 13):
         ns = gll_nodes(N)
         q = gauss_rule(max(N, 2))
-        rows = []
-        for j in range(1, N + 1):
-            a, b = ns.nodes[j - 1], ns.nodes[j]
-            pts = 0.5 * (b - a) * q.points + 0.5 * (a + b)
-            rows.append(edge_eval(ns, pts) @ q.weights * 0.5 * (b - a))
-        worst = max(worst, float(np.abs(np.column_stack(rows) - np.eye(N)).max()))
+        h, mid = np.diff(ns.nodes) / 2, (ns.nodes[1:] + ns.nodes[:-1]) / 2
+        E = edge_eval(ns, np.kron(h, q.points) + np.repeat(mid, len(q.points)))
+        integrals = E @ np.kron(np.diag(h), q.weights[:, None])
+        worst = max(worst, float(np.abs(integrals - np.eye(N)).max()))
     return worst
 
 
 def _volume_biorthogonality_residual():
-    """Dual volume basis against the primal nodal one, exact-quadrature masses."""
+    """Dual volume basis against the primal nodal one: the exact-rule grid
+    solve of M0's columns, column (j, i) the grid outer(Gh[:, j], Gh[:, i])."""
     worst = 0.0
     for N in range(1, 9):
         gram = GramSet(N, rule="gauss")
-        M0 = assemble_mass0(gram.Gh)  # the 2D integrals are kron(Gh, Gh)
-        X = np.column_stack([gram.solve_mass0(c) for c in M0.T])
-        worst = max(worst, float(np.abs(X - np.eye(M0.shape[0])).max()))
+        X = gram._solve_mass0(np.einsum("aj,bi->jiab", gram.Gh, gram.Gh))
+        I = np.eye(N + 1)
+        worst = max(worst, float(np.abs(X - np.einsum("aj,bi->jiab", I, I)).max()))
     return worst
 
 

@@ -205,6 +205,22 @@ class TestGaussRule:
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(q.weights @ q.points**k - exact) < 1e-12
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="longdouble carries no more precision than float64")
+    @pytest.mark.parametrize("M", [*range(1, 10), 16, 24, 31, 47, 55, 64, 128, 271])
+    def test_matches_extended_precision_reference(self, M):
+        # reference: three Newton steps on the roots of L_M and the weights
+        # 2 / ((1 - x^2) L_M'^2), all in extended precision
+        q = gauss_rule(M)
+        x = q.points.astype(np.longdouble)
+        for _ in range(3):
+            L, dL = _legendre_longdouble(M, x)
+            x -= L / dL
+        _, dL = _legendre_longdouble(M, x)
+        w = 2 / ((1 - x * x) * dL * dL)
+        assert np.max(np.abs(q.points - x)) <= 2e-16
+        assert np.max(np.abs(q.weights / w - 1)) <= 32 * M * np.finfo(float).eps
+
 
 class TestLagrange:
     def test_node_hits_are_kronecker(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualcurl import basis1d, cli
+from dualcurl import basis1d, cli, galerkin
 from dualcurl import curlcurl as cc
 from dualcurl.cli import (
     INVARIANTS,
@@ -186,6 +186,47 @@ class TestSelfCheck:
         monkeypatch.setattr(cli, "build_incidence", lambda n: build_incidence(n).T)
         assert self_check(log=quiet) is False
 
+    @pytest.mark.parametrize("target, line", [
+        ((basis1d, "_edge_table"), 0),
+        ((galerkin.GramSet, "_solve_mass0"), 1),
+    ], ids=["edge-table", "solve-mass0"])
+    def test_perturbed_basis_detected(self, target, line, monkeypatch):
+        # a relative error of 1e-9 in the edge table or in the nodal grid
+        # solve fails exactly the basis line that reads it
+        report = run_study(StudyConfig(max_degree=8, emit=frozenset()))
+        fn = getattr(*target)
+        monkeypatch.setattr(*target, lambda *a: fn(*a) * (1 + 1e-9))
+        lines = []
+        assert self_check(log=lines.append, report=report) is False
+        failed = [ln for ln in lines if ln.startswith("FAIL ")]
+        assert len(failed) == 1 and failed[0].startswith(f"FAIL  {INVARIANTS[line][0]}:")
+        assert lines[-1] == "self-check: 5/6 passed"
+
+    def test_basis_lines_use_the_grid_solve(self, monkeypatch):
+        # one edge table per degree (N=1..12) and one grid solve per degree
+        # (N=1..8) on all of M0's columns at once; no public per-column
+        # solve and no dense nodal mass
+        report = run_study(StudyConfig(max_degree=9, emit=frozenset()))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def forbidden(*args):
+            raise AssertionError("the self-check formed a dense mass or a per-column solve")
+
+        monkeypatch.setattr(cli, "edge_eval", counted("edge_eval", cli.edge_eval))
+        gram = galerkin.GramSet
+        monkeypatch.setattr(gram, "_solve_mass0", counted("grid", gram._solve_mass0))
+        monkeypatch.setattr(gram, "solve_mass0", forbidden)
+        monkeypatch.setattr(galerkin, "assemble_mass0", forbidden)
+        assert self_check(log=quiet, report=report) is True
+        assert calls == {"edge_eval": 12, "grid": 8}
+        assert not hasattr(cli, "assemble_mass0")
+
     def test_output_contract(self):
         # the benchmark's paper-cli gate parses these lines
         lines = []
@@ -253,15 +294,18 @@ class TestMain:
             assert (tmp_path / f).exists()
 
     def test_each_gauss_rule_size_computed_once(self, tmp_path, monkeypatch):
+        # the rule's builder evaluates L_M once per size; gll_nodes' own
+        # evaluations are not counted
         basis1d._gauss_rule.cache_clear()
         sizes = Counter()
-        leggauss = np.polynomial.legendre.leggauss
+        legendre, builder = basis1d._legendre, basis1d._gauss_rule.__wrapped__.__code__
 
-        def counted(M):
-            sizes[M] += 1
-            return leggauss(M)
+        def counted(N, x):
+            if sys._getframe(1).f_code is builder:
+                sizes[N] += 1
+            return legendre(N, x)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        monkeypatch.setattr(basis1d, "_legendre", counted)
         assert main(["--max-degree", "9", "--out", str(tmp_path),
                      "--emit", "table1,fig3,fig2", "--self-check"]) == 0
         assert sizes and set(sizes.values()) == {1}, sizes
@@ -284,6 +328,19 @@ class TestMain:
         assert re.fullmatch(r"<frozen runpy>:\d+: RuntimeWarning: 'dualcurl\.cli' found in "
                             r"sys\.modules after import of package 'dualcurl'[^\n]*\n",
                             proc.stderr), proc.stderr
+
+    def test_paper_cli_loads_no_polynomial_module(self, tmp_path):
+        # every node set, Gauss rules included, comes from basis1d's own
+        # Jacobi-matrix and Newton routine
+        src = str(Path(cc.__file__).resolve().parents[1])
+        code = ("import sys; from dualcurl.cli import main; "
+                "rc = main(['--max-degree', '9', '--emit', 'table1,fig3,fig2', "
+                f"'--self-check', '--out', {str(tmp_path)!r}]); "
+                "print(rc, sorted(m for m in sys.modules if 'polynomial' in m.split('.')))")
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_invalid_emit_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

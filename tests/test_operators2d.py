@@ -177,8 +177,8 @@ def test_only_operators2d_splits_and_joins_dofs(module):
     # the other modules keep fields on their grids; the one reshape left is
     # the in-place kron fill of the dense edge mass.  curlcurl's fields
     # never go through a public mass solve or the public weak curl, which
-    # would join them and check them again (cli's self-check applies
-    # solve_mass0 to the columns of a dense mass)
+    # would join them and check them again (cli's self-check solves the
+    # nodal mass's columns as one stack of node grids)
     source = inspect.getsource(module)
     for banned in ("np.split", "np.concatenate", ".ravel()", "_edge_grids", "_unflat"):
         assert banned not in source, banned
