@@ -11,7 +11,6 @@ from .curlcurl import (
     solve_neumann,
     solve_dirichlet,
     solve_both,
-    weak_curl,
     norm_F,
     norm_E,
     reconstruct,

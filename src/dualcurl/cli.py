@@ -23,7 +23,7 @@ import numpy as np
 from . import curlcurl as cc
 from .basis1d import _integer, gauss_rule, gll_nodes, edge_eval
 from .galerkin import GramSet
-from .operators2d import _dofs, _flat, _incidence, build_incidence, build_trace
+from .operators2d import _dofs, _incidence, build_incidence, build_trace
 
 __all__ = [
     "StudyConfig",
@@ -96,13 +96,12 @@ def _fmt(v):
 
 def equivalence_residual(sol, disc):
     """||Et - M1 E10 F|| / ||Et||, or the absolute distance where Et = 0, with
-    M1 E10 F = `GramSet._mass1` of the edge grids of E10 F: the incidence
+    M1 E10 F = `GramSet._mass1` of the edge stack of E10 F: the incidence
     and the 1D Grams, none of the solves' factors."""
     cc._check(sol, disc)
-    xi, eta = _dofs(sol.dirichlet, disc.degree, "edges")
-    ma, mb = disc.gram._mass1(*_incidence(_dofs(sol.neumann, disc.degree)))
-    dist = float(np.linalg.norm(_flat(xi - ma, eta - mb)))
-    size = float(np.linalg.norm(_flat(xi, eta)))
+    s = _dofs(sol.dirichlet, disc.degree, "edges")
+    c = _incidence(_dofs(sol.neumann, disc.degree))
+    dist, size = float(np.linalg.norm(s - disc.gram._mass1(c))), float(np.linalg.norm(s))
     return dist / size if size else dist
 
 

@@ -37,12 +37,12 @@ with (eps kappa)^(k+1) <= eps/4: one up to N=64, two for N=128..512,
 three at N=1024.
 
 Fields live on the grids of `operators2d`, the one module that splits dof
-vectors into grids and joins them: the node grid f of F and the edge grids
-(a, b) of Et.  Each field operation has one form on the grids; a public
-entry reads each caller array once, with `_dofs`, and joins once, on
-return.  On the grids E10 F is [D f; -f D^T] and E10^T Et is D^T a - b D,
-the norms are 1D Gram products, and `reconstruct` evaluates a field on
-the tensor grid of two 1D axes.
+vectors into grids and joins them: the node grid f of F and the (2, N,
+N+1) edge stack s of Et.  Each field operation has one form on the grids;
+a public entry reads each caller array once, with `_dofs`, and joins
+once, on return.  On the grids E10 and E10^T are `_incidence` and
+`_incidence_t`, the norms are 1D Gram products, and `reconstruct`
+evaluates a field on the tensor grid of two 1D axes.
 
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and a quadrature rule reach this module, so
@@ -59,7 +59,8 @@ import numpy as np
 from .basis1d import _edge_table, _integer, gauss_rule, lagrange_eval
 from .galerkin import GramSet, spd_eigh
 from .operators2d import (
-    _dofs, _flat, _incidence, boundary_nodes, build_incidence, side_dof_indices)
+    _dofs, _flat, _incidence, _incidence_t, boundary_nodes, build_incidence,
+    side_dof_indices)
 
 __all__ = [
     "AnalyticField",
@@ -71,7 +72,6 @@ __all__ = [
     "solve_neumann",
     "solve_dirichlet",
     "solve_both",
-    "weak_curl",
     "norm_F",
     "norm_E",
     "reconstruct",
@@ -163,8 +163,8 @@ class Discretization:
         self.gram = GramSet(N, rule)  # checks the degree
         self.degree = N = self.gram.degree
         self.nodes = self.gram.nodes
-        self.D = D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.loop = boundary_nodes(N)
+        D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.K = D.T @ self.gram.Ge @ D
         lam, self.V = spd_eigh(self.K, self.gram.Lh)
         self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
@@ -209,9 +209,9 @@ def project_boundary_data(field, disc, boost=15):
     return BoundaryData(degree=N, dofs=dofs)
 
 
-def _fdm(Q1, Q2, scale, r):
-    """Fast-diagonalization solve on a grid: Q1 ((Q1^T r Q2) * scale) Q2^T."""
-    return Q1 @ ((Q1.T @ r @ Q2) * scale) @ Q2.T
+def _neumann_inverse(r, disc):
+    """Fast-diagonalization solve on the node grid r: V ((V^T r V) * scale) V^T."""
+    return disc.V @ ((disc.V.T @ r @ disc.V) * disc.neumann_scale) @ disc.V.T
 
 
 def _neumann_apply(f, disc):
@@ -231,36 +231,40 @@ def _neumann_rhs(bd, disc):
     return -_scatter(bd, disc)
 
 
+def _refined(inverse, apply, b, steps, disc):
+    """x = S b for the approximate inverse S = `inverse` of A = `apply`,
+    then `steps` refinement steps x += S(b - A x)."""
+    x = inverse(b, disc)
+    for _ in range(steps):
+        x += inverse(b - apply(x, disc), disc)
+    return x
+
+
 def solve_neumann(bd, disc):
     """Primal solve: nodal dofs F from (E10^T M1 E10 + M0) F = -T^T Ehat,
     the operator being kron(K + Gh, Gh) + kron(Gh, K) with K = D^T Ge D.
-    Fast diagonalization with K V = Gh V lam, O(N^3)."""
+    Fast diagonalization with K V = Gh V lam, O(N^3), and one refinement step."""
     _check(bd, disc)
-
-    def solve(r):
-        return _fdm(disc.V, disc.V, disc.neumann_scale, r)
-
-    rhs = _neumann_rhs(bd, disc)
-    f = solve(rhs)
-    return _flat(f + solve(rhs - _neumann_apply(f, disc)))  # one refinement step
+    return _flat(_refined(_neumann_inverse, _neumann_apply, _neumann_rhs(bd, disc), 1, disc))
 
 
-def _incidence_t(a, b, disc):
-    """E10^T Et on the edge grids (a, b) of Et: the node grid D^T a - b D."""
-    return disc.D.T @ a - b @ disc.D
+def _dirichlet_inverse(r, disc):
+    """The Woodbury inverse of the Dirichlet operator on the edge stack r:
+    M1 r - M1 E10 g, g the Neumann inverse of E10^T M1 r."""
+    mass1 = disc.gram._mass1
+    m = mass1(r)
+    return m - mass1(_incidence(_neumann_inverse(_incidence_t(m), disc)))
 
 
-def _dirichlet_apply(grids, disc):
-    """(E10 inv(M0) E10^T + inv(M1)) Et on the edge grids (a, b), by its
+def _dirichlet_apply(s, disc):
+    """(E10 inv(M0) E10^T + inv(M1)) Et on the edge stack s, by its
     definition: the mass solves of `GramSet` and the incidence."""
     gram = disc.gram
-    s_xi, s_eta = gram._solve_mass1(*grids)
-    c_xi, c_eta = _incidence(gram._solve_mass0(_incidence_t(*grids, disc)))
-    return s_xi + c_xi, s_eta + c_eta
+    return gram._solve_mass1(s) + _incidence(gram._solve_mass0(_incidence_t(s)))
 
 
 def _dirichlet_rhs(bd, disc):
-    return tuple(-g for g in _incidence(disc.gram._solve_mass0(_scatter(bd, disc))))
+    return -_incidence(disc.gram._solve_mass0(_scatter(bd, disc)))
 
 
 def _dirichlet_steps(disc):
@@ -272,22 +276,11 @@ def _dirichlet_steps(disc):
 def solve_dirichlet(bd, disc):
     """Dual solve: edge dofs Et from
     (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat,
-    by the Woodbury inverse M1 r - M1 E10 g, g the Neumann solve of
-    E10^T M1 r, and `_dirichlet_steps` refinement steps.  O(N^3)."""
+    by the Woodbury inverse `_dirichlet_inverse` and `_dirichlet_steps`
+    refinement steps.  O(N^3)."""
     _check(bd, disc)
-    mass1 = disc.gram._mass1
-
-    def solve(r):
-        m = mass1(*r)
-        g = _fdm(disc.V, disc.V, disc.neumann_scale, _incidence_t(*m, disc))
-        return [a - c for a, c in zip(m, mass1(*_incidence(g)))]
-
-    rhs = _dirichlet_rhs(bd, disc)
-    x = solve(rhs)
-    for _ in range(_dirichlet_steps(disc)):
-        r = [b - s for b, s in zip(rhs, _dirichlet_apply(x, disc))]
-        x = [a + d for a, d in zip(x, solve(r))]
-    return _flat(*x)
+    return _flat(_refined(_dirichlet_inverse, _dirichlet_apply, _dirichlet_rhs(bd, disc),
+                          _dirichlet_steps(disc), disc))
 
 
 def solve_both(bd, disc):
@@ -298,34 +291,25 @@ def solve_both(bd, disc):
     )
 
 
-def _weak_curl(a, b, bd, disc):
-    """E10^T Et + T^T Ehat on the edge grids (a, b) of Et: the node grid
-    D^T a - b D plus the scattered boundary dofs."""
-    return _incidence_t(a, b, disc) + _scatter(bd, disc)
-
-
-def weak_curl(Et, bd, disc):
-    """Dofs of the weak curl of the dual field: E10^T Et + T^T Ehat."""
-    _check(bd, disc)
-    return _flat(_weak_curl(*_dofs(Et, disc.degree, "edges"), bd, disc))
+def _weak_curl(s, bd, disc):
+    """E10^T Et + T^T Ehat on the edge stack s of Et: a node grid."""
+    return _incidence_t(s) + _scatter(bd, disc)
 
 
 def norm_F(F, disc):
     """H(curl) norm of the primal scalar field from its nodal dofs:
     F M0 F + c M1 c with c = E10 F, as 1D Gram products on the grids."""
-    Gh, f = disc.gram.Gh, _dofs(F, disc.degree)
-    a, b = _incidence(f)
-    ma, mb = disc.gram._mass1(a, b)
-    return float(np.sqrt(np.vdot(f, Gh @ f @ Gh) + np.vdot(a, ma) + np.vdot(b, mb)))
+    gram, f = disc.gram, _dofs(F, disc.degree)
+    c = _incidence(f)
+    return float(np.sqrt(np.vdot(f, gram.Gh @ f @ gram.Gh) + np.vdot(c, gram._mass1(c))))
 
 
 def norm_E(Et, bd, disc):
     """H(curl) norm of the dual vector field, sqrt(w inv(M0) w + Et inv(M1) Et)."""
     _check(bd, disc)
-    grids, gram = _dofs(Et, disc.degree, "edges"), disc.gram
-    w = _weak_curl(*grids, bd, disc)
-    dual = sum(np.vdot(g, s) for g, s in zip(grids, gram._solve_mass1(*grids)))
-    return float(np.sqrt(np.vdot(w, gram._solve_mass0(w)) + dual))
+    s, gram = _dofs(Et, disc.degree, "edges"), disc.gram
+    w = _weak_curl(s, bd, disc)
+    return float(np.sqrt(np.vdot(w, gram._solve_mass0(w)) + np.vdot(s, gram._solve_mass1(s))))
 
 
 def _tables(disc, x):
@@ -335,15 +319,14 @@ def _tables(disc, x):
     return H, _edge_table(disc.nodes, H)
 
 
-def _evaluate(grids, x_tables, y_tables):
-    """Contract each coefficient grid C with its 1D factor tables (Fx, Fy),
-    one direction at a time, Fx.T @ C.T @ Fy: the node grid with (Hx, Hy),
-    the xi grid with (Hx, Ey), the eta grid with (Ex, Hy)."""
+def _evaluate(g, x_tables, y_tables):
+    """Contract a node grid g with its 1D factor tables one direction at a
+    time, Hx.T @ g.T @ Hy, or each (interval, node) grid of an edge stack:
+    the xi grid g[0] with (Hx, Ey), the eta grid g[1] with (Ex, Hy)."""
     (Hx, Ex), (Hy, Ey) = x_tables, y_tables
-    if not isinstance(grids, tuple):
-        return Hx.T @ grids.T @ Hy
-    xi, eta = grids
-    return Hx.T @ xi.T @ Ey, Ex.T @ eta.T @ Hy
+    if g.ndim == 2:
+        return Hx.T @ g.T @ Hy
+    return Hx.T @ g[0].T @ Ey, Ex.T @ g[1] @ Hy
 
 
 def reconstruct(kind, dofs, x, y, disc):
@@ -369,7 +352,7 @@ def reconstruct(kind, dofs, x, y, disc):
             raise ValueError(f"{name} must hold finite points in [-1, 1], got {v}")
     N, gram = disc.degree, disc.gram
     if kind == "dual-vector":
-        grids = gram._solve_mass1(*_dofs(dofs, N, "edges"))
+        grids = gram._solve_mass1(_dofs(dofs, N, "edges"))
     elif kind in ("primal-scalar", "primal-curl", "dual-weak-curl"):
         f = gram._solve_mass0(_dofs(dofs, N)) if kind == "dual-weak-curl" else _dofs(dofs, N)
         grids = _incidence(f) if kind == "primal-curl" else f
@@ -393,13 +376,13 @@ def error_norms(sol, exact, disc, boost=15):
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
     _check(sol, disc)
     boost = _integer("boost", boost, 0)
-    f, grids = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
+    f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     q = gauss_rule(disc.degree + boost)
     g = q.points
     X, Y = np.meshgrid(g, g, indexing="ij")
-    names = ("Ex", "Ey", "scalar", "vector_curl")
-    Ex, Ey, F, cE = values = [getattr(exact, k)(X, Y) for k in names]
-    bad = [k for k, v in zip(names, values) if not np.all(np.isfinite(v))]
+    values = {k: getattr(exact, k)(X, Y) for k in ("Ex", "Ey", "scalar", "vector_curl")}
+    Ex, Ey, F, cE = values.values()
+    bad = [k for k, v in values.items() if not np.all(np.isfinite(v))]
     if bad:
         raise ValueError(f"the exact field's {', '.join(bad)} is not finite on the error grid")
     w2 = np.outer(q.weights, q.weights)
@@ -413,8 +396,8 @@ def error_norms(sol, exact, disc, boost=15):
         + (Ey - cFy) ** 2
     ))
 
-    Ehx, Ehy = _evaluate(disc.gram._solve_mass1(*grids), t, t)
-    w = _weak_curl(*grids, sol.boundary, disc)
+    Ehx, Ehy = _evaluate(disc.gram._solve_mass1(s), t, t)
+    w = _weak_curl(s, sol.boundary, disc)
     cEh = _evaluate(disc.gram._solve_mass0(w), t, t)
     errE2 = np.vdot(w2, (
         (Ex - Ehx) ** 2

@@ -9,7 +9,8 @@ inverse of a Kronecker product is the Kronecker product of the inverses,
 inv(kron(A, B)) = kron(inv(A), inv(B)), and kron(A, B) b is A g B^T on the
 grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve is two
 1D products on the grids, O(N^3): Hi f Hi^T on the node grid for M0, and
-Ei a Hi^T on the xi grid and Hi b Ei^T on the eta grid for M1, with
+Ei s Hi^T on the edge stack s for M1 (`operators2d`: both components as
+(interval, node) grids, so one batched product serves both), with
 Hi = inv(Gh), Ei = inv(Ge); `solve_mass0/1` wrap them for one dof vector.
 Those two 1D inverses are the only factorizations a `GramSet` makes, each
 from one Cholesky factor G = L L^T and its one triangular inverse
@@ -113,18 +114,17 @@ class GramSet:
         """The dense edge mass, (2N(N+1),)^2."""
         return assemble_mass1(self.Gh, self.Ge)
 
-    def _mass1(self, a, e):
-        """M1 Et = (Ge a Gh, Gh e Ge) on the xi and eta grids of Et."""
-        return self.Ge @ a @ self.Gh, self.Gh @ e @ self.Ge
+    def _mass1(self, s):
+        """M1 Et = Ge s Gh on the edge stack s of Et."""
+        return self.Ge @ s @ self.Gh
 
     def _solve_mass0(self, f):
         """inv(M0) F = Hi f Hi^T on the (N+1)x(N+1) node grid f of F."""
         return self.Gh_inv @ f @ self.Gh_inv.T
 
-    def _solve_mass1(self, a, e):
-        """inv(M1) Et = (Ei a Hi^T, Hi e Ei^T) on the xi and eta grids of Et."""
-        Hi, Ei = self.Gh_inv, self.Ge_inv
-        return Ei @ a @ Hi.T, Hi @ e @ Ei.T
+    def _solve_mass1(self, s):
+        """inv(M1) Et = Ei s Hi^T on the edge stack s of Et."""
+        return self.Ge_inv @ s @ self.Gh_inv.T
 
     def solve_mass0(self, b):
         """inv(M0) b for the nodal dof vector b."""
@@ -132,7 +132,7 @@ class GramSet:
 
     def solve_mass1(self, b):
         """inv(M1) b for the edge dof vector b."""
-        return _flat(*self._solve_mass1(*_dofs(b, self.degree, "edges")))
+        return _flat(self._solve_mass1(_dofs(b, self.degree, "edges")))
 
     # Dense references for tests; no solve, norm or error path reads them.
     @property

@@ -20,6 +20,9 @@ This module alone splits dof vectors into grids and joins them back:
 `_dofs` checks a dof array a caller hands the package and lays it out as
 its grids, and `_flat` joins grids.  A public entry reads each caller
 array through `_dofs` once; the package's own fields stay on their grids.
+An edge field is one (2, N, N+1) stack, [component, interval, node]: the
+xi grid and the eta grid transposed, so one batched expression serves
+both.  Only this module transposes; the dof order above is unchanged.
 """
 
 import numpy as np
@@ -37,8 +40,8 @@ __all__ = [
 def _dofs(v, N, layout="nodes"):
     """The grids of `v`, checked to be a finite real 1D vector of the degree-N
     "nodes", "edges" or "loop" length before a reshape could accept a grid
-    or a block of columns: the node grid f[j, i], the xi (N, N+1) and eta
-    (N+1, N) grids sliced apart, or the loop vector itself."""
+    or a block of columns: the node grid f[j, i], the edge stack of the xi
+    grid and the transposed eta grid, or the loop vector itself."""
     n = {"nodes": (N + 1) ** 2, "edges": 2 * N * (N + 1), "loop": 4 * N}[layout]
     if np.iscomplexobj(v):  # a float cast would drop the imaginary part
         raise ValueError(f"dofs for the degree-{N} discretization must be real, not complex")
@@ -50,23 +53,37 @@ def _dofs(v, N, layout="nodes"):
         raise ValueError(f"dofs for the degree-{N} discretization are not finite (NaN or inf)")
     if layout == "edges":
         n = N * (N + 1)
-        return v[:n].reshape(N, N + 1), v[n:].reshape(N + 1, N)
+        return np.concatenate([v[:n], v[n:].reshape(N + 1, N).T], axis=None).reshape(2, N, N + 1)
     return v.reshape(N + 1, N + 1) if layout == "nodes" else v
 
 
-def _flat(*grids):
-    """The dof vector of a node grid, or of the xi and eta grids in turn."""
-    return np.concatenate(grids, axis=None)
+def _flat(g):
+    """The dof vector of a node grid, or of an edge stack: its xi grid, then
+    its eta grid transposed back."""
+    return np.concatenate([g[0], g[1].T] if g.ndim == 3 else [g], axis=None)
 
 
 def _incidence(f):
-    """E10 F on the node grid f: the edge grids (D f, -f D^T)."""
-    return np.diff(f, axis=0), -np.diff(f, axis=1)
+    """E10 F on the node grid f: the edge stack of D f and D (-f^T), each
+    written in place, so the transposed grid is read but never copied."""
+    c = np.empty((2, len(f) - 1, len(f)))
+    np.subtract(f[1:], f[:-1], out=c[0])
+    np.subtract(f.T[:-1], f.T[1:], out=c[1])
+    return c
+
+
+def _incidence_t(s):
+    """E10^T Et on the edge stack s of Et: the node grid D^T a - b D of its
+    xi grid a and eta grid b, by differences of s zero-padded on axis 1."""
+    t = np.zeros((2, s.shape[1] + 2, s.shape[2]))
+    t[:, 1:-1] = s
+    d = t[:, :-1] - t[:, 1:]
+    return d[0] - d[1].T
 
 
 def build_incidence(N):
     """Integer incidence matrix, shape (2N(N+1), (N+1)^2): on a node grid
-    f, E10 @ _flat(f) is _flat(*_incidence(f))."""
+    f, E10 @ _flat(f) is _flat(_incidence(f))."""
     N = _integer("degree", N, 1)
     node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
     head = np.concatenate([node[1:].ravel(), node[:, :-1].ravel()])

@@ -15,7 +15,7 @@ from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
 from dualcurl.galerkin import assemble_mass0, spd_eigh
-from dualcurl.operators2d import _dofs, _flat, build_incidence, build_trace
+from dualcurl.operators2d import _dofs, _flat, _incidence_t, build_incidence, build_trace
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
@@ -256,7 +256,7 @@ class TestSolvers:
         # before the run; the worst measured is 1.6 N^2 eps, at N=1 (gauss)
         disc, bd, sol = _exponential_solution(N, rule)
         f = _dofs(sol.neumann, N)
-        w = cc._weak_curl(*_dofs(sol.dirichlet, N, "edges"), bd, disc)
+        w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), bd, disc)
         gap = np.linalg.norm(disc.gram._solve_mass0(w) + f) / np.linalg.norm(f)
         assert gap <= 10 * N**2 * np.finfo(float).eps
 
@@ -372,15 +372,14 @@ class TestOperators:
     @pytest.mark.parametrize("N", range(1, 13))
     def test_kronecker_forms_match_dense_definitions(self, rng, N, rule):
         # the solvers apply both operators on the grids and build their
-        # right-hand sides from the 1D factors, weak_curl and norm_F apply
-        # E10 on the grids; the dense products of the 2D matrices are the
-        # oracle
+        # right-hand sides from the 1D factors, and the edge stack's
+        # incidence transpose, mass product and mass solve are each one
+        # batched expression; the dense products of the 2D matrices are
+        # the oracle
         disc = cc.Discretization(N, rule)
         bd = cc.project_boundary_data(random_vector_field(rng), disc)
-        I = np.eye(N + 1)
-        np.testing.assert_array_equal(
-            disc.E10, np.vstack([np.kron(disc.D, I), -np.kron(I, disc.D)])
-        )
+        I, D = np.eye(N + 1), np.diff(np.eye(N + 1), axis=0)
+        np.testing.assert_array_equal(disc.E10, np.vstack([np.kron(D, I), -np.kron(I, D)]))
         cases = [
             ("nodes", cc._neumann_apply, cc._neumann_rhs, neumann_system(disc, bd)),
             ("edges", cc._dirichlet_apply, cc._dirichlet_rhs, dirichlet_system(disc, bd)),
@@ -388,32 +387,31 @@ class TestOperators:
         for layout, apply, rhs, (A_ref, b_ref) in cases:
             x = rng.standard_normal(A_ref.shape[0])
             Ax = A_ref @ x
-            got = _vector(apply(_dofs(x, N, layout), disc))
+            got = _flat(apply(_dofs(x, N, layout), disc))
             assert np.abs(got - Ax).max() <= 1e-13 * np.abs(Ax).max()
-            b = _vector(rhs(bd, disc))
+            b = _flat(rhs(bd, disc))
             assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
         # an entry of E10^T Et sums at most four dofs: summed in two orders
         # it differs by at most 12 eps max|Et|
-        Et = rng.standard_normal(2 * N * (N + 1))
-        zero = cc.BoundaryData(N, np.zeros(4 * N))
-        gap = np.abs(cc.weak_curl(Et, zero, disc) - disc.E10.T @ Et).max()
-        assert gap <= 12 * np.finfo(float).eps * np.abs(Et).max()
+        s = rng.standard_normal((2, N, N + 1))
+        v = _flat(s)
+        gap = np.abs(_flat(_incidence_t(s)) - disc.E10.T @ v).max()
+        assert gap <= 12 * np.finfo(float).eps * np.abs(v).max()
+        for batched, M in ((disc.gram._mass1, disc.gram.M1),
+                           (disc.gram._solve_mass1, disc.gram.M1_dual)):
+            ref = M @ v
+            assert np.abs(_flat(batched(s)) - ref).max() <= 1e-13 * np.abs(ref).max()
         F = rng.standard_normal((N + 1) ** 2)
         c = disc.E10 @ F
         ref = np.sqrt(F @ assemble_mass0(disc.gram.Gh) @ F + c @ disc.gram.M1 @ c)
         assert abs(cc.norm_F(F, disc) - ref) <= 1e-13 * ref
 
 
-def _vector(grids):
-    """The dof vector of a node grid or of the (xi, eta) edge grids."""
-    return _flat(*grids) if isinstance(grids, tuple) else _flat(grids)
-
-
 def _residual(apply, rhs, x, layout, bd, disc):
     """Relative residual of a solve, with the operator applied on the grids
     of the dofs x in `layout`."""
-    b = _vector(rhs(bd, disc))
-    Ax = _vector(apply(_dofs(x, disc.degree, layout), disc))
+    b = _flat(rhs(bd, disc))
+    Ax = _flat(apply(_dofs(x, disc.degree, layout), disc))
     return np.linalg.norm(Ax - b) / np.linalg.norm(b)
 
 
@@ -504,9 +502,9 @@ class TestFastDiagonalization:
         calls = []
         apply = cc._dirichlet_apply
 
-        def counting(grids, disc):
+        def counting(s, disc):
             calls.append(1)
-            return apply(grids, disc)
+            return apply(s, disc)
 
         monkeypatch.setattr(cc, "_dirichlet_apply", counting)
         cc.solve_dirichlet(bd, disc)
@@ -561,7 +559,7 @@ class TestGridOnlyPath:
             sol = cc.solve_both(bd, disc)
             return (sol.neumann, sol.dirichlet, cc.norm_F(sol.neumann, disc),
                     cc.norm_E(sol.dirichlet, bd, disc), *cc.error_norms(sol, exact, disc),
-                    cc.weak_curl(sol.dirichlet, bd, disc),
+                    _weak_curl_dofs(sol.dirichlet, bd, disc),
                     cli.equivalence_residual(sol, disc))
 
         ref = run()
@@ -589,13 +587,14 @@ class TestGridOnlyPath:
     def test_each_caller_array_is_checked_once(self, exact, solved, monkeypatch, entry):
         # a public entry reads each dof array its caller hands it through
         # _dofs once; the fields the package makes itself stay on their
-        # grids and are never checked again
+        # grids and are never checked again: the weak curl of an edge
+        # stack reads none
         disc, bd, sol = solved[4]
-        w = cc.weak_curl(sol.dirichlet, bd, disc)
-        F, Et = sol.neumann, sol.dirichlet
+        w = _weak_curl_dofs(sol.dirichlet, bd, disc)
+        F, Et, s = sol.neumann, sol.dirichlet, _dofs(sol.dirichlet, 4, "edges")
         call, layouts = {
             "solve_both": (lambda: cc.solve_both(bd, disc), []),
-            "weak_curl": (lambda: cc.weak_curl(Et, bd, disc), ["edges"]),
+            "weak_curl": (lambda: cc._weak_curl(s, bd, disc), []),
             "norm_F": (lambda: cc.norm_F(F, disc), ["nodes"]),
             "norm_E": (lambda: cc.norm_E(Et, bd, disc), ["edges"]),
             "reconstruct-primal-scalar":
@@ -624,19 +623,17 @@ class TestGridOnlyPath:
         assert checked == layouts
 
 
+def _weak_curl_dofs(Et, bd, disc):
+    """The nodal dofs E10^T Et + T^T Ehat of the edge dofs Et, through the
+    package's private weak curl of the edge stack."""
+    return _flat(cc._weak_curl(_dofs(Et, disc.degree, "edges"), bd, disc))
+
+
 class TestWeakCurl:
     def test_zero(self):
         disc = cc.Discretization(2)
         bd = cc.BoundaryData(2, np.zeros(8))
-        np.testing.assert_array_equal(
-            cc.weak_curl(np.zeros(12), bd, disc), np.zeros(9)
-        )
-
-    def test_dimension_mismatch(self):
-        disc = cc.Discretization(2)
-        bd = cc.BoundaryData(2, np.zeros(8))
-        with pytest.raises(ValueError):
-            cc.weak_curl(np.zeros(10), bd, disc)
+        np.testing.assert_array_equal(_weak_curl_dofs(np.zeros(12), bd, disc), np.zeros(9))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 20), st.sampled_from(["gauss", "lobatto"]),
@@ -647,10 +644,10 @@ class TestWeakCurl:
         bd = cc.BoundaryData(N, rng.standard_normal(4 * N))
         e1 = rng.standard_normal(2 * N * (N + 1))
         e2 = rng.standard_normal(2 * N * (N + 1))
-        lhs = cc.weak_curl(2.0 * e1 + 3.0 * e2, bd, disc)
+        lhs = _weak_curl_dofs(2.0 * e1 + 3.0 * e2, bd, disc)
         rhs = (
-            2.0 * cc.weak_curl(e1, bd, disc)
-            + 3.0 * cc.weak_curl(e2, bd, disc)
+            2.0 * _weak_curl_dofs(e1, bd, disc)
+            + 3.0 * _weak_curl_dofs(e2, bd, disc)
             - 4.0 * (build_trace(N).T @ bd.dofs)
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -663,7 +660,7 @@ class TestWeakCurl:
         prev = None
         for N in (3, 6, 9):
             disc, bd, sol = solved[N]
-            w = cc.weak_curl(sol.dirichlet, bd, disc)
+            w = _weak_curl_dofs(sol.dirichlet, bd, disc)
             vals = cc.reconstruct("dual-weak-curl", w, x, y, disc)
             err = np.max(np.abs(vals - (-exact.scalar(X, Y))))
             if prev is not None:
@@ -925,7 +922,6 @@ class TestInputChecks:
         for call in (
             lambda: cc.solve_neumann(bd, disc),
             lambda: cc.solve_dirichlet(bd, disc),
-            lambda: cc.weak_curl(np.zeros(40), bd, disc),
             lambda: cc.norm_E(np.zeros(40), bd, disc),
             lambda: equivalence_residual(sol, disc),
             lambda: cc.error_norms(sol, cc.exponential_pair(), disc),
@@ -978,7 +974,6 @@ class TestInputChecks:
             cc.reconstruct("primal-scalar", np.ones(16), *points.values(), disc)
 
     @pytest.mark.parametrize("call, n", [
-        (cc.weak_curl, 180),
         (lambda v, bd, disc: cc.norm_F(v, disc), 100),
         (cc.norm_E, 180),
         (lambda v, bd, disc: cc.reconstruct("primal-curl", v, 0.0, 0.0, disc), 100),
@@ -994,7 +989,7 @@ class TestInputChecks:
             cc.Solution(bd, v, np.zeros(180)), cc.exponential_pair(), disc), 100),
         (lambda v, bd, disc: cc.error_norms(
             cc.Solution(bd, np.zeros(100), v), cc.exponential_pair(), disc), 180),
-    ], ids=["weak_curl", "norm_F", "norm_E", "reconstruct-nodal", "reconstruct-edge",
+    ], ids=["norm_F", "norm_E", "reconstruct-nodal", "reconstruct-edge",
             "GramSet.solve_mass0", "GramSet.solve_mass1", "BoundaryData",
             "equivalence_residual-nodal", "equivalence_residual-edge",
             "error_norms-nodal", "error_norms-edge"])

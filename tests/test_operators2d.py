@@ -158,33 +158,40 @@ class TestDofLayout:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 24), st.sampled_from(["nodes", "edges", "loop"]), st.data())
     def test_dofs_gives_grids_that_flat_joins(self, N, layout, data):
-        # the node grid, the xi and eta grids in that order, or the loop
-        # vector; joined they are the vector again
-        shapes = {"nodes": [(N + 1, N + 1)], "edges": [(N, N + 1), (N + 1, N)],
-                  "loop": [(4 * N,)]}[layout]
+        # the node grid, the edge stack of the xi grid and the transposed
+        # eta grid, or the loop vector; joined they are the vector again
+        shape = {"nodes": (N + 1, N + 1), "edges": (2, N, N + 1), "loop": (4 * N,)}[layout]
         values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-        v = data.draw(arrays(np.float64, sum(int(np.prod(s)) for s in shapes), elements=values))
-        grids = _dofs(v, N, layout)
-        grids = grids if layout == "edges" else (grids,)
-        assert [g.shape for g in grids] == shapes
-        np.testing.assert_array_equal(_flat(*grids), v)
-        if layout == "nodes":  # the edge grids of E10 F join to the edge dofs
-            np.testing.assert_array_equal(_flat(*_incidence(grids[0])), build_incidence(N) @ v)
+        v = data.draw(arrays(np.float64, int(np.prod(shape)), elements=values))
+        g = _dofs(v, N, layout)
+        assert g.shape == shape
+        np.testing.assert_array_equal(_flat(g), v)
+        if layout == "edges":  # the xi block row by row, then the eta block
+            n = N * (N + 1)
+            np.testing.assert_array_equal(g[0], v[:n].reshape(N, N + 1))
+            np.testing.assert_array_equal(g[1], v[n:].reshape(N + 1, N).T)
+        if layout == "nodes":  # the edge stack of E10 F joins to the edge dofs
+            np.testing.assert_array_equal(_flat(_incidence(g)), build_incidence(N) @ v)
 
 
 @pytest.mark.parametrize("module", [galerkin, curlcurl, cli], ids=lambda m: m.__name__)
 def test_only_operators2d_splits_and_joins_dofs(module):
     # the other modules keep fields on their grids; the one reshape left is
     # the in-place kron fill of the dense edge mass.  curlcurl's fields
-    # never go through a public mass solve or the public weak curl, which
-    # would join them and check them again (cli's self-check solves the
-    # nodal mass's columns as one stack of node grids)
+    # never go through a public mass solve, which would join them and
+    # check them again (cli's self-check solves the nodal mass's columns
+    # as one stack of node grids).  An edge field is one (2, N, N+1) stack,
+    # so no module pairs, zips or unpacks its components, and the edge
+    # incidence and its transpose live with the layout in operators2d
     source = inspect.getsource(module)
-    for banned in ("np.split", "np.concatenate", ".ravel()", "_edge_grids", "_unflat"):
+    for banned in ("np.split", "np.concatenate", ".ravel()", "_edge_grids", "_unflat",
+                   "zip(", "_flat(*", "_mass1(*", "_solve_mass1(*", "_incidence_t(*",
+                   "def _incidence_t("):
         assert banned not in source, banned
     if module is curlcurl:
         assert ".solve_mass" not in source
-        assert re.findall(r"(?<![\w.])weak_curl\(", source) == ["weak_curl("]  # its def
+        assert not re.findall(r"(?<![\w.])weak_curl\(", source)  # only the private one
+        assert not hasattr(curlcurl.Discretization(3), "D")  # K's difference is a local
     fills = ["out=block.reshape(p, q, p, q)"] if module is galerkin else []
     assert source.count(".reshape(") == len(fills)
     assert all(fill in source for fill in fills)
