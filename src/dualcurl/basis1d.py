@@ -72,6 +72,14 @@ def _integer(name, value, least):
     return int(value)
 
 
+def _real(name, v):
+    """`v` as a float array; a complex one raises `ValueError` naming `name`,
+    where the float cast would drop its imaginary part."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real, not complex")
+    return np.asarray(v, dtype=float)
+
+
 def _legendre(N, x):
     """(L_N(x), L_N'(x)) for N >= 1 by three-term recurrence."""
     Lm, dLm = np.ones_like(x), np.zeros_like(x)  # L_0, L_0'
@@ -145,7 +153,7 @@ def lagrange_eval(ns, x):
     Uses the second barycentric form; exact node hits return the
     Kronecker column.  x must be a scalar or a 1D array.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real("points", x)
     if x.ndim > 1:  # numpy would fail broadcasting it against the nodes
         raise ValueError(f"points must be a scalar or a 1D array, not of shape {x.shape}")
     diff = np.atleast_1d(x)[None, :] - ns.nodes[:, None]

@@ -81,6 +81,7 @@ class DegreeRecord:
     errF: float
     errE: float
     equivalence_residual: float
+    weak_curl_residual: float
     wall_time_ms: float
 
 
@@ -105,6 +106,16 @@ def equivalence_residual(sol, disc):
     return dist / size if size else dist
 
 
+def _weak_curl_residual(sol, disc):
+    """||inv(M0) w + F|| / ||F||, or the absolute distance where F = 0, with
+    w = E10^T Et + T^T Ehat the dual weak curl: curl E^h = -F^h on the
+    node grid."""
+    f = _dofs(sol.neumann, disc.degree)
+    w = cc._weak_curl(_dofs(sol.dirichlet, disc.degree, "edges"), sol.boundary, disc)
+    dist, size = float(np.linalg.norm(disc.gram._solve_mass0(w) + f)), float(np.linalg.norm(f))
+    return dist / size if size else dist
+
+
 def norm_gap(nF, nE):
     """|nF - nE| / nF, or |nF - nE| where nF = 0: the relative gap between
     the two H(curl) norms."""
@@ -122,7 +133,8 @@ def _solve_exponential(N, boost):
 
 def run_study(cfg, log=print):
     """Solve both problems for N = 1..max_degree with the exponential test
-    data; record norms, errors and the equivalence residual, and write
+    data; record norms, errors and the residuals of the identities
+    Et = M1 E10 F and curl E^h = -F^h, and write
     table1.csv / fig3.csv when requested."""
     exact = cc.exponential_pair()
     records = []
@@ -140,6 +152,7 @@ def run_study(cfg, log=print):
                 errF=errF,
                 errE=errE,
                 equivalence_residual=equivalence_residual(sol, disc),
+                weak_curl_residual=_weak_curl_residual(sol, disc),
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
@@ -280,7 +293,7 @@ def _fixture_gap(got, expected):
 
 # (name, residual function, tolerance), in the order --self-check runs them.
 # Each function takes the study's DegreeRecords for N=1..8; only the last
-# two entries read them.
+# three entries read them.
 INVARIANTS = (
     ("edge-basis interval integrals = identity (N=1..12)",
      lambda records: _edge_kronecker_residual(), 1e-12),
@@ -294,6 +307,8 @@ INVARIANTS = (
      lambda records: max(r.equivalence_residual for r in records), 1e-11),
     ("norm of E^h equals norm of F^h (N=1..8)",
      lambda records: max(norm_gap(r.normF, r.normE) for r in records), 1e-11),
+    ("curl of E^h equals -F^h (N=1..8)",
+     lambda records: max(r.weak_curl_residual for r in records), 1e-11),
 )
 
 

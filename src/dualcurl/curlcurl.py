@@ -17,24 +17,24 @@ form of E = curl F, and carry equal H(curl) norms.
 
 The incidence is pure topology, E10 = [kron(D, I); -kron(I, D)] with D
 the Nx(N+1) 1D difference, and the masses are Kronecker products of the 1D
-Grams Gh, Ge (see `galerkin`).  With K = D^T Ge D the Neumann operator,
-kron(K + Gh, Gh) + kron(Gh, K), is diagonal in the eigenvectors of the one
-pencil K V = Gh V lam that `Discretization` solves per degree, with
-eigenvalues lam_i + lam_j + 1: fast diagonalization (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964; Deville, Fischer & Mund 2002, 4.5).  The Dirichlet
-operator is inverted through it by the Woodbury identity (Hager, SIAM
-Rev. 31, 1989), S r = M1 r - M1 E10 g with g the Neumann solve of
-E10^T M1 r.  Neither operator is formed, and each solve costs O(N^3).
-Each is refined, x += S(b - A x), against its own operator A applied by
-its definition on the grids (`_neumann_apply`, `_dirichlet_apply`), not
-through the shared eigenvectors, so the equivalence of the two solves is
-still a check.  The Neumann solve takes one step.  S subtracts nearly
-equal terms in the high-curl modes, so a Dirichlet step multiplies their
-error by about eps kappa, kappa = 1/min(neumann_scale) = 2 max(lam) + 1
-(Higham 2002, ch. 12), which grows like N^4: eps kappa is 3e-12 at N=16
-and 5e-5 at N=1024.  So the Dirichlet solve takes the least k >= 1 steps
-with (eps kappa)^(k+1) <= eps/4: one up to N=64, two for N=128..512,
-three at N=1024.
+Grams Gh, Ge (see `galerkin`).  Both solves are fast diagonalization
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964; Deville, Fischer & Mund
+2002, 4.5) in the eigenpairs of the one pencil K V = Gh V lam, K = D^T Ge D.
+The Neumann operator, kron(K + Gh, Gh) + kron(Gh, K), is diagonal in
+them, with eigenvalues lam_p + lam_q + 1.  As lam_0 = 0 (the constant),
+W = D V[:, 1:] / sqrt(lam[1:]) is a Ge-orthonormal edge basis with
+D^T Ge W = Gh V[:, 1:] sqrt(lam[1:]), so the Dirichlet operator maps the
+edge stack Q X P^T, Q = Ge W, P = Gh V, to W Y V^T with
+Y0[p, q] = (1 + lam_p) X0[p, q] - sqrt(lam_p lam_q) X1[q, p], and the
+same with the components swapped: each xi mode (p, q), p >= 1, couples
+only to the eta mode (q, p), in a 2x2 block [[1 + lam_p, -r], [-r,
+1 + lam_q]], r = sqrt(lam_p lam_q), whose determinant (1 + lam_p)(1 +
+lam_q) - r^2 is the Neumann eigenvalue lam_p + lam_q + 1.  As Q^T W = I
+and V^T P = I, the inverse is each block's explicit inverse between
+Q^T r P and Q y P^T.  Neither operator is formed; each solve is O(N^3)
+and refined once, x += S(b - A x), against its own operator A applied by
+its definition (`_neumann_apply`, `_dirichlet_apply`), not through the
+shared eigenvectors, so the equivalence of the two solves is a check.
 
 Fields live on the grids of `operators2d`, the one module that splits dof
 vectors into grids and joins them: the node grid f of F and the (2, N,
@@ -49,14 +49,13 @@ it is the only way a degree and a quadrature rule reach this module, so
 both solves, the norms and the errors always share the same operators.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis1d import _edge_table, _integer, gauss_rule, lagrange_eval
+from .basis1d import _edge_table, _integer, _real, gauss_rule, lagrange_eval
 from .galerkin import GramSet, spd_eigh
 from .operators2d import (
     _dofs, _flat, _incidence, _incidence_t, boundary_nodes, build_incidence,
@@ -150,13 +149,12 @@ class Discretization:
     norms, E^h = curl F^h) hold for either.
 
     The 1D factors of both solves are computed here, once, from one
-    generalized eigensolve: K = D^T Ge D, the eigenvectors V of
-    K V = Gh V lam normalized by V^T Gh V = I, and the reciprocal
-    eigenvalue grid `neumann_scale` 1/(lam_i + lam_j + 1); the Dirichlet
-    solve reuses them (see the module docstring).  `loop` is
-    `boundary_nodes(N)`.  The degree N must be an integer >= 1 (a bool is
-    not one).  The dense incidence `E10` is built on first access; no
-    solve, norm or error path reads it.
+    generalized eigensolve (see the module docstring): K = D^T Ge D, V with
+    V^T Gh V = I, the grid `neumann_scale` 1/(lam_p + lam_q + 1), and the
+    Dirichlet Q, P and 2x2 block inverse grids `pair_diag`, `pair_off`.
+    `loop` is `boundary_nodes(N)`.  The degree N must be an integer >= 1
+    (a bool is not one).  The dense incidence `E10` is built on first
+    access; no solve, norm or error path reads it.
     """
 
     def __init__(self, N, rule="lobatto"):
@@ -168,6 +166,12 @@ class Discretization:
         self.K = D.T @ self.gram.Ge @ D
         lam, self.V = spd_eigh(self.K, self.gram.Lh)
         self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
+        lam[0] = 0.0  # the constant mode, computed as about +-1e-16
+        root = np.sqrt(lam)
+        W = np.diff(self.V[:, 1:], axis=0) / root[1:]  # W^T Ge W = I
+        self.Q, self.P = self.gram.Ge @ W, self.gram.Gh @ self.V
+        scale = self.neumann_scale[1:]
+        self.pair_diag, self.pair_off = (1.0 + lam) * scale, root[1:, None] * root * scale
 
     @cached_property
     def E10(self):
@@ -231,12 +235,11 @@ def _neumann_rhs(bd, disc):
     return -_scatter(bd, disc)
 
 
-def _refined(inverse, apply, b, steps, disc):
+def _refined(inverse, apply, b, disc):
     """x = S b for the approximate inverse S = `inverse` of A = `apply`,
-    then `steps` refinement steps x += S(b - A x)."""
+    then one refinement step x += S(b - A x)."""
     x = inverse(b, disc)
-    for _ in range(steps):
-        x += inverse(b - apply(x, disc), disc)
+    x += inverse(b - apply(x, disc), disc)
     return x
 
 
@@ -245,15 +248,19 @@ def solve_neumann(bd, disc):
     the operator being kron(K + Gh, Gh) + kron(Gh, K) with K = D^T Ge D.
     Fast diagonalization with K V = Gh V lam, O(N^3), and one refinement step."""
     _check(bd, disc)
-    return _flat(_refined(_neumann_inverse, _neumann_apply, _neumann_rhs(bd, disc), 1, disc))
+    return _flat(_refined(_neumann_inverse, _neumann_apply, _neumann_rhs(bd, disc), disc))
 
 
 def _dirichlet_inverse(r, disc):
-    """The Woodbury inverse of the Dirichlet operator on the edge stack r:
-    M1 r - M1 E10 g, g the Neumann inverse of E10^T M1 r."""
-    mass1 = disc.gram._mass1
-    m = mass1(r)
-    return m - mass1(_incidence(_neumann_inverse(_incidence_t(m), disc)))
+    """The inverse of the Dirichlet operator on the edge stack r: m = Q^T r P,
+    y = pair_diag m + pair_off times m's partner, component 1-k at [q, p] for
+    component k at [p, q] (none where q = 0), then Q y P^T.  The pairing is
+    the stack's stored eta transpose seen in mode space: it pairs modes, not
+    dofs, so it lives with the solve and not in `operators2d`."""
+    m = disc.Q.T @ r @ disc.P
+    y = disc.pair_diag * m
+    y[:, :, 1:] += disc.pair_off[:, 1:] * m[::-1, :, 1:].transpose(0, 2, 1)
+    return disc.Q @ y @ disc.P.T
 
 
 def _dirichlet_apply(s, disc):
@@ -267,20 +274,12 @@ def _dirichlet_rhs(bd, disc):
     return -_incidence(disc.gram._solve_mass0(_scatter(bd, disc)))
 
 
-def _dirichlet_steps(disc):
-    """The refinement steps of the Dirichlet solve (see the module docstring)."""
-    eps = np.finfo(float).eps
-    return max(1, math.ceil(math.log(eps / 4) / math.log(eps / disc.neumann_scale.min())) - 1)
-
-
 def solve_dirichlet(bd, disc):
     """Dual solve: edge dofs Et from
     (E10 inv(M0) E10^T + inv(M1)) Et = -E10 inv(M0) T^T Ehat,
-    by the Woodbury inverse `_dirichlet_inverse` and `_dirichlet_steps`
-    refinement steps.  O(N^3)."""
+    by the mode-pair inverse `_dirichlet_inverse` and one refinement step, O(N^3)."""
     _check(bd, disc)
-    return _flat(_refined(_dirichlet_inverse, _dirichlet_apply, _dirichlet_rhs(bd, disc),
-                          _dirichlet_steps(disc), disc))
+    return _flat(_refined(_dirichlet_inverse, _dirichlet_apply, _dirichlet_rhs(bd, disc), disc))
 
 
 def solve_both(bd, disc):
@@ -344,7 +343,7 @@ def reconstruct(kind, dofs, x, y, disc):
     Three steps: the coefficient grids, the 1D factor tables of each axis
     (`_tables`) and their contraction (`_evaluate`).
     """
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    x, y = (np.atleast_1d(_real(name, v)) for name, v in (("x", x), ("y", y)))
     if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
         raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
     for name, v in (("x", x), ("y", y)):

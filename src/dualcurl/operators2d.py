@@ -22,12 +22,13 @@ its grids, and `_flat` joins grids.  A public entry reads each caller
 array through `_dofs` once; the package's own fields stay on their grids.
 An edge field is one (2, N, N+1) stack, [component, interval, node]: the
 xi grid and the eta grid transposed, so one batched expression serves
-both.  Only this module transposes; the dof order above is unchanged.
+both.  Only this module transposes a dof layout; the dof order above is
+unchanged.
 """
 
 import numpy as np
 
-from .basis1d import _integer
+from .basis1d import _integer, _real
 
 __all__ = [
     "boundary_nodes",
@@ -43,9 +44,7 @@ def _dofs(v, N, layout="nodes"):
     or a block of columns: the node grid f[j, i], the edge stack of the xi
     grid and the transposed eta grid, or the loop vector itself."""
     n = {"nodes": (N + 1) ** 2, "edges": 2 * N * (N + 1), "loop": 4 * N}[layout]
-    if np.iscomplexobj(v):  # a float cast would drop the imaginary part
-        raise ValueError(f"dofs for the degree-{N} discretization must be real, not complex")
-    v = np.asarray(v, dtype=float)
+    v = _real(f"dofs for the degree-{N} discretization", v)
     if v.shape != (n,):
         raise ValueError(f"dofs of shape {v.shape} do not match the degree-{N} "
                          f"discretization: expected a 1D vector of length {n}")

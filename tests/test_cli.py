@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from dualcurl.cli import (
     self_check,
     theoretical_norm,
 )
-from dualcurl.operators2d import build_incidence
+from dualcurl.operators2d import build_incidence, build_trace
 from conftest import equivalence_dense
 
 TABLE1_NORMS = [
@@ -93,6 +94,20 @@ class TestRunStudy:
         assert len(report.records) == 1
         rec = report.records[0]
         assert rec.normF == pytest.approx(rec.normE, rel=1e-11)
+
+    def test_records_the_weak_curl_residual(self, rng):
+        # the record holds ||inv(M0) w + F|| / ||F||, w = E10^T Et + T^T Ehat,
+        # the third identity curl E^h = -F^h; the residual function is
+        # checked against the dense masses and incidence with F perturbed
+        report = run_study(StudyConfig(max_degree=3, emit=frozenset()))
+        for rec in report.records:
+            disc, bd, sol = cli._solve_exponential(rec.N, 15)
+            assert rec.weak_curl_residual == cli._weak_curl_residual(sol, disc) <= 1e-13
+            F = sol.neumann + 1e-6 * rng.standard_normal(sol.neumann.shape)
+            w = disc.E10.T @ sol.dirichlet + build_trace(rec.N).T @ bd.dofs
+            ref = np.linalg.norm(disc.gram.M2_dual @ w + F) / np.linalg.norm(F)
+            got = cli._weak_curl_residual(cc.Solution(bd, F, sol.dirichlet), disc)
+            assert abs(got - ref) <= 1e-6 * ref
 
     def test_csv_outputs(self, tmp_path):
         cfg = StudyConfig(
@@ -200,7 +215,19 @@ class TestSelfCheck:
         assert self_check(log=lines.append, report=report) is False
         failed = [ln for ln in lines if ln.startswith("FAIL ")]
         assert len(failed) == 1 and failed[0].startswith(f"FAIL  {INVARIANTS[line][0]}:")
-        assert lines[-1] == "self-check: 5/6 passed"
+        assert lines[-1] == "self-check: 6/7 passed"
+
+    def test_weak_curl_line_reads_the_records(self):
+        # the third identity's line fails on one degree's residual alone
+        report = run_study(StudyConfig(max_degree=8, emit=frozenset()))
+        records = list(report.records)
+        records[4] = dataclasses.replace(records[4], weak_curl_residual=1e-9)
+        lines = []
+        assert self_check(log=lines.append,
+                          report=dataclasses.replace(report, records=tuple(records))) is False
+        failed = [ln for ln in lines if ln.startswith("FAIL ")]
+        assert failed == [f"FAIL  {INVARIANTS[6][0]}: residual 1.000e-09 (tol 1e-11)"]
+        assert lines[-1] == "self-check: 6/7 passed"
 
     def test_basis_lines_use_the_grid_solve(self, monkeypatch):
         # one edge table per degree (N=1..12) and one grid solve per degree
@@ -239,7 +266,7 @@ class TestSelfCheck:
             names.append(m.group(2))
         assert names == [name for name, _, _ in INVARIANTS]
         assert "dual edge dofs equal M1 E10 F (N=1..8)" in names
-        assert summary == "self-check: 6/6 passed"
+        assert summary == "self-check: 7/7 passed"
 
     def test_reuses_the_study(self, monkeypatch):
         # a study of 9 degrees gives the self-check its N=1..8 records; the
@@ -260,7 +287,7 @@ class TestSelfCheck:
         report = run_study(StudyConfig(max_degree=3, emit=frozenset()))
         lines = []
         assert self_check(log=lines.append, report=report) is True
-        assert lines[-1] == "self-check: 6/6 passed"
+        assert lines[-1] == "self-check: 7/7 passed"
 
 
 class TestMain:
@@ -320,8 +347,8 @@ class TestMain:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert sum(line.startswith("PASS ") for line in lines) == 6
-        assert lines[-1] == "self-check: 6/6 passed"
+        assert sum(line.startswith("PASS ") for line in lines) == 7
+        assert lines[-1] == "self-check: 7/7 passed"
         for name in ("table1.csv", "fig3.csv", "fig2_xi.csv", "fig2_eta.csv"):
             assert (tmp_path / name).exists(), name
         # importing the package loads dualcurl.cli, which runpy warns about

@@ -492,23 +492,38 @@ class TestFastDiagonalization:
         assert np.abs(A @ V - B @ V * w).max() <= 1e-13 * scale
         assert np.abs(V.T @ B @ V - np.eye(len(w))).max() <= 1e-12
 
-    @pytest.mark.parametrize("N, steps", [(16, 1), (128, 2), (256, 2)])
-    def test_dirichlet_refinement_steps_grow_with_kappa(self, exact, monkeypatch, N, steps):
-        # each step multiplies the error of the high-curl modes by about
-        # eps kappa, kappa = 1/min(neumann_scale); the solve stops at the
-        # least k >= 1 with (eps kappa)^(k+1) <= eps/4
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_dirichlet_inverse_matches_dense_oracle(self, rng, N, rule):
+        # the 2x2 mode-block inverse alone, before its refinement step, is
+        # the inverse of the dense Dirichlet operator; bound fixed before
+        # the first run
+        disc = cc.Discretization(N, rule)
+        bd = cc.project_boundary_data(random_vector_field(rng), disc)
+        A, b = dirichlet_system(disc, bd)
+        ref = np.linalg.solve(A, b)
+        x = _flat(cc._dirichlet_inverse(cc._dirichlet_rhs(bd, disc), disc))
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("N", [16, 128, 256])
+    def test_one_refinement_step_at_every_degree(self, exact, monkeypatch, N):
+        # each solve applies its operator once, for its one refinement step,
+        # however the pencil's condition number grows with N
         disc = cc.Discretization(N)
         bd = cc.project_boundary_data(exact, disc)
         calls = []
-        apply = cc._dirichlet_apply
+        for name in ("_neumann_apply", "_dirichlet_apply"):
+            apply = getattr(cc, name)
 
-        def counting(s, disc):
-            calls.append(1)
-            return apply(s, disc)
+            def counting(x, disc, _apply=apply, _name=name):
+                calls.append(_name)
+                return _apply(x, disc)
 
-        monkeypatch.setattr(cc, "_dirichlet_apply", counting)
+            monkeypatch.setattr(cc, name, counting)
         cc.solve_dirichlet(bd, disc)
-        assert len(calls) == steps
+        assert calls == ["_dirichlet_apply"]
+        cc.solve_neumann(bd, disc)
+        assert calls == ["_dirichlet_apply", "_neumann_apply"]
 
 
 class TestGridOnlyPath:
@@ -578,7 +593,7 @@ class TestGridOnlyPath:
         rc = cli.main(["--max-degree", "12", "--emit", "table1,fig3,fig2",
                        "--self-check", "--out", str(tmp_path)])
         assert rc == 0
-        assert "self-check: 6/6 passed" in capsys.readouterr().out
+        assert "self-check: 7/7 passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("entry", [
         "solve_both", "weak_curl", "norm_F", "norm_E", "reconstruct-primal-scalar",
@@ -972,6 +987,22 @@ class TestInputChecks:
         points[axis] = [0.0, point]
         with pytest.raises(ValueError, match=rf"^{axis} must hold finite points in \[-1, 1\]"):
             cc.reconstruct("primal-scalar", np.ones(16), *points.values(), disc)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda p: cc.reconstruct("primal-scalar", np.ones(16), p, np.array([0.1]),
+                                  cc.Discretization(3)), "x"),
+        (lambda p: cc.reconstruct("dual-vector", np.ones(24), np.array([0.1]), p,
+                                  cc.Discretization(3)), "y"),
+        (lambda p: basis1d.lagrange_eval(gll_nodes(3), p), "points"),
+        (lambda p: basis1d.edge_eval(gll_nodes(3), p), "points"),
+    ], ids=["reconstruct-x", "reconstruct-y", "lagrange_eval", "edge_eval"])
+    @pytest.mark.parametrize("points", [np.array([0.5 + 1j]), 0.5 + 0j, [0.1, 0.2j]],
+                             ids=["array", "scalar", "list"])
+    def test_complex_points_rejected(self, call, name, points):
+        # a float cast would keep an array's real part with only a warning;
+        # a zero imaginary part is rejected too, as for complex dofs
+        with pytest.raises(ValueError, match=rf"^{name} must be real, not complex$"):
+            call(points)
 
     @pytest.mark.parametrize("call, n", [
         (lambda v, bd, disc: cc.norm_F(v, disc), 100),
