@@ -16,6 +16,6 @@ from .curlcurl import (
     reconstruct,
     error_norms,
 )
-from .cli import StudyConfig, StudyReport, run_study, emit_fig2, self_check, theoretical_norm
+from .cli import StudyConfig, run_study, emit_fig2, self_check, theoretical_norm
 
 __version__ = "0.1.0"

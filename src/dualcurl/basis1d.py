@@ -151,11 +151,14 @@ def lagrange_eval(ns, x):
     """Evaluate the nodal basis h_i at x; returns (N+1,) or (N+1, M).
 
     Uses the second barycentric form; exact node hits return the
-    Kronecker column.  x must be a scalar or a 1D array.
+    Kronecker column.  x must be a finite scalar or 1D array; outside
+    [-1, 1] the basis extrapolates.
     """
     x = _real("points", x)
     if x.ndim > 1:  # numpy would fail broadcasting it against the nodes
         raise ValueError(f"points must be a scalar or a 1D array, not of shape {x.shape}")
+    if not np.all(np.isfinite(x)):  # the errstate below would hide the 0/0
+        raise ValueError(f"points must be finite, got {x}")
     diff = np.atleast_1d(x)[None, :] - ns.nodes[:, None]
     hit = diff == 0.0
     on_node = hit.any(axis=0)

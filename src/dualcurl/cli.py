@@ -27,7 +27,6 @@ from .operators2d import _dofs, _incidence, build_incidence, build_trace
 
 __all__ = [
     "StudyConfig",
-    "StudyReport",
     "DegreeRecord",
     "INVARIANTS",
     "INCIDENCE_N3",
@@ -85,14 +84,14 @@ class DegreeRecord:
     wall_time_ms: float
 
 
-@dataclass(frozen=True)
-class StudyReport:
-    records: tuple
-    theoretical_norm: float
-
-
 def _fmt(v):
     return f"{v:.12g}"
+
+
+def _relative(dist, size):
+    """dist / size, or dist where size is 0, as a float: the one
+    relative-residual rule."""
+    return float(dist / size if size else dist)
 
 
 def equivalence_residual(sol, disc):
@@ -102,8 +101,7 @@ def equivalence_residual(sol, disc):
     cc._check(sol, disc)
     s = _dofs(sol.dirichlet, disc.degree, "edges")
     c = _incidence(_dofs(sol.neumann, disc.degree))
-    dist, size = float(np.linalg.norm(s - disc.gram._mass1(c))), float(np.linalg.norm(s))
-    return dist / size if size else dist
+    return _relative(np.linalg.norm(s - disc.gram._mass1(c)), np.linalg.norm(s))
 
 
 def _weak_curl_residual(sol, disc):
@@ -112,15 +110,13 @@ def _weak_curl_residual(sol, disc):
     node grid."""
     f = _dofs(sol.neumann, disc.degree)
     w = cc._weak_curl(_dofs(sol.dirichlet, disc.degree, "edges"), sol.boundary, disc)
-    dist, size = float(np.linalg.norm(disc.gram._solve_mass0(w) + f)), float(np.linalg.norm(f))
-    return dist / size if size else dist
+    return _relative(np.linalg.norm(disc.gram._solve_mass0(w) + f), np.linalg.norm(f))
 
 
 def norm_gap(nF, nE):
     """|nF - nE| / nF, or |nF - nE| where nF = 0: the relative gap between
     the two H(curl) norms."""
-    gap = abs(nF - nE)
-    return gap / nF if nF else gap
+    return _relative(abs(nF - nE), nF)
 
 
 def _solve_exponential(N, boost):
@@ -135,7 +131,8 @@ def run_study(cfg, log=print):
     """Solve both problems for N = 1..max_degree with the exponential test
     data; record norms, errors and the residuals of the identities
     Et = M1 E10 F and curl E^h = -F^h, and write
-    table1.csv / fig3.csv when requested."""
+    table1.csv / fig3.csv when requested.  Returns the tuple of
+    `DegreeRecord`s, one per degree."""
     exact = cc.exponential_pair()
     records = []
     for N in range(1, cfg.max_degree + 1):
@@ -156,8 +153,6 @@ def run_study(cfg, log=print):
                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-    report = StudyReport(records=tuple(records), theoretical_norm=theoretical_norm())
-
     if "table1" in cfg.emit:
         _write_csv(
             cfg.output_dir / "table1.csv",
@@ -167,21 +162,21 @@ def run_study(cfg, log=print):
                 for r in records
             ],
         )
-        log(_norm_table_text(report))
+        log(_norm_table_text(records))
     if "fig3" in cfg.emit:
         _write_csv(
             cfg.output_dir / "fig3.csv",
             "N,errF,errE",
             [(r.N, _fmt(r.errF), _fmt(r.errE)) for r in records],
         )
-    return report
+    return tuple(records)
 
 
-def _norm_table_text(report):
+def _norm_table_text(records):
     lines = [f"{'N':>3}  {'|F^h|_H(curl)':>14}  {'|E^h|_H(curl)':>14}"]
-    for r in report.records:
+    for r in records:
         lines.append(f"{r.N:>3}  {r.normF:>14.8f}  {r.normE:>14.8f}")
-    lines.append(f"theoretical value: {report.theoretical_norm:.8f}")
+    lines.append(f"theoretical value: {theoretical_norm():.8f}")
     return "\n".join(lines)
 
 
@@ -312,14 +307,13 @@ INVARIANTS = (
 )
 
 
-def self_check(log=print, report=None):
-    """Run the invariant registry on the first 8 records of `report`, the
-    study this run already made; without a report of 8 degrees, run the
-    N=1..8 study first.  Returns True iff every residual is within its
-    tolerance."""
-    if report is None or len(report.records) < 8:
-        report = run_study(StudyConfig(max_degree=8, emit=frozenset()))
-    records = report.records[:8]
+def self_check(log=print, records=None):
+    """Run the invariant registry on the first 8 of `records`, the study
+    this run already made; without 8 records, run the N=1..8 study first.
+    Returns True iff every residual is within its tolerance."""
+    if records is None or len(records) < 8:
+        records = run_study(StudyConfig(max_degree=8, emit=frozenset()))
+    records = records[:8]
     passed = 0
     for name, residual_fn, tol in INVARIANTS:
         residual = residual_fn(records)
@@ -361,10 +355,10 @@ def main(argv=None):
               file=sys.stderr)
         return 2
 
-    report = None
+    records = None
     try:
         if cfg.emit & {"table1", "fig3"}:
-            report = run_study(cfg)
+            records = run_study(cfg)
         if "fig2" in cfg.emit:
             emit_fig2(cfg)
         if "matrices" in cfg.emit:
@@ -373,7 +367,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.self_check and not self_check(report=report):
+    if args.self_check and not self_check(records=records):
         return 1
     return 0
 

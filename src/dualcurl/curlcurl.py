@@ -193,22 +193,18 @@ def project_boundary_data(field, disc, boost=15):
     Ehat_k = closed-loop integral of psi_k(s) * (n x E)(s) ds, traversed
     counter-clockwise; corner dofs collect both adjacent sides.  The data
     is generally non-polynomial, so each side uses a Gauss rule of N+boost
-    points, as `error_norms` does; boost must be an integer >= 0.
+    points, as `error_norms` does; boost must be an integer >= 0, and each
+    side's trace must be real.
     """
     boost = _integer("boost", boost, 0)
     N = disc.degree
     q = gauss_rule(N + boost)
     H = lagrange_eval(disc.nodes, q.points)  # (N+1, M)
-    coords = {
-        "S": (q.points, np.full_like(q.points, -1.0)),
-        "E": (np.full_like(q.points, 1.0), q.points),
-        "N": (q.points, np.full_like(q.points, 1.0)),
-        "W": (np.full_like(q.points, -1.0), q.points),
-    }
     dofs = np.zeros(4 * N)
     for side, side_dofs in side_dof_indices(N).items():
-        x, y = coords[side]
-        ehat = field.tangential_trace(side, x, y)
+        # the normal's nonzero coordinate is the side's fixed one
+        x, y = (np.full_like(q.points, n) if n else q.points for n in _NORMALS[side])
+        ehat = _real(f"the tangential trace on side {side}", field.tangential_trace(side, x, y))
         dofs[side_dofs] += H @ (q.weights * ehat)
     return BoundaryData(degree=N, dofs=dofs)
 
@@ -296,11 +292,10 @@ def _weak_curl(s, bd, disc):
 
 
 def norm_F(F, disc):
-    """H(curl) norm of the primal scalar field from its nodal dofs:
-    F M0 F + c M1 c with c = E10 F, as 1D Gram products on the grids."""
-    gram, f = disc.gram, _dofs(F, disc.degree)
-    c = _incidence(f)
-    return float(np.sqrt(np.vdot(f, gram.Gh @ f @ gram.Gh) + np.vdot(c, gram._mass1(c))))
+    """H(curl) norm of the primal scalar field from its nodal dofs: the
+    Neumann energy F (E10^T M1 E10 + M0) F, by `_neumann_apply`."""
+    f = _dofs(F, disc.degree)
+    return float(np.sqrt(np.vdot(f, _neumann_apply(f, disc))))
 
 
 def norm_E(Et, bd, disc):
@@ -368,7 +363,7 @@ def error_norms(sol, exact, disc, boost=15):
     fields; the curl term of the dual error uses the weak-curl
     reconstruction and the analytic scalar curl of E, so `exact` needs
     `scalar` and `vector_curl`.  Each of the four exact components must be
-    finite on the grid.
+    real and finite on the grid.
     """
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
@@ -379,7 +374,8 @@ def error_norms(sol, exact, disc, boost=15):
     q = gauss_rule(disc.degree + boost)
     g = q.points
     X, Y = np.meshgrid(g, g, indexing="ij")
-    values = {k: getattr(exact, k)(X, Y) for k in ("Ex", "Ey", "scalar", "vector_curl")}
+    values = {k: _real(f"the exact field's {k}", getattr(exact, k)(X, Y))
+              for k in ("Ex", "Ey", "scalar", "vector_curl")}
     Ex, Ey, F, cE = values.values()
     bad = [k for k, v in values.items() if not np.all(np.isfinite(v))]
     if bad:

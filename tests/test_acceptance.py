@@ -48,8 +48,8 @@ def run_invariants(*prefixes):
 def study(tmp_path_factory):
     cfg = StudyConfig(output_dir=tmp_path_factory.mktemp("study"), emit=frozenset())
     t0 = time.perf_counter()
-    rep = run_study(cfg, log=lambda *a, **k: None)
-    return rep, time.perf_counter() - t0
+    records = run_study(cfg, log=lambda *a, **k: None)
+    return records, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +59,11 @@ def random_sets():
 
 
 def test_criterion_1_norm_table(study):
-    rep, elapsed = study
+    records, elapsed = study
     # published values are truncated at the 8th decimal
     worst = max(
         max(abs(r.normF - t), abs(r.normE - t))
-        for r, t in zip(rep.records, TABLE1)
+        for r, t in zip(records, TABLE1)
     )
     report(
         1,
@@ -74,9 +74,9 @@ def test_criterion_1_norm_table(study):
 
 
 def test_criterion_2_theoretical_norm(study):
-    rep, _ = study
+    records, _ = study
     t = theoretical_norm()
-    high = [r.normF for r in rep.records if r.N >= 7]
+    high = [r.normF for r in records if r.N >= 7]
     worst = max(abs(v - t) for v in high)
     ok = f"{t:.8f}" == "6.32958656" and worst <= 1e-8
     report(
@@ -88,8 +88,8 @@ def test_criterion_2_theoretical_norm(study):
 
 
 def test_criterion_3_norm_equality(study, random_sets):
-    rep, _ = study
-    worst = max(norm_gap(r.normF, r.normE) for r in rep.records)
+    records, _ = study
+    worst = max(norm_gap(r.normF, r.normE) for r in records)
     for field in random_sets:
         for N in range(1, 10):
             disc = cc.Discretization(N)
@@ -102,8 +102,8 @@ def test_criterion_3_norm_equality(study, random_sets):
 
 
 def test_criterion_4_equivalence_identity(study, random_sets):
-    rep, _ = study
-    worst = max(r.equivalence_residual for r in rep.records if r.N <= 8)
+    records, _ = study
+    worst = max(r.equivalence_residual for r in records if r.N <= 8)
     for field in random_sets:
         for N in range(1, 9):
             disc = cc.Discretization(N)
@@ -120,8 +120,8 @@ def test_criterion_5_pointwise_identity(tmp_path):
 
 
 def test_criterion_6_convergence(study):
-    rep, _ = study
-    errs = [r.errF for r in rep.records if r.N >= 2]
+    records, _ = study
+    errs = [r.errF for r in records if r.N >= 2]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     report(
         6,

@@ -78,9 +78,9 @@ class TestConfig:
 class TestRunStudy:
     def test_norm_columns_match_published_table(self, tmp_path):
         cfg = StudyConfig(output_dir=tmp_path, emit=frozenset())
-        report = run_study(cfg, log=quiet)
-        assert len(report.records) == 9
-        for rec, expected in zip(report.records, TABLE1_NORMS):
+        records = run_study(cfg, log=quiet)
+        assert len(records) == 9
+        for rec, expected in zip(records, TABLE1_NORMS):
             # published values are truncated at 8 decimals
             assert abs(rec.normF - expected) <= 1e-8
             assert abs(rec.normE - expected) <= 1e-8
@@ -90,17 +90,16 @@ class TestRunStudy:
 
     def test_single_degree(self, tmp_path):
         cfg = StudyConfig(max_degree=1, output_dir=tmp_path, emit=frozenset())
-        report = run_study(cfg, log=quiet)
-        assert len(report.records) == 1
-        rec = report.records[0]
+        records = run_study(cfg, log=quiet)
+        assert len(records) == 1
+        rec = records[0]
         assert rec.normF == pytest.approx(rec.normE, rel=1e-11)
 
     def test_records_the_weak_curl_residual(self, rng):
         # the record holds ||inv(M0) w + F|| / ||F||, w = E10^T Et + T^T Ehat,
         # the third identity curl E^h = -F^h; the residual function is
         # checked against the dense masses and incidence with F perturbed
-        report = run_study(StudyConfig(max_degree=3, emit=frozenset()))
-        for rec in report.records:
+        for rec in run_study(StudyConfig(max_degree=3, emit=frozenset())):
             disc, bd, sol = cli._solve_exponential(rec.N, 15)
             assert rec.weak_curl_residual == cli._weak_curl_residual(sol, disc) <= 1e-13
             F = sol.neumann + 1e-6 * rng.standard_normal(sol.neumann.shape)
@@ -187,6 +186,7 @@ class TestEquivalenceResidual:
         bd = cc.project_boundary_data(zero, disc)
         sol = cc.solve_both(bd, disc)
         assert equivalence_residual(sol, disc) == 0.0
+        assert cli._weak_curl_residual(sol, disc) == 0.0
         nF, nE = cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc)
         assert nF == nE == 0.0
         assert norm_gap(nF, nE) == 0.0
@@ -208,23 +208,21 @@ class TestSelfCheck:
     def test_perturbed_basis_detected(self, target, line, monkeypatch):
         # a relative error of 1e-9 in the edge table or in the nodal grid
         # solve fails exactly the basis line that reads it
-        report = run_study(StudyConfig(max_degree=8, emit=frozenset()))
+        records = run_study(StudyConfig(max_degree=8, emit=frozenset()))
         fn = getattr(*target)
         monkeypatch.setattr(*target, lambda *a: fn(*a) * (1 + 1e-9))
         lines = []
-        assert self_check(log=lines.append, report=report) is False
+        assert self_check(log=lines.append, records=records) is False
         failed = [ln for ln in lines if ln.startswith("FAIL ")]
         assert len(failed) == 1 and failed[0].startswith(f"FAIL  {INVARIANTS[line][0]}:")
         assert lines[-1] == "self-check: 6/7 passed"
 
     def test_weak_curl_line_reads_the_records(self):
         # the third identity's line fails on one degree's residual alone
-        report = run_study(StudyConfig(max_degree=8, emit=frozenset()))
-        records = list(report.records)
+        records = list(run_study(StudyConfig(max_degree=8, emit=frozenset())))
         records[4] = dataclasses.replace(records[4], weak_curl_residual=1e-9)
         lines = []
-        assert self_check(log=lines.append,
-                          report=dataclasses.replace(report, records=tuple(records))) is False
+        assert self_check(log=lines.append, records=tuple(records)) is False
         failed = [ln for ln in lines if ln.startswith("FAIL ")]
         assert failed == [f"FAIL  {INVARIANTS[6][0]}: residual 1.000e-09 (tol 1e-11)"]
         assert lines[-1] == "self-check: 6/7 passed"
@@ -233,7 +231,7 @@ class TestSelfCheck:
         # one edge table per degree (N=1..12) and one grid solve per degree
         # (N=1..8) on all of M0's columns at once; no public per-column
         # solve and no dense nodal mass
-        report = run_study(StudyConfig(max_degree=9, emit=frozenset()))
+        records = run_study(StudyConfig(max_degree=9, emit=frozenset()))
         calls = Counter()
 
         def counted(name, fn):
@@ -250,7 +248,7 @@ class TestSelfCheck:
         monkeypatch.setattr(gram, "_solve_mass0", counted("grid", gram._solve_mass0))
         monkeypatch.setattr(gram, "solve_mass0", forbidden)
         monkeypatch.setattr(galerkin, "assemble_mass0", forbidden)
-        assert self_check(log=quiet, report=report) is True
+        assert self_check(log=quiet, records=records) is True
         assert calls == {"edge_eval": 12, "grid": 8}
         assert not hasattr(cli, "assemble_mass0")
 
@@ -271,7 +269,7 @@ class TestSelfCheck:
     def test_reuses_the_study(self, monkeypatch):
         # a study of 9 degrees gives the self-check its N=1..8 records; the
         # check solves nothing itself and logs what a run of its own logs
-        report = run_study(StudyConfig(max_degree=9, emit=frozenset()))
+        records = run_study(StudyConfig(max_degree=9, emit=frozenset()))
         own = []
         self_check(log=own.append)
 
@@ -280,13 +278,13 @@ class TestSelfCheck:
 
         monkeypatch.setattr(cc, "Discretization", no_solve)
         reused = []
-        assert self_check(log=reused.append, report=report) is True
+        assert self_check(log=reused.append, records=records) is True
         assert reused == own
 
     def test_short_report_falls_back(self):
-        report = run_study(StudyConfig(max_degree=3, emit=frozenset()))
+        records = run_study(StudyConfig(max_degree=3, emit=frozenset()))
         lines = []
-        assert self_check(log=lines.append, report=report) is True
+        assert self_check(log=lines.append, records=records) is True
         assert lines[-1] == "self-check: 7/7 passed"
 
 

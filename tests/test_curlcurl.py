@@ -963,6 +963,27 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=rf"^the exact field's {component} is not finite"):
             cc.error_norms(sol, field, disc)
 
+    @pytest.mark.parametrize("component", ["Ex", "Ey", "scalar", "vector_curl"])
+    def test_complex_exact_field_fails_in_error_norms(self, exact, solved, component):
+        # the squared differences would fold the imaginary part into the
+        # error: scalar = e^x + e^y + 1j would read errF ~ 1e-16 at N=3
+        disc, _, sol = solved[3]
+        part = getattr(exact, component)
+        field = dataclasses.replace(exact, **{component: lambda x, y: part(x, y) + 1j})
+        with pytest.raises(ValueError,
+                           match=rf"^the exact field's {component} must be real, not complex$"):
+            cc.error_norms(sol, field, disc)
+
+    @pytest.mark.parametrize("component, side", [("Ex", "S"), ("Ey", "E")])
+    def test_complex_field_fails_at_projection(self, exact, component, side):
+        # numpy would fail casting the trace into the real dofs, naming no
+        # input; the first side whose normal selects the component is named
+        part = getattr(exact, component)
+        field = dataclasses.replace(exact, **{component: lambda x, y: part(x, y) + 1j})
+        with pytest.raises(ValueError,
+                           match=rf"^the tangential trace on side {side} must be real, not complex$"):
+            cc.project_boundary_data(field, cc.Discretization(3))
+
     def test_non_finite_field_fails_at_projection(self, exact):
         # the NaN would otherwise reach the solves as boundary dofs
         field = cc.AnalyticField(Ex=lambda x, y: np.where(x > 0.5, np.nan, 1.0), Ey=exact.Ey)
@@ -976,6 +997,17 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"^points must be a scalar or a 1D array, "
                                              r"not of shape \(2, 2\)$"):
             getattr(basis1d, evaluate)(gll_nodes(3), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("evaluate", ["lagrange_eval", "edge_eval"])
+    @pytest.mark.parametrize("points", [np.nan, np.inf, -np.inf, [0.5, np.nan]],
+                             ids=["nan", "inf", "-inf", "list-with-nan"])
+    def test_basis_points_must_be_finite(self, evaluate, points):
+        # the barycentric form would return NaN columns, its 0/0 hidden by
+        # its errstate; outside [-1, 1] the basis still extrapolates
+        evaluator = getattr(basis1d, evaluate)
+        with pytest.raises(ValueError, match=r"^points must be finite, got "):
+            evaluator(gll_nodes(3), points)
+        assert np.all(np.isfinite(evaluator(gll_nodes(3), [-5.0, 1.5])))
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("point", [5.0, -1.0 - 1e-12, np.nan, np.inf])
