@@ -313,14 +313,24 @@ def _tables(disc, x):
     return H, _edge_table(disc.nodes, H)
 
 
-def _evaluate(g, x_tables, y_tables):
-    """Contract a node grid g with its 1D factor tables one direction at a
-    time, Hx.T @ g.T @ Hy, or each (interval, node) grid of an edge stack:
-    the xi grid g[0] with (Hx, Ey), the eta grid g[1] with (Ex, Hy)."""
+# each `reconstruct` kind: its dof layout, and its coefficient grids from the dof grid g
+_KINDS = {
+    "primal-scalar": ("nodes", lambda g, gram: g),
+    "primal-curl": ("nodes", lambda g, gram: _incidence(g)),
+    "dual-vector": ("edges", lambda g, gram: gram._solve_mass1(g)),
+    "dual-weak-curl": ("nodes", lambda g, gram: gram._solve_mass0(g)),
+}
+
+
+def _evaluate(kind, g, disc, x_tables, y_tables):
+    """The field `kind` of dof grid g: its coefficient grids c contracted with
+    the 1D factor tables one direction at a time, Hx.T @ c.T @ Hy on a node
+    grid, or the xi grid c[0] with (Hx, Ey) and the eta grid c[1] with (Ex, Hy)."""
+    c = _KINDS[kind][1](g, disc.gram)
     (Hx, Ex), (Hy, Ey) = x_tables, y_tables
-    if g.ndim == 2:
-        return Hx.T @ g.T @ Hy
-    return Hx.T @ g[0].T @ Ey, Ex.T @ g[1] @ Hy
+    if c.ndim == 2:
+        return Hx.T @ c.T @ Hy
+    return Hx.T @ c[0].T @ Ey, Ex.T @ c[1] @ Hy
 
 
 def reconstruct(kind, dofs, x, y, disc):
@@ -335,8 +345,8 @@ def reconstruct(kind, dofs, x, y, disc):
 
     The dual kinds solve the mass matrix against the dofs, not against
     the basis: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
-    Three steps: the coefficient grids, the 1D factor tables of each axis
-    (`_tables`) and their contraction (`_evaluate`).
+    Two steps: the 1D factor tables of each axis (`_tables`) and their
+    contraction with the coefficient grids of `_KINDS` (`_evaluate`).
     """
     x, y = (np.atleast_1d(_real(name, v)) for name, v in (("x", x), ("y", y)))
     if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
@@ -344,15 +354,10 @@ def reconstruct(kind, dofs, x, y, disc):
     for name, v in (("x", x), ("y", y)):
         if not np.all(np.abs(v) <= 1.0):  # false for NaN; outside, the basis extrapolates
             raise ValueError(f"{name} must hold finite points in [-1, 1], got {v}")
-    N, gram = disc.degree, disc.gram
-    if kind == "dual-vector":
-        grids = gram._solve_mass1(_dofs(dofs, N, "edges"))
-    elif kind in ("primal-scalar", "primal-curl", "dual-weak-curl"):
-        f = gram._solve_mass0(_dofs(dofs, N)) if kind == "dual-weak-curl" else _dofs(dofs, N)
-        grids = _incidence(f) if kind == "primal-curl" else f
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown reconstruction kind {kind!r}")
-    return _evaluate(grids, _tables(disc, x), _tables(disc, y))
+    g = _dofs(dofs, disc.degree, _KINDS[kind][0])
+    return _evaluate(kind, g, disc, _tables(disc, x), _tables(disc, y))
 
 
 def error_norms(sol, exact, disc, boost=15):
@@ -372,8 +377,7 @@ def error_norms(sol, exact, disc, boost=15):
     boost = _integer("boost", boost, 0)
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     q = gauss_rule(disc.degree + boost)
-    g = q.points
-    X, Y = np.meshgrid(g, g, indexing="ij")
+    X, Y = np.meshgrid(q.points, q.points, indexing="ij")
     values = {k: _real(f"the exact field's {k}", getattr(exact, k)(X, Y))
               for k in ("Ex", "Ey", "scalar", "vector_curl")}
     Ex, Ey, F, cE = values.values()
@@ -381,22 +385,13 @@ def error_norms(sol, exact, disc, boost=15):
     if bad:
         raise ValueError(f"the exact field's {', '.join(bad)} is not finite on the error grid")
     w2 = np.outer(q.weights, q.weights)
-    t = _tables(disc, g)
+    t = _tables(disc, q.points)
 
-    Fh = _evaluate(f, t, t)
-    cFx, cFy = _evaluate(_incidence(f), t, t)
-    errF2 = np.vdot(w2, (
-        (F - Fh) ** 2
-        + (Ex - cFx) ** 2
-        + (Ey - cFy) ** 2
-    ))
+    Fh = _evaluate("primal-scalar", f, disc, t, t)
+    cFx, cFy = _evaluate("primal-curl", f, disc, t, t)
+    errF2 = np.vdot(w2, (F - Fh) ** 2 + (Ex - cFx) ** 2 + (Ey - cFy) ** 2)
 
-    Ehx, Ehy = _evaluate(disc.gram._solve_mass1(s), t, t)
-    w = _weak_curl(s, sol.boundary, disc)
-    cEh = _evaluate(disc.gram._solve_mass0(w), t, t)
-    errE2 = np.vdot(w2, (
-        (Ex - Ehx) ** 2
-        + (Ey - Ehy) ** 2
-        + (cE - cEh) ** 2
-    ))
+    Ehx, Ehy = _evaluate("dual-vector", s, disc, t, t)
+    cEh = _evaluate("dual-weak-curl", _weak_curl(s, sol.boundary, disc), disc, t, t)
+    errE2 = np.vdot(w2, (Ex - Ehx) ** 2 + (Ey - Ehy) ** 2 + (cE - cEh) ** 2)
     return float(np.sqrt(errF2)), float(np.sqrt(errE2))

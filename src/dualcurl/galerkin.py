@@ -12,19 +12,22 @@ grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve is two
 Ei s Hi^T on the edge stack s for M1 (`operators2d`: both components as
 (interval, node) grids, so one batched product serves both), with
 Hi = inv(Gh), Ei = inv(Ge); `solve_mass0/1` wrap them for one dof vector.
-Those two 1D inverses are the only factorizations a `GramSet` makes, each
-from one Cholesky factor G = L L^T and its one triangular inverse
-Li = inv(L) as inv(G) = Li^T Li; no 2D mass or dual mass is formed unless
-a caller asks for one.  `spd_eigh` reduces a symmetric-definite pencil
-with such an inverse factor, so the pencil (K, Gh) reuses `GramSet.Lh`.
+Each is Li^T Li from an inverse factor Li, Li G Li^T = I, which `spd_eigh`
+also takes, so the pencil (K, Gh) reuses `GramSet.Lh`; no 2D mass or dual
+mass is formed unless a caller asks for one.
 
-The quadrature rule picks only the nodal Gram: "gauss" (N+1 Gauss-Legendre
-points) integrates it exactly, degree 2N, while the collocated "lobatto"
-rule, on the GLL nodes where the nodal table is the identity, lumps it to
-diag(w).  A `GramSet` takes its rule from the caller; the package's one
-default is `Discretization`'s "lobatto", the rule of the published norm
-table.  The contracts here are stated for the exact rule.  The edge Gram,
-degree 2N-2, is exact on the GLL nodes under either rule.
+The quadrature rule picks only the scalar c of the nodal Gram
+Gh = diag(w) - c v v^T on the GLL nodes x_i, weights w_i, v_i = w_i L_N(x_i):
+GLL quadrature is exact to degree 2N-1 and misses only L_N^2 (2/N for
+2/(2N+1)), so "gauss" takes c = N(N+1)/(2(2N+1)), the exact Gram of degree
+2N (Teukolsky, "Short note on the mass matrix for Gauss-Lobatto grid
+points", J. Comput. Phys. 283, 2015), and the collocated "lobatto" c = 0,
+the lumped diag(w).  Gh's inverse factor is the closed form
+Lh = (I + beta u u^T) diag(w)^(-1/2), u = v / sqrt(w), so set-up makes one
+Cholesky factorization per degree, of the edge Gram (exact on the GLL
+nodes under either rule), and one LU solve (gesv) of its factor against I.
+The package's one default rule is `Discretization`'s "lobatto", the rule of
+the published norm table; the contracts here are stated for the exact rule.
 
 Neither basis is tabulated in 2D.  A dual expansion with dofs d equals
 the primal expansion with coefficients inv(M) d, because M is symmetric,
@@ -36,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis1d import _edge_table, gauss_rule, gll_nodes, lagrange_eval
+from .basis1d import _edge_table, gll_nodes
 from .operators2d import _dofs, _flat
 
 __all__ = [
@@ -70,43 +73,45 @@ def assemble_mass1(Gh, Ge):
 
 def _inverse_factor(B):
     """Li = inv(L) of the Cholesky factor B = L L^T of an SPD matrix B, so
-    that inv(B) = Li^T Li: one factorization and one triangular inverse.
-    Raises `LinAlgError` if B is not positive definite."""
+    that inv(B) = Li^T Li: one factorization and one LU solve (gesv) of L
+    against I.  Raises `LinAlgError` if B is not positive definite."""
     L = np.linalg.cholesky(B)
     return np.linalg.solve(L, np.eye(len(B)))
 
 
 def spd_eigh(A, Li):
     """Eigenpairs (w, V) of the symmetric-definite pencil A V = B V diag(w),
-    w ascending and V normalized by V^T B V = I, from Li = inv(L) of
-    B = L L^T (`_inverse_factor(B)`): Li A Li^T = Y diag(w) Y^T, V = Li^T Y."""
+    w ascending and V normalized by V^T B V = I, from any inverse factor Li
+    of B, Li B Li^T = I (`_inverse_factor(B)` or `GramSet.Lh`):
+    Li A Li^T = Y diag(w) Y^T, V = Li^T Y."""
     w, Y = np.linalg.eigh(Li @ A @ Li.T)
     return w, Li.T @ Y
 
 
 class GramSet:
-    """The node set, the 1D Gram factors of degree N under the quadrature
-    `rule`, "gauss" or "lobatto", and their inverses, with `Lh` the inverse
-    Cholesky factor of Gh, Gh_inv = Lh^T Lh.  M1 is applied and solved on
-    the grids from the 1D factors; the public solves take one finite dof
-    vector.  The dense edge mass M1 is built on first access;
-    the nodal mass M0 is not stored: callers apply it as Gh f Gh on the node
-    grid, or build it with `assemble_mass0(Gh)`."""
+    """The node set, the 1D Grams of degree N under the quadrature `rule`,
+    "gauss" or "lobatto", which picks only c in Gh = diag(w) - c v v^T, and
+    their inverses, Gh_inv = Lh^T Lh from Gh's closed-form inverse factor
+    `Lh`.  M1 is applied and solved on the grids from the 1D factors; the
+    public solves take one finite dof vector.  The dense edge mass M1 is
+    built on first access; the nodal mass M0 is not stored: callers apply
+    it as Gh f Gh on the node grid, or build it with `assemble_mass0(Gh)`."""
 
     def __init__(self, degree, rule):
         self.nodes = ns = gll_nodes(degree)  # checks the degree
-        self.degree, self.rule = ns.degree, rule
-        if rule == "lobatto":  # int h_i h_k dx, lumped on the GLL nodes
-            self.Gh = np.diag(ns.weights)
-        elif rule == "gauss":  # exact on N+1 Gauss points
-            q = gauss_rule(ns.degree + 1)
-            H = lagrange_eval(ns, q.points)
-            self.Gh = (H * q.weights) @ H.T
-        else:
+        if rule not in ("lobatto", "gauss"):
             raise ValueError(f"unknown quadrature rule {rule!r}")
+        self.degree, self.rule = ns.degree, rule
+        N, w = ns.degree, ns.weights
+        c = N * (N + 1) / (2 * (2 * N + 1)) if rule == "gauss" else 0.0
+        # u = v / sqrt(w), |u|^2 = 2/N: L_N(x_i) alternates in sign up to L_N(1) = 1
+        u = (-1.0) ** np.arange(N, -1, -1) * np.sqrt(2.0 / (N * (N + 1)))
+        self.Gh = np.diag(w) - c * np.outer(np.sqrt(w) * u, np.sqrt(w) * u)
+        beta = (1.0 / np.sqrt(1.0 - 2.0 * c / N) - 1.0) * N / 2  # Lh Gh Lh^T = I
+        self.Lh = (np.eye(N + 1) + beta * np.outer(u, u)) / np.sqrt(w)
         E = _edge_table(ns)  # int e_i e_k dx, exact on the GLL nodes
-        self.Ge = (E * ns.weights) @ E.T
-        self.Lh, Le = _inverse_factor(self.Gh), _inverse_factor(self.Ge)
+        self.Ge = (E * w) @ E.T
+        Le = _inverse_factor(self.Ge)
         self.Gh_inv, self.Ge_inv = self.Lh.T @ self.Lh, Le.T @ Le
 
     @cached_property

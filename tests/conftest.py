@@ -37,6 +37,14 @@ def psi1_dense(ns, x, y):
     return np.vstack([Vxi, Z]), np.vstack([Z, Veta])
 
 
+def exact_nodal_gram(ns):
+    """int h_i h_k dx on N+1 Gauss points, exact for the degree-2N products:
+    the oracle for the closed form of `GramSet`'s exact nodal Gram."""
+    q = gauss_rule(ns.degree + 1)
+    H = lagrange_eval(ns, q.points)
+    return (H * q.weights) @ H.T
+
+
 def assemble_mass0_direct(N):
     """Nodal mass by direct 2D Gauss quadrature: the oracle for the tensor
     assembly (criterion 9)."""

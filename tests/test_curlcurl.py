@@ -15,7 +15,8 @@ from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
 from dualcurl.galerkin import assemble_mass0, spd_eigh
-from dualcurl.operators2d import _dofs, _flat, _incidence_t, build_incidence, build_trace
+from dualcurl.operators2d import (
+    _dofs, _flat, _incidence, _incidence_t, build_incidence, build_trace)
 from conftest import (
     dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
@@ -358,13 +359,14 @@ class TestDiscretization:
         assert calls == [5]
         assert disc.nodes is disc.gram.nodes
 
-    @pytest.mark.parametrize("rule, nodal", [("lobatto", 0), ("gauss", 1)])
-    def test_no_basis_table_in_setup(self, monkeypatch, rule, nodal):
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    def test_no_basis_table_in_setup(self, monkeypatch, rule):
         # the edge Gram needs no table: at the nodes the nodal table is the
-        # identity; only the exact nodal Gram evaluates one, at Gauss points
-        calls = _count_calls(monkeypatch, "lagrange_eval", "edge_eval")
+        # identity; the nodal Gram is a closed form in the GLL weights under
+        # either rule, so no Gauss rule is built either
+        calls = _count_calls(monkeypatch, "lagrange_eval", "edge_eval", "gauss_rule")
         cc.Discretization(6, rule)
-        assert calls == {"lagrange_eval": nodal, "edge_eval": 0}, calls
+        assert calls == {"lagrange_eval": 0, "edge_eval": 0, "gauss_rule": 0}, calls
 
 
 class TestOperators:
@@ -405,6 +407,19 @@ class TestOperators:
         c = disc.E10 @ F
         ref = np.sqrt(F @ assemble_mass0(disc.gram.Gh) @ F + c @ disc.gram.M1 @ c)
         assert abs(cc.norm_F(F, disc) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 16, 64, 128, 256])
+    def test_operators_intertwine_by_the_incidence(self, N, rule):
+        # the paper's theorem as an operator identity, with no solve in it:
+        # A_D M1 E10 = E10 inv(M0) A_N, so Et = M1 E10 F solves the dual
+        # problem when F solves the primal one; it ties the inverse of Gh
+        # to Gh through both operators; bound fixed before the first run
+        disc = cc.Discretization(N, rule)
+        x = np.random.default_rng(N).standard_normal((N + 1, N + 1))
+        dual = cc._dirichlet_apply(disc.gram._mass1(_incidence(x)), disc)
+        primal = _incidence(disc.gram._solve_mass0(cc._neumann_apply(x, disc)))
+        assert np.linalg.norm(dual - primal) <= 1e-14 * np.linalg.norm(primal)
 
 
 def _residual(apply, rhs, x, layout, bd, disc):
@@ -464,9 +479,9 @@ class TestFastDiagonalization:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("N", [1, 6])
-    def test_two_cholesky_factors_per_degree(self, monkeypatch, N):
-        # Gh and Ge in `GramSet`; the Neumann eigensolve reuses the inverse
-        # factor of Gh that `GramSet` keeps
+    def test_one_cholesky_factor_per_degree(self, monkeypatch, N):
+        # Ge in `GramSet`; the inverse factor of Gh is a closed form, which
+        # the Neumann eigensolve reuses
         sizes = []
         cholesky = galerkin.np.linalg.cholesky
 
@@ -476,7 +491,7 @@ class TestFastDiagonalization:
 
         monkeypatch.setattr(galerkin.np.linalg, "cholesky", recording)
         cc.Discretization(N)
-        assert sorted(sizes) == [N, N + 1]
+        assert sizes == [N]
 
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
     @pytest.mark.parametrize("N", [*range(1, 13), 24, 40, 64])

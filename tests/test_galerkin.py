@@ -7,7 +7,7 @@ from dualcurl import curlcurl as cc
 from dualcurl import galerkin
 from dualcurl.basis1d import edge_eval, gauss_rule, gll_nodes
 from dualcurl.galerkin import GramSet, assemble_mass0, _inverse_factor
-from conftest import assemble_mass0_direct, psi0_dense, psi1_dense
+from conftest import assemble_mass0_direct, exact_nodal_gram, psi0_dense, psi1_dense
 
 
 def rule_cases(degrees):
@@ -124,7 +124,7 @@ class TestMassSolve:
 
         monkeypatch.setattr(galerkin.np.linalg, "cholesky", recording)
         GramSet(N, rule)
-        assert sorted(shapes) == [(N, N), (N + 1, N + 1)]
+        assert shapes == [(N, N)]  # Ge only: Gh's inverse factor is a closed form
 
     @pytest.mark.parametrize("method, n, bad", [
         ("solve_mass0", 16, (15,)),
@@ -174,6 +174,32 @@ class TestInverseFactor:
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(np.linalg.LinAlgError):
             _inverse_factor(A)
+
+
+class TestNodalGram:
+    """Gh = diag(w) - c v v^T, v_i = w_i L_N(x_i): the rule picks only c,
+    N(N+1)/(2(2N+1)) for "gauss" and 0 for "lobatto"; bounds fixed before
+    the first run."""
+
+    @pytest.mark.parametrize("N", [*range(1, 41), 64, 128, 256])
+    def test_exact_gram_matches_quadrature(self, N):
+        gram = GramSet(N, "gauss")
+        ref = exact_nodal_gram(gram.nodes)
+        assert np.abs(gram.Gh - ref).max() <= 2e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N, rule", rule_cases([1, 2, 3, 9, 16, 40, 64, 128, 256]))
+    def test_inverse_factor_whitens_the_gram(self, N, rule):
+        gram = GramSet(N, rule)
+        gap = np.abs(gram.Lh @ gram.Gh @ gram.Lh.T - np.eye(N + 1)).max()
+        assert gap <= N * 1e-15
+
+    @pytest.mark.parametrize("N", [*range(1, 13), 40])
+    def test_lobatto_is_the_lump(self, N):
+        # c = 0 leaves the lumped Gram and its diagonal factor, bit for bit
+        gram = GramSet(N, "lobatto")
+        w = gram.nodes.weights
+        assert np.array_equal(gram.Gh, np.diag(w))
+        assert np.array_equal(gram.Lh, np.diag(1 / np.sqrt(w)))
 
 
 class TestBiorthogonality:
