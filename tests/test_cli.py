@@ -68,6 +68,12 @@ class TestConfig:
         for bad in (5, None):
             with pytest.raises(TypeError, match=rf"^output_dir must be a path, got {bad}$"):
                 StudyConfig(output_dir=bad)
+        for bad in (None, 5, [["table1"]]):
+            with pytest.raises(TypeError, match=rf"^emit must be a set of target names, "
+                                                rf"got {re.escape(repr(bad))}$"):
+                StudyConfig(emit=bad)
+        with pytest.raises(ValueError, match=r"^unknown emit targets: \[5, 'table9'\]$"):
+            StudyConfig(emit=["table9", 5])  # sorted as text, not compared
         # a str is a path: the CSVs are written after every degree is solved
         cfg = StudyConfig(max_degree=1, output_dir=str(tmp_path), emit=frozenset({"table1"}))
         assert cfg.output_dir == tmp_path
@@ -193,45 +199,80 @@ class TestEquivalenceResidual:
         assert norm_gap(0.0, 1e-3) == 1e-3
 
 
-class TestSelfCheck:
-    def test_passes(self):
-        assert self_check(log=quiet) is True
+@pytest.fixture(scope="module")
+def study():
+    """The records of the paper-cli run's study, N=1..9 at the default boost."""
+    return run_study(StudyConfig(emit=frozenset()))
 
-    def test_broken_incidence_detected(self, monkeypatch):
+
+def forbid_solves(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the self-check solved")
+
+    monkeypatch.setattr(cc, "Discretization", no_solve)
+    monkeypatch.setattr(cli, "run_study", no_solve)
+
+
+def failed_lines(records):
+    lines = []
+    assert self_check(records, log=lines.append) is False
+    return [ln for ln in lines if ln.startswith("FAIL ")], lines[-1]
+
+
+class TestSelfCheck:
+    def test_passes(self, study):
+        assert self_check(study, log=quiet) is True
+
+    def test_broken_incidence_detected(self, study, monkeypatch):
         monkeypatch.setattr(cli, "build_incidence", lambda n: build_incidence(n).T)
-        assert self_check(log=quiet) is False
+        assert self_check(study, log=quiet) is False
 
     @pytest.mark.parametrize("target, line", [
         ((basis1d, "_edge_table"), 0),
         ((galerkin.GramSet, "_solve_mass0"), 1),
     ], ids=["edge-table", "solve-mass0"])
-    def test_perturbed_basis_detected(self, target, line, monkeypatch):
+    def test_perturbed_basis_detected(self, study, target, line, monkeypatch):
         # a relative error of 1e-9 in the edge table or in the nodal grid
         # solve fails exactly the basis line that reads it
-        records = run_study(StudyConfig(max_degree=8, emit=frozenset()))
         fn = getattr(*target)
         monkeypatch.setattr(*target, lambda *a: fn(*a) * (1 + 1e-9))
-        lines = []
-        assert self_check(log=lines.append, records=records) is False
-        failed = [ln for ln in lines if ln.startswith("FAIL ")]
+        failed, summary = failed_lines(study)
         assert len(failed) == 1 and failed[0].startswith(f"FAIL  {INVARIANTS[line][0]}:")
-        assert lines[-1] == "self-check: 6/7 passed"
+        assert summary == "self-check: 7/8 passed"
 
-    def test_weak_curl_line_reads_the_records(self):
+    def test_equivalence_line_reads_every_degree(self):
+        # the residual of N=12, the last degree of a 12-degree study, alone
+        # fails the line the benchmark's gate parses
+        records = list(run_study(StudyConfig(max_degree=12, emit=frozenset())))
+        records[-1] = dataclasses.replace(records[-1], equivalence_residual=1e-9)
+        failed, summary = failed_lines(records)
+        assert failed == [f"FAIL  {INVARIANTS[4][0]}: residual 1.000e-09 (tol 1e-11)"]
+        assert summary == "self-check: 7/8 passed"
+
+    def test_weak_curl_line_reads_the_records(self, study):
         # the third identity's line fails on one degree's residual alone
-        records = list(run_study(StudyConfig(max_degree=8, emit=frozenset())))
+        records = list(study)
         records[4] = dataclasses.replace(records[4], weak_curl_residual=1e-9)
-        lines = []
-        assert self_check(log=lines.append, records=tuple(records)) is False
-        failed = [ln for ln in lines if ln.startswith("FAIL ")]
+        failed, summary = failed_lines(records)
         assert failed == [f"FAIL  {INVARIANTS[6][0]}: residual 1.000e-09 (tol 1e-11)"]
-        assert lines[-1] == "self-check: 6/7 passed"
+        assert summary == "self-check: 7/8 passed"
 
-    def test_basis_lines_use_the_grid_solve(self, monkeypatch):
+    def test_scaled_dirichlet_operator_detected(self, monkeypatch):
+        # A_D scaled by 1 + 1e-9 moves A_D M1 E10 x off E10 inv(M0) A_N x by
+        # exactly that factor; the solves see the scaled operator as well
+        apply = cc._dirichlet_apply
+        monkeypatch.setattr(cc, "_dirichlet_apply", lambda *a: apply(*a) * (1 + 1e-9))
+        failed, _ = failed_lines(run_study(StudyConfig(max_degree=4, emit=frozenset())))
+        assert f"FAIL  {INVARIANTS[7][0]}: residual 1.000e-09 (tol 1e-12)" in failed
+
+    def test_empty_records_rejected(self):
+        with pytest.raises(ValueError, match="records"):
+            self_check(())
+
+    def test_basis_lines_use_the_grid_solve(self, study, monkeypatch):
         # one edge table per degree (N=1..12) and one grid solve per degree
         # (N=1..8) on all of M0's columns at once; no public per-column
         # solve and no dense nodal mass
-        records = run_study(StudyConfig(max_degree=9, emit=frozenset()))
         calls = Counter()
 
         def counted(name, fn):
@@ -248,14 +289,14 @@ class TestSelfCheck:
         monkeypatch.setattr(gram, "_solve_mass0", counted("grid", gram._solve_mass0))
         monkeypatch.setattr(gram, "solve_mass0", forbidden)
         monkeypatch.setattr(galerkin, "assemble_mass0", forbidden)
-        assert self_check(log=quiet, records=records) is True
+        assert self_check(study, log=quiet) is True
         assert calls == {"edge_eval": 12, "grid": 8}
         assert not hasattr(cli, "assemble_mass0")
 
-    def test_output_contract(self):
+    def test_output_contract(self, study):
         # the benchmark's paper-cli gate parses these lines
         lines = []
-        self_check(log=lines.append)
+        self_check(study, log=lines.append)
         *checks, summary = lines
         names = []
         for line in checks:
@@ -263,29 +304,33 @@ class TestSelfCheck:
             assert m, line
             names.append(m.group(2))
         assert names == [name for name, _, _ in INVARIANTS]
-        assert "dual edge dofs equal M1 E10 F (N=1..8)" in names
-        assert summary == "self-check: 7/7 passed"
+        gated = [m for m in map(re.compile(r"dual edge dofs equal M1 E10 F.*residual (\S+)").search,
+                                checks) if m]
+        assert len(gated) == 1
+        assert float(gated[0].group(1)) <= 1e-11
+        assert re.fullmatch(r"self-check: (\d+)/\1 passed", summary)
+        assert summary == "self-check: 8/8 passed"
 
-    def test_reuses_the_study(self, monkeypatch):
-        # a study of 9 degrees gives the self-check its N=1..8 records; the
-        # check solves nothing itself and logs what a run of its own logs
-        records = run_study(StudyConfig(max_degree=9, emit=frozenset()))
-        own = []
-        self_check(log=own.append)
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("self-check built a Discretization")
-
-        monkeypatch.setattr(cc, "Discretization", no_solve)
-        reused = []
-        assert self_check(log=reused.append, records=records) is True
-        assert reused == own
-
-    def test_short_report_falls_back(self):
-        records = run_study(StudyConfig(max_degree=3, emit=frozenset()))
+    def test_reuses_the_study(self, study, monkeypatch):
+        # the identity lines report the maxima over every record the study
+        # holds, N=9 included; the check solves nothing itself
+        forbid_solves(monkeypatch)
         lines = []
-        assert self_check(log=lines.append, records=records) is True
-        assert lines[-1] == "self-check: 7/7 passed"
+        assert self_check(study, log=lines.append) is True
+        assert [r.N for r in study] == list(range(1, 10))
+        for line, field in ((4, "equivalence_residual"), (6, "weak_curl_residual"),
+                            (7, "operator_residual")):
+            worst = max(getattr(r, field) for r in study)
+            assert f"residual {worst:.3e} " in lines[line]
+
+    def test_short_report_falls_back(self, monkeypatch):
+        # a study of fewer than 8 degrees is checked as it is: no second
+        # study, no solve, all 8 lines on its 3 records
+        records = run_study(StudyConfig(max_degree=3, emit=frozenset()))
+        forbid_solves(monkeypatch)
+        lines = []
+        assert self_check(records, log=lines.append) is True
+        assert lines[-1] == "self-check: 8/8 passed"
 
 
 class TestMain:
@@ -318,6 +363,28 @@ class TestMain:
                   "incidence.csv", "trace.csv"):
             assert (tmp_path / f).exists()
 
+    @pytest.mark.parametrize("emit, args, built", [
+        ("table1", ["--max-degree", "3", "--quadrature-boost", "4"], 3),
+        ("table1,fig3,fig2", ["--max-degree", "9"], 10),
+        ("fig2", ["--max-degree", "2"], 3),
+    ])
+    def test_self_check_reads_the_run(self, emit, args, built, tmp_path, monkeypatch, capsys):
+        # one study per run, made for the CSVs or for the self-check alone;
+        # fig2 adds its own N=3 solve; the identity lines report the maxima
+        # over that study's records, at the run's boost
+        discs, studies = [], []
+        disc_cls, study_fn = cc.Discretization, cli.run_study
+        monkeypatch.setattr(cc, "Discretization", lambda *a: discs.append(a) or disc_cls(*a))
+        monkeypatch.setattr(cli, "run_study", lambda *a: studies.append(study_fn(*a)) or studies[-1])
+        assert main([*args, "--emit", emit, "--self-check", "--out", str(tmp_path)]) == 0
+        assert len(discs) == built and len(studies) == 1
+        out = capsys.readouterr().out
+        for field, name in (("equivalence_residual", INVARIANTS[4][0]),
+                            ("weak_curl_residual", INVARIANTS[6][0]),
+                            ("operator_residual", INVARIANTS[7][0])):
+            worst = max(getattr(r, field) for r in studies[0])
+            assert f"PASS  {name}: residual {worst:.3e} " in out
+
     def test_each_gauss_rule_size_computed_once(self, tmp_path, monkeypatch):
         # the rule's builder evaluates L_M once per size; gll_nodes' own
         # evaluations are not counted
@@ -345,8 +412,8 @@ class TestMain:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert sum(line.startswith("PASS ") for line in lines) == 7
-        assert lines[-1] == "self-check: 7/7 passed"
+        assert sum(line.startswith("PASS ") for line in lines) == 8
+        assert lines[-1] == "self-check: 8/8 passed"
         for name in ("table1.csv", "fig3.csv", "fig2_xi.csv", "fig2_eta.csv"):
             assert (tmp_path / name).exists(), name
         # importing the package loads dualcurl.cli, which runpy warns about

@@ -608,7 +608,7 @@ class TestGridOnlyPath:
         rc = cli.main(["--max-degree", "12", "--emit", "table1,fig3,fig2",
                        "--self-check", "--out", str(tmp_path)])
         assert rc == 0
-        assert "self-check: 7/7 passed" in capsys.readouterr().out
+        assert "self-check: 8/8 passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("entry", [
         "solve_both", "weak_curl", "norm_F", "norm_E", "reconstruct-primal-scalar",
