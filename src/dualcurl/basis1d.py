@@ -23,7 +23,8 @@ differentiation matrix Dn[j, i] = h_i'(x_j), built once per node set
 (Berrut & Trefethen, SIAM Rev. 46, 2004, 9), and the edge table is
 -cumsum(Dn^T H)[:-1] of the nodal table H (`_edge_table`): a caller that
 needs both tables evaluates H once, and at the nodes, where H is the
-identity, none.
+identity, none.  The package's one rule for the integers a caller hands
+it is `_integer`, and for its arrays `_real`: dofs, points, field values.
 """
 
 from dataclasses import dataclass
@@ -72,12 +73,18 @@ def _integer(name, value, least):
     return int(value)
 
 
-def _real(name, v):
-    """`v` as a float array; a complex one raises `ValueError` naming `name`,
-    where the float cast would drop its imaginary part."""
+def _real(name, v, shape=None):
+    """`v` as a float array; `ValueError` naming `name` if it is complex (a
+    float cast would drop the imaginary part), holds a NaN or an inf, or,
+    given a `shape`, has another shape and is not a scalar."""
     if np.iscomplexobj(v):
         raise ValueError(f"{name} must be real, not complex")
-    return np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if shape is not None and v.shape not in ((), shape):
+        raise ValueError(f"{name} has shape {v.shape}, not {shape} or a scalar")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
+    return v
 
 
 def _legendre(N, x):
@@ -154,11 +161,9 @@ def lagrange_eval(ns, x):
     Kronecker column.  x must be a finite scalar or 1D array; outside
     [-1, 1] the basis extrapolates.
     """
-    x = _real("points", x)
+    x = _real("points", x)  # finite: the errstate below would hide a 0/0
     if x.ndim > 1:  # numpy would fail broadcasting it against the nodes
         raise ValueError(f"points must be a scalar or a 1D array, not of shape {x.shape}")
-    if not np.all(np.isfinite(x)):  # the errstate below would hide the 0/0
-        raise ValueError(f"points must be finite, got {x}")
     diff = np.atleast_1d(x)[None, :] - ns.nodes[:, None]
     hit = diff == 0.0
     on_node = hit.any(axis=0)

@@ -56,7 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis1d import _edge_table, _integer, _real, gauss_rule, lagrange_eval
-from .galerkin import GramSet, spd_eigh
+from .galerkin import GramSet
 from .operators2d import (
     _dofs, _flat, _incidence, _incidence_t, boundary_nodes, build_incidence,
     side_dof_indices)
@@ -164,7 +164,9 @@ class Discretization:
         self.loop = boundary_nodes(N)
         D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.K = D.T @ self.gram.Ge @ D
-        lam, self.V = spd_eigh(self.K, self.gram.Lh)
+        Lh = self.gram.Lh  # K V = Gh V lam with V^T Gh V = I, from Lh Gh Lh^T = I
+        lam, Y = np.linalg.eigh(Lh @ self.K @ Lh.T)
+        self.V = Lh.T @ Y
         self.neumann_scale = 1.0 / (lam[:, None] + lam + 1.0)
         lam[0] = 0.0  # the constant mode, computed as about +-1e-16
         root = np.sqrt(lam)
@@ -194,7 +196,7 @@ def project_boundary_data(field, disc, boost=15):
     counter-clockwise; corner dofs collect both adjacent sides.  The data
     is generally non-polynomial, so each side uses a Gauss rule of N+boost
     points, as `error_norms` does; boost must be an integer >= 0, and each
-    side's trace must be real.
+    side's trace real and finite, of the points' shape or a scalar.
     """
     boost = _integer("boost", boost, 0)
     N = disc.degree
@@ -204,7 +206,8 @@ def project_boundary_data(field, disc, boost=15):
     for side, side_dofs in side_dof_indices(N).items():
         # the normal's nonzero coordinate is the side's fixed one
         x, y = (np.full_like(q.points, n) if n else q.points for n in _NORMALS[side])
-        ehat = _real(f"the tangential trace on side {side}", field.tangential_trace(side, x, y))
+        ehat = _real(f"the tangential trace on side {side}",
+                     field.tangential_trace(side, x, y), q.points.shape)
         dofs[side_dofs] += H @ (q.weights * ehat)
     return BoundaryData(degree=N, dofs=dofs)
 
@@ -352,7 +355,7 @@ def reconstruct(kind, dofs, x, y, disc):
     if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
         raise ValueError(f"x and y must be 1D grid axes, not {x.shape} and {y.shape}")
     for name, v in (("x", x), ("y", y)):
-        if not np.all(np.abs(v) <= 1.0):  # false for NaN; outside, the basis extrapolates
+        if not np.all(np.abs(v) <= 1.0):  # outside, the basis would extrapolate
             raise ValueError(f"{name} must hold finite points in [-1, 1], got {v}")
     if kind not in _KINDS:
         raise ValueError(f"unknown reconstruction kind {kind!r}")
@@ -368,7 +371,7 @@ def error_norms(sol, exact, disc, boost=15):
     fields; the curl term of the dual error uses the weak-curl
     reconstruction and the analytic scalar curl of E, so `exact` needs
     `scalar` and `vector_curl`.  Each of the four exact components must be
-    real and finite on the grid.
+    real and finite, of the grid's shape or a scalar.
     """
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
@@ -378,12 +381,8 @@ def error_norms(sol, exact, disc, boost=15):
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     q = gauss_rule(disc.degree + boost)
     X, Y = np.meshgrid(q.points, q.points, indexing="ij")
-    values = {k: _real(f"the exact field's {k}", getattr(exact, k)(X, Y))
-              for k in ("Ex", "Ey", "scalar", "vector_curl")}
-    Ex, Ey, F, cE = values.values()
-    bad = [k for k, v in values.items() if not np.all(np.isfinite(v))]
-    if bad:
-        raise ValueError(f"the exact field's {', '.join(bad)} is not finite on the error grid")
+    Ex, Ey, F, cE = (_real(f"the exact field's {k}", getattr(exact, k)(X, Y), X.shape)
+                     for k in ("Ex", "Ey", "scalar", "vector_curl"))
     w2 = np.outer(q.weights, q.weights)
     t = _tables(disc, q.points)
 

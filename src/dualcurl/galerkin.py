@@ -1,5 +1,4 @@
-"""Gram (mass) matrices, their inverses and the generalized eigensolver of
-the 1D factors.
+"""Gram (mass) matrices and their inverses.
 
 All matrices live on the reference square and are built from two 1D
 Grams of degree N: the nodal Gram Gh and the edge Gram Ge, which `GramSet`
@@ -12,9 +11,9 @@ grid g of b (Deville, Fischer & Mund 2002, 4.5).  So a mass solve is two
 Ei s Hi^T on the edge stack s for M1 (`operators2d`: both components as
 (interval, node) grids, so one batched product serves both), with
 Hi = inv(Gh), Ei = inv(Ge); `solve_mass0/1` wrap them for one dof vector.
-Each is Li^T Li from an inverse factor Li, Li G Li^T = I, which `spd_eigh`
-also takes, so the pencil (K, Gh) reuses `GramSet.Lh`; no 2D mass or dual
-mass is formed unless a caller asks for one.
+Each is Li^T Li from an inverse factor Li, Li G Li^T = I, and
+`Discretization` reuses `GramSet.Lh` for its pencil (K, Gh); no 2D mass or
+dual mass is formed unless a caller asks for one.
 
 The quadrature rule picks only the scalar c of the nodal Gram
 Gh = diag(w) - c v v^T on the GLL nodes x_i, weights w_i, v_i = w_i L_N(x_i):
@@ -45,7 +44,6 @@ from .operators2d import _dofs, _flat
 __all__ = [
     "assemble_mass0",
     "assemble_mass1",
-    "spd_eigh",
     "GramSet",
 ]
 
@@ -77,15 +75,6 @@ def _inverse_factor(B):
     against I.  Raises `LinAlgError` if B is not positive definite."""
     L = np.linalg.cholesky(B)
     return np.linalg.solve(L, np.eye(len(B)))
-
-
-def spd_eigh(A, Li):
-    """Eigenpairs (w, V) of the symmetric-definite pencil A V = B V diag(w),
-    w ascending and V normalized by V^T B V = I, from any inverse factor Li
-    of B, Li B Li^T = I (`_inverse_factor(B)` or `GramSet.Lh`):
-    Li A Li^T = Y diag(w) Y^T, V = Li^T Y."""
-    w, Y = np.linalg.eigh(Li @ A @ Li.T)
-    return w, Li.T @ Y
 
 
 class GramSet:

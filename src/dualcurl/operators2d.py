@@ -48,8 +48,6 @@ def _dofs(v, N, layout="nodes"):
     if v.shape != (n,):
         raise ValueError(f"dofs of shape {v.shape} do not match the degree-{N} "
                          f"discretization: expected a 1D vector of length {n}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"dofs for the degree-{N} discretization are not finite (NaN or inf)")
     if layout == "edges":
         n = N * (N + 1)
         return np.concatenate([v[:n], v[n:].reshape(N + 1, N).T], axis=None).reshape(2, N, N + 1)

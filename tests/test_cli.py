@@ -49,6 +49,14 @@ class TestConfig:
         assert cfg.max_degree == 9 and cfg.grid_size == 30
         assert cfg.quadrature_boost == 15
 
+    @pytest.mark.parametrize("value", [np.int64(9), np.uint8(255)], ids=["int64", "uint8"])
+    def test_numpy_integers_stored_as_int(self, value):
+        # a uint8 255 would make run_study's range(1, max_degree + 1) wrap to
+        # range(1, 0) with only a RuntimeWarning, and solve no degree
+        cfg = StudyConfig(max_degree=value, grid_size=value, quadrature_boost=value)
+        for got in (cfg.max_degree, cfg.grid_size, cfg.quadrature_boost):
+            assert type(got) is int and got == value
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             StudyConfig(max_degree=0)

@@ -14,7 +14,7 @@ from dualcurl import basis1d, cli, galerkin, operators2d
 from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes
 from dualcurl.cli import equivalence_residual, norm_gap
-from dualcurl.galerkin import assemble_mass0, spd_eigh
+from dualcurl.galerkin import assemble_mass0
 from dualcurl.operators2d import (
     _dofs, _flat, _incidence, _incidence_t, build_incidence, build_trace)
 from conftest import (
@@ -465,12 +465,13 @@ class TestFastDiagonalization:
 
     def test_factors_once_per_degree(self, monkeypatch, exact):
         calls = []
+        eigh = np.linalg.eigh
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return spd_eigh(*args, **kwargs)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(cc, "spd_eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         disc = cc.Discretization(6)
         assert len(calls) == 1   # the Neumann pencil; the Dirichlet solve reuses it
         bd = cc.project_boundary_data(exact, disc)
@@ -965,7 +966,8 @@ class TestInputChecks:
         disc = cc.Discretization(3)
         dofs = np.zeros(12)
         dofs[5] = np.nan
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError,
+                           match="^dofs for the degree-3 discretization must be finite, got nan$"):
             cc.solve_both(cc.BoundaryData(3, dofs), disc)
 
     @pytest.mark.parametrize("component", ["Ex", "Ey", "scalar", "vector_curl"])
@@ -975,8 +977,34 @@ class TestInputChecks:
         disc, _, sol = solved[3]
         field = dataclasses.replace(
             exact, **{component: lambda x, y: np.where(x > 0.5, np.nan, 1.0)})
-        with pytest.raises(ValueError, match=rf"^the exact field's {component} is not finite"):
+        with pytest.raises(ValueError,
+                           match=rf"^the exact field's {component} must be finite, got nan$"):
             cc.error_norms(sol, field, disc)
+
+    @pytest.mark.parametrize("cut", ["column", "row"])
+    @pytest.mark.parametrize("component", ["Ex", "Ey", "scalar", "vector_curl"])
+    def test_misshapen_exact_field_fails_in_error_norms(self, exact, solved, component, cut):
+        # numpy would broadcast an (M, 1) or (M,) component against the grid
+        # into a wrong error: scalar cut to (M, 1) reads errF 2.08, not 9.6e-4, at N=5
+        disc, _, sol = solved[5]
+        part = getattr(exact, component)
+        piece = {"column": lambda v: v[:, :1], "row": lambda v: v[:, 0]}[cut]
+        field = dataclasses.replace(exact, **{component: lambda x, y: piece(part(x, y))})
+        m = disc.degree + 15
+        shape = re.escape(str((m, 1) if cut == "column" else (m,)))
+        with pytest.raises(ValueError, match=rf"^the exact field's {component} has shape "
+                                             rf"{shape}, not \({m}, {m}\) or a scalar$"):
+            cc.error_norms(sol, field, disc)
+
+    def test_scalar_exact_field_is_a_constant(self, solved):
+        # a field value may be a scalar: the same errors, bit for bit, as the
+        # zero field returned on the whole grid
+        disc, _, sol = solved[3]
+        zero = lambda x, y: 0.0
+        grid = lambda x, y: np.zeros_like(x)
+        scalar = cc.AnalyticField(zero, zero, zero, zero)
+        full = cc.AnalyticField(grid, grid, grid, grid)
+        assert cc.error_norms(sol, scalar, disc) == cc.error_norms(sol, full, disc)
 
     @pytest.mark.parametrize("component", ["Ex", "Ey", "scalar", "vector_curl"])
     def test_complex_exact_field_fails_in_error_norms(self, exact, solved, component):
@@ -1002,8 +1030,19 @@ class TestInputChecks:
     def test_non_finite_field_fails_at_projection(self, exact):
         # the NaN would otherwise reach the solves as boundary dofs
         field = cc.AnalyticField(Ex=lambda x, y: np.where(x > 0.5, np.nan, 1.0), Ey=exact.Ey)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError,
+                           match="^the tangential trace on side S must be finite, got nan$"):
             cc.project_boundary_data(field, cc.Discretization(3))
+
+    def test_misshapen_trace_fails_at_projection(self, exact):
+        # numpy would fail broadcasting an (M, 1) trace against the side's
+        # weights, naming no side; M = N + boost = 18
+        field = dataclasses.replace(exact, Ex=lambda x, y: exact.Ex(x, y)[:, None])
+        with pytest.raises(ValueError, match=r"^the tangential trace on side S has shape "
+                                             r"\(18, 1\), not \(18,\) or a scalar$"):
+            cc.project_boundary_data(field, cc.Discretization(3))
+        constant = cc.AnalyticField(Ex=lambda x, y: 1.0, Ey=lambda x, y: 0.0)
+        assert np.all(np.isfinite(cc.project_boundary_data(constant, cc.Discretization(3)).dofs))
 
     @pytest.mark.parametrize("evaluate", ["lagrange_eval", "edge_eval"])
     def test_basis_points_must_be_scalar_or_1d(self, evaluate):
@@ -1032,7 +1071,10 @@ class TestInputChecks:
         points = {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}
         assert cc.reconstruct("primal-scalar", np.ones(16), *points.values(), disc).shape == (2, 2)
         points[axis] = [0.0, point]
-        with pytest.raises(ValueError, match=rf"^{axis} must hold finite points in \[-1, 1\]"):
+        message = rf"^{axis} must hold finite points in \[-1, 1\]"
+        if not np.isfinite(point):
+            message = rf"^{axis} must be finite, got {point}$"
+        with pytest.raises(ValueError, match=message):
             cc.reconstruct("primal-scalar", np.ones(16), *points.values(), disc)
 
     @pytest.mark.parametrize("call, name", [
@@ -1087,7 +1129,7 @@ class TestInputChecks:
             message = "^dofs for the degree-9 discretization must be real, not complex$"
         if shape in ("nan", "inf"):
             v[n // 2] = float(shape)
-            message = "^dofs for the degree-9 discretization are not finite"
+            message = rf"^dofs for the degree-9 discretization must be finite, got {shape}$"
         with pytest.raises(ValueError, match=message):
             call(v, bd, disc)
 
