@@ -134,10 +134,9 @@ def norm_gap(nF, nE):
 
 
 def _solve_exponential(N, boost):
-    """(disc, bd, sol) of the exponential pair at degree N, its boundary
-    data projected with N + boost Gauss points per side."""
-    disc = cc.Discretization(N)
-    bd = cc.project_boundary_data(cc.exponential_pair(), disc, boost=boost)
+    """(disc, bd, sol) of the exponential pair at degree N and data boost `boost`."""
+    disc = cc.Discretization(N, boost=boost)
+    bd = cc.project_boundary_data(cc.exponential_pair(), disc)
     return disc, bd, cc.solve_both(bd, disc)
 
 
@@ -154,7 +153,7 @@ def run_study(cfg, log=print):
         disc, bd, sol = _solve_exponential(N, cfg.quadrature_boost)
         nF = cc.norm_F(sol.neumann, disc)
         nE = cc.norm_E(sol.dirichlet, bd, disc)
-        errF, errE = cc.error_norms(sol, exact, disc, boost=cfg.quadrature_boost)
+        errF, errE = cc.error_norms(sol, exact, disc)
         records.append(
             DegreeRecord(
                 N=N,

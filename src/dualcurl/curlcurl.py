@@ -45,8 +45,9 @@ once, on return.  On the grids E10 and E10^T are `_incidence` and
 evaluates a field on the tensor grid of two 1D axes.
 
 Every function here takes the `Discretization` of the degree it works on;
-it is the only way a degree and a quadrature rule reach this module, so
-both solves, the norms and the errors always share the same operators.
+it is the only way a degree and its two quadratures reach this module, so
+the solves and norms share one set of operators, and the boundary
+projection and the errors one data rule and its 1D tables.
 """
 
 from dataclasses import dataclass
@@ -152,16 +153,20 @@ class Discretization:
     generalized eigensolve (see the module docstring): K = D^T Ge D, V with
     V^T Gh V = I, the grid `neumann_scale` 1/(lam_p + lam_q + 1), and the
     Dirichlet Q, P and 2x2 block inverse grids `pair_diag`, `pair_off`.
-    `loop` is `boundary_nodes(N)`.  The degree N must be an integer >= 1
-    (a bool is not one).  The dense incidence `E10` is built on first
-    access; no solve, norm or error path reads it.
+    `loop` is `boundary_nodes(N)`; `quadrature`, the Gauss rule of N+boost
+    points (boost an integer >= 0), and its nodal and edge `tables` integrate
+    the exact data in `project_boundary_data` and `error_norms`.  The degree
+    N must be an integer >= 1 (a bool is not one).  The dense incidence
+    `E10` is built on first access; no solve, norm or error path reads it.
     """
 
-    def __init__(self, N, rule="lobatto"):
+    def __init__(self, N, rule="lobatto", boost=15):
         self.gram = GramSet(N, rule)  # checks the degree
         self.degree = N = self.gram.degree
         self.nodes = self.gram.nodes
         self.loop = boundary_nodes(N)
+        self.quadrature = gauss_rule(N + _integer("boost", boost, 0))
+        self.tables = _tables(self, self.quadrature.points)
         D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.K = D.T @ self.gram.Ge @ D
         Lh = self.gram.Lh  # K V = Gh V lam with V^T Gh V = I, from Lh Gh Lh^T = I
@@ -189,19 +194,15 @@ def _check(obj, disc):
                          f"degree-{disc.degree} discretization")
 
 
-def project_boundary_data(field, disc, boost=15):
+def project_boundary_data(field, disc):
     """Project the tangential trace n x E onto the boundary loop basis.
 
     Ehat_k = closed-loop integral of psi_k(s) * (n x E)(s) ds, traversed
-    counter-clockwise; corner dofs collect both adjacent sides.  The data
-    is generally non-polynomial, so each side uses a Gauss rule of N+boost
-    points, as `error_norms` does; boost must be an integer >= 0, and each
-    side's trace real and finite, of the points' shape or a scalar.
+    counter-clockwise; corner dofs collect both adjacent sides, each side on
+    `disc.quadrature` and its nodal table.  Each side's trace must be real
+    and finite, of the points' shape or a scalar.
     """
-    boost = _integer("boost", boost, 0)
-    N = disc.degree
-    q = gauss_rule(N + boost)
-    H = lagrange_eval(disc.nodes, q.points)  # (N+1, M)
+    N, q, (H, _) = disc.degree, disc.quadrature, disc.tables
     dofs = np.zeros(4 * N)
     for side, side_dofs in side_dof_indices(N).items():
         # the normal's nonzero coordinate is the side's fixed one
@@ -348,8 +349,9 @@ def reconstruct(kind, dofs, x, y, disc):
 
     The dual kinds solve the mass matrix against the dofs, not against
     the basis: M is symmetric, so (inv(M) d) @ psi = d @ inv(M) psi.
-    Two steps: the 1D factor tables of each axis (`_tables`) and their
-    contraction with the coefficient grids of `_KINDS` (`_evaluate`).
+    Two steps: the 1D factor tables of each axis (`_tables`, made once
+    where y holds the points of x) and their contraction with the
+    coefficient grids of `_KINDS` (`_evaluate`).
     """
     x, y = (np.atleast_1d(_real(name, v)) for name, v in (("x", x), ("y", y)))
     if x.ndim != 1 or y.ndim != 1:  # a 2D grid would contract to wrong values
@@ -360,31 +362,29 @@ def reconstruct(kind, dofs, x, y, disc):
     if kind not in _KINDS:
         raise ValueError(f"unknown reconstruction kind {kind!r}")
     g = _dofs(dofs, disc.degree, _KINDS[kind][0])
-    return _evaluate(kind, g, disc, _tables(disc, x), _tables(disc, y))
+    tx = _tables(disc, x)
+    return _evaluate(kind, g, disc, tx, tx if np.array_equal(x, y) else _tables(disc, y))
 
 
-def error_norms(sol, exact, disc, boost=15):
+def error_norms(sol, exact, disc):
     """H(curl) errors (errF, errE) against the analytic pair.
 
-    Uses a tensor Gauss grid of one axis with N+boost points (boost an
-    integer >= 0), whose 1D factor tables are evaluated once for all four
-    fields; the curl term of the dual error uses the weak-curl
-    reconstruction and the analytic scalar curl of E, so `exact` needs
-    `scalar` and `vector_curl`.  Each of the four exact components must be
-    real and finite, of the grid's shape or a scalar.
+    Uses the tensor grid of one axis, `disc.quadrature`, whose `tables`
+    serve both directions and all four fields; the curl term of the dual
+    error uses the weak-curl reconstruction and the analytic scalar curl of
+    E, so `exact` needs `scalar` and `vector_curl`.  Each of the four exact
+    components must be real and finite, of the grid's shape or a scalar.
     """
     missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
     if missing:
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
     _check(sol, disc)
-    boost = _integer("boost", boost, 0)
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
-    q = gauss_rule(disc.degree + boost)
+    q, t = disc.quadrature, disc.tables
     X, Y = np.meshgrid(q.points, q.points, indexing="ij")
     Ex, Ey, F, cE = (_real(f"the exact field's {k}", getattr(exact, k)(X, Y), X.shape)
                      for k in ("Ex", "Ey", "scalar", "vector_curl"))
     w2 = np.outer(q.weights, q.weights)
-    t = _tables(disc, q.points)
 
     Fh = _evaluate("primal-scalar", f, disc, t, t)
     cFx, cFy = _evaluate("primal-curl", f, disc, t, t)

@@ -154,6 +154,15 @@ class TestFig2:
         assert len(rows) == 31  # header of grid abscissae plus 30 rows
         assert len(rows[1].split(",")) == 30
 
+    def test_evaluates_each_grid_table_once(self, tmp_path, monkeypatch):
+        # the data rule's table is made in set-up, at N + boost = 18 points;
+        # each reconstruction's y axis is its x axis, whose tables it reuses
+        sizes, evaluate = [], basis1d.lagrange_eval
+        monkeypatch.setattr(cc, "lagrange_eval",
+                            lambda ns, x: sizes.append(np.size(x)) or evaluate(ns, x))
+        emit_fig2(StudyConfig(output_dir=tmp_path, emit=frozenset({"fig2"})), log=quiet)
+        assert sizes == [18, 30, 30], sizes
+
     def test_custom_grid_size(self, tmp_path):
         cfg = StudyConfig(grid_size=7, output_dir=tmp_path, emit=frozenset({"fig2"}))
         dxi, deta, _ = emit_fig2(cfg, log=quiet)
@@ -382,7 +391,8 @@ class TestMain:
         # over that study's records, at the run's boost
         discs, studies = [], []
         disc_cls, study_fn = cc.Discretization, cli.run_study
-        monkeypatch.setattr(cc, "Discretization", lambda *a: discs.append(a) or disc_cls(*a))
+        monkeypatch.setattr(cc, "Discretization",
+                            lambda *a, **k: discs.append(a) or disc_cls(*a, **k))
         monkeypatch.setattr(cli, "run_study", lambda *a: studies.append(study_fn(*a)) or studies[-1])
         assert main([*args, "--emit", emit, "--self-check", "--out", str(tmp_path)]) == 0
         assert len(discs) == built and len(studies) == 1

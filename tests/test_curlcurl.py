@@ -158,10 +158,11 @@ class TestBoundaryProjection:
 
     def test_negative_boost_rejected(self, exact):
         # a negative boost would under-integrate the trace data
-        disc = cc.Discretization(4)
         with pytest.raises(ValueError, match="boost must be >= 0"):
-            cc.project_boundary_data(exact, disc, boost=-1)
-        assert np.all(np.isfinite(cc.project_boundary_data(exact, disc, boost=0).dofs))
+            cc.Discretization(4, boost=-1)
+        disc = cc.Discretization(4, boost=0)
+        assert disc.quadrature.points.shape == disc.quadrature.weights.shape == (4,)
+        assert np.all(np.isfinite(cc.project_boundary_data(exact, disc).dofs))
 
     def test_unit_trace_corner_dofs(self):
         # with n x E == 1 everywhere, each N=1 corner hat integrates to
@@ -363,10 +364,23 @@ class TestDiscretization:
     def test_no_basis_table_in_setup(self, monkeypatch, rule):
         # the edge Gram needs no table: at the nodes the nodal table is the
         # identity; the nodal Gram is a closed form in the GLL weights under
-        # either rule, so no Gauss rule is built either
+        # either rule, so no Gauss rule is built either.  Set-up's one rule
+        # and one table are the data quadrature's, of N + boost points
         calls = _count_calls(monkeypatch, "lagrange_eval", "edge_eval", "gauss_rule")
-        cc.Discretization(6, rule)
+        galerkin.GramSet(6, rule)
         assert calls == {"lagrange_eval": 0, "edge_eval": 0, "gauss_rule": 0}, calls
+        disc = cc.Discretization(6, rule, boost=3)
+        assert calls == {"lagrange_eval": 1, "edge_eval": 0, "gauss_rule": 1}, calls
+        assert disc.quadrature.points.shape == (9,)
+        assert [t.shape for t in disc.tables] == [(7, 9), (6, 9)]
+
+    def test_projection_and_errors_evaluate_no_table(self, exact, monkeypatch):
+        # both integrate on the set-up's rule and tables
+        disc = cc.Discretization(5)
+        calls = _count_calls(monkeypatch, "lagrange_eval", "gauss_rule")
+        sol = cc.solve_both(cc.project_boundary_data(exact, disc), disc)
+        cc.error_norms(sol, exact, disc)
+        assert calls == {"lagrange_eval": 0, "gauss_rule": 0}, calls
 
 
 class TestOperators:
@@ -862,11 +876,13 @@ class TestErrorNorms:
 
     def test_evaluates_each_table_once(self, exact, solved, monkeypatch):
         # one Gauss axis serves both directions and all four fields: its
-        # nodal table is evaluated once, and the edge table derived from it
-        disc, _, sol = solved[5]
-        ref = cc.error_norms(sol, exact, disc)
+        # nodal table is evaluated once, in set-up, and the edge table
+        # derived from it; error_norms evaluates none
+        _, _, sol = solved[5]
         calls = _count_calls(monkeypatch, "lagrange_eval")
-        assert cc.error_norms(sol, exact, disc) == ref
+        disc = cc.Discretization(5)
+        assert calls == {"lagrange_eval": 1}, calls
+        assert cc.error_norms(sol, exact, disc) == cc.error_norms(sol, exact, solved[5][0])
         assert calls == {"lagrange_eval": 1}, calls
 
 
@@ -882,10 +898,7 @@ INTEGER_ENTRIES = {
     "GramSet": (lambda v, disc, sol: galerkin.GramSet(v, "gauss"), "degree", 1),
     "Discretization": (lambda v, disc, sol: cc.Discretization(v), "degree", 1),
     "BoundaryData": (lambda v, disc, sol: cc.BoundaryData(v, sol.boundary.dofs), "degree", 1),
-    "project_boundary_data": (lambda v, disc, sol: cc.project_boundary_data(
-        cc.exponential_pair(), disc, boost=v), "boost", 0),
-    "error_norms": (lambda v, disc, sol: cc.error_norms(
-        sol, cc.exponential_pair(), disc, boost=v), "boost", 0),
+    "Discretization.boost": (lambda v, disc, sol: cc.Discretization(3, boost=v), "boost", 0),
     "StudyConfig.max_degree": (lambda v, disc, sol: cli.StudyConfig(max_degree=v),
                                "max_degree", 1),
     "StudyConfig.grid_size": (lambda v, disc, sol: cli.StudyConfig(grid_size=v),
@@ -937,13 +950,11 @@ class TestInputChecks:
     def test_boost_must_be_an_integer(self, exact, solved, boost):
         # boost=True would integrate on N+1 points without a word, and a
         # float would fail inside numpy's Gauss rule naming N+boost
-        disc, bd, sol = solved[3]
-        for call in (lambda: cc.project_boundary_data(exact, disc, boost=boost),
-                     lambda: cc.error_norms(sol, exact, disc, boost=boost)):
-            with pytest.raises(TypeError, match=rf"^boost must be an integer, got {boost!r}$"):
-                call()
-        assert cc.error_norms(sol, exact, disc, boost=np.int64(2)) == \
-            cc.error_norms(sol, exact, disc, boost=2)
+        _, _, sol = solved[3]
+        with pytest.raises(TypeError, match=rf"^boost must be an integer, got {boost!r}$"):
+            cc.Discretization(3, boost=boost)
+        assert cc.error_norms(sol, exact, cc.Discretization(3, boost=np.int64(2))) == \
+            cc.error_norms(sol, exact, cc.Discretization(3, boost=2))
 
     def test_degree_mismatch(self):
         disc = cc.Discretization(4)
@@ -1135,10 +1146,10 @@ class TestInputChecks:
 
     def test_error_norms_rejects_negative_boost(self, exact, solved):
         # a negative boost would under-integrate and shrink the errors
-        disc, _, sol = solved[9]
+        _, _, sol = solved[9]
         with pytest.raises(ValueError, match="boost must be >= 0"):
-            cc.error_norms(sol, exact, disc, boost=-5)
-        assert all(np.isfinite(cc.error_norms(sol, exact, disc, boost=0)))
+            cc.Discretization(9, boost=-5)
+        assert all(np.isfinite(cc.error_norms(sol, exact, cc.Discretization(9, boost=0))))
 
     @pytest.mark.parametrize("missing", ["scalar", "vector_curl"])
     def test_error_norms_names_missing_part(self, exact, solved, missing):
