@@ -898,7 +898,12 @@ INTEGER_ENTRIES = {
     "GramSet": (lambda v, disc, sol: galerkin.GramSet(v, "gauss"), "degree", 1),
     "Discretization": (lambda v, disc, sol: cc.Discretization(v), "degree", 1),
     "BoundaryData": (lambda v, disc, sol: cc.BoundaryData(v, sol.boundary.dofs), "degree", 1),
-    "Discretization.boost": (lambda v, disc, sol: cc.Discretization(3, boost=v), "boost", 0),
+    # the boost of the data quadrature that the projection and the errors
+    # integrate on reaches them through the Discretization, which checks it
+    "project_boundary_data": (lambda v, disc, sol: cc.project_boundary_data(
+        cc.exponential_pair(), cc.Discretization(3, boost=v)), "boost", 0),
+    "error_norms": (lambda v, disc, sol: cc.error_norms(
+        sol, cc.exponential_pair(), cc.Discretization(3, boost=v)), "boost", 0),
     "StudyConfig.max_degree": (lambda v, disc, sol: cli.StudyConfig(max_degree=v),
                                "max_degree", 1),
     "StudyConfig.grid_size": (lambda v, disc, sol: cli.StudyConfig(grid_size=v),
