@@ -102,17 +102,17 @@ def equivalence_residual(sol, disc):
     and the 1D Grams, none of the solves' factors."""
     cc._check(sol, disc)
     s = _dofs(sol.dirichlet, disc.degree, "edges")
-    c = _incidence(_dofs(sol.neumann, disc.degree))
+    return _equivalence_residual(s, _incidence(_dofs(sol.neumann, disc.degree)), disc)
+
+
+def _equivalence_residual(s, c, disc):
     return _relative(np.linalg.norm(s - disc.gram._mass1(c)), np.linalg.norm(s))
 
 
-def _weak_curl_residual(sol, disc):
-    """||inv(M0) w + F|| / ||F||, or the absolute distance where F = 0, with
-    w = E10^T Et + T^T Ehat the dual weak curl: curl E^h = -F^h on the
-    node grid."""
-    f = _dofs(sol.neumann, disc.degree)
-    w = cc._weak_curl(_dofs(sol.dirichlet, disc.degree, "edges"), sol.boundary, disc)
-    return _relative(np.linalg.norm(disc.gram._solve_mass0(w) + f), np.linalg.norm(f))
+def _weak_curl_residual(f, m0w):
+    """||inv(M0) w + F|| / ||F||, or the absolute distance where F = 0, on the node
+    grids f and m0w = inv(M0) w of the dual weak curl w: curl E^h = -F^h."""
+    return _relative(np.linalg.norm(m0w + f), np.linalg.norm(f))
 
 
 def _operator_residual(disc):
@@ -140,49 +140,35 @@ def _solve_exponential(N, boost):
     return disc, bd, cc.solve_both(bd, disc)
 
 
+def _record(N, boost):
+    """One degree of the study: its solution's two grids, and w, inv(M0) w,
+    inv(M1) Et and E10 F formed once each for the norms, errors and residuals."""
+    disc, bd, sol = _solve_exponential(N, boost)
+    f, s = _dofs(sol.neumann, N), _dofs(sol.dirichlet, N, "edges")
+    w = cc._weak_curl(s, bd, disc)
+    m0w, m1s, c = disc.gram._solve_mass0(w), disc.gram._solve_mass1(s), _incidence(f)
+    return DegreeRecord(
+        N, cc._norm_F(f, disc), cc._norm_E(w, m0w, s, m1s),
+        *cc._error_norms(cc.exponential_pair(), f, c, m1s, m0w, disc),
+        _equivalence_residual(s, c, disc), _weak_curl_residual(f, m0w),
+        _operator_residual(disc))
+
+
 def run_study(cfg, log=print):
     """Solve both problems for N = 1..max_degree with the exponential test
-    data; record norms, errors, the residuals of the identities
-    Et = M1 E10 F and curl E^h = -F^h and of the operator identity
-    A_D M1 E10 = E10 inv(M0) A_N, and write
-    table1.csv / fig3.csv when requested.  Returns the tuple of
-    `DegreeRecord`s, one per degree."""
-    exact = cc.exponential_pair()
-    records = []
-    for N in range(1, cfg.max_degree + 1):
-        disc, bd, sol = _solve_exponential(N, cfg.quadrature_boost)
-        nF = cc.norm_F(sol.neumann, disc)
-        nE = cc.norm_E(sol.dirichlet, bd, disc)
-        errF, errE = cc.error_norms(sol, exact, disc)
-        records.append(
-            DegreeRecord(
-                N=N,
-                normF=nF,
-                normE=nE,
-                errF=errF,
-                errE=errE,
-                equivalence_residual=equivalence_residual(sol, disc),
-                weak_curl_residual=_weak_curl_residual(sol, disc),
-                operator_residual=_operator_residual(disc),
-            )
-        )
+    data, one `_record` per degree: the norms, the errors and the residuals
+    of Et = M1 E10 F, curl E^h = -F^h and A_D M1 E10 = E10 inv(M0) A_N.
+    Writes table1.csv / fig3.csv when requested; returns the records as a tuple."""
+    records = tuple(_record(N, cfg.quadrature_boost) for N in range(1, cfg.max_degree + 1))
     if "table1" in cfg.emit:
-        _write_csv(
-            cfg.output_dir / "table1.csv",
-            "N,normF,normE,absdiff",
-            [
-                (r.N, _fmt(r.normF), _fmt(r.normE), _fmt(abs(r.normF - r.normE)))
-                for r in records
-            ],
-        )
+        _write_csv(cfg.output_dir / "table1.csv", "N,normF,normE,absdiff",
+                   [(r.N, _fmt(r.normF), _fmt(r.normE), _fmt(abs(r.normF - r.normE)))
+                    for r in records])
         log(_norm_table_text(records))
     if "fig3" in cfg.emit:
-        _write_csv(
-            cfg.output_dir / "fig3.csv",
-            "N,errF,errE",
-            [(r.N, _fmt(r.errF), _fmt(r.errE)) for r in records],
-        )
-    return tuple(records)
+        _write_csv(cfg.output_dir / "fig3.csv", "N,errF,errE",
+                   [(r.N, _fmt(r.errF), _fmt(r.errE)) for r in records])
+    return records
 
 
 def _norm_table_text(records):

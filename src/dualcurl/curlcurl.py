@@ -40,9 +40,10 @@ Fields live on the grids of `operators2d`, the one module that splits dof
 vectors into grids and joins them: the node grid f of F and the (2, N,
 N+1) edge stack s of Et.  Each field operation has one form on the grids;
 a public entry reads each caller array once, with `_dofs`, and joins
-once, on return.  On the grids E10 and E10^T are `_incidence` and
-`_incidence_t`, the norms are 1D Gram products, and `reconstruct`
-evaluates a field on the tensor grid of two 1D axes.
+once, on return.  The private norm and error forms take the grids they
+share (w, inv(M0) w, inv(M1) Et, E10 F); `cli` forms each once per degree.
+E10 and E10^T are `_incidence` and `_incidence_t`, the norms 1D Gram
+products; `reconstruct` evaluates a field on the tensor grid of two axes.
 
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and its two quadratures reach this module, so
@@ -283,6 +284,7 @@ def solve_dirichlet(bd, disc):
 
 
 def solve_both(bd, disc):
+    """Both solves of the boundary data `bd`, as one `Solution`."""
     return Solution(
         boundary=bd,
         neumann=solve_neumann(bd, disc),
@@ -298,7 +300,10 @@ def _weak_curl(s, bd, disc):
 def norm_F(F, disc):
     """H(curl) norm of the primal scalar field from its nodal dofs: the
     Neumann energy F (E10^T M1 E10 + M0) F, by `_neumann_apply`."""
-    f = _dofs(F, disc.degree)
+    return _norm_F(_dofs(F, disc.degree), disc)
+
+
+def _norm_F(f, disc):
     return float(np.sqrt(np.vdot(f, _neumann_apply(f, disc))))
 
 
@@ -307,7 +312,12 @@ def norm_E(Et, bd, disc):
     _check(bd, disc)
     s, gram = _dofs(Et, disc.degree, "edges"), disc.gram
     w = _weak_curl(s, bd, disc)
-    return float(np.sqrt(np.vdot(w, gram._solve_mass0(w)) + np.vdot(s, gram._solve_mass1(s))))
+    return _norm_E(w, gram._solve_mass0(w), s, gram._solve_mass1(s))
+
+
+def _norm_E(w, m0w, s, m1s):
+    """The dual norm from the weak curl w, inv(M0) w, the edge stack s and inv(M1) s."""
+    return float(np.sqrt(np.vdot(w, m0w) + np.vdot(s, m1s)))
 
 
 def _tables(disc, x):
@@ -326,11 +336,10 @@ _KINDS = {
 }
 
 
-def _evaluate(kind, g, disc, x_tables, y_tables):
-    """The field `kind` of dof grid g: its coefficient grids c contracted with
-    the 1D factor tables one direction at a time, Hx.T @ c.T @ Hy on a node
-    grid, or the xi grid c[0] with (Hx, Ey) and the eta grid c[1] with (Ex, Hy)."""
-    c = _KINDS[kind][1](g, disc.gram)
+def _evaluate(c, x_tables, y_tables):
+    """The field of coefficient grids c contracted with the 1D factor tables
+    one direction at a time, Hx.T @ c.T @ Hy on a node grid, or the xi grid
+    c[0] with (Hx, Ey) and the eta grid c[1] with (Ex, Hy)."""
     (Hx, Ex), (Hy, Ey) = x_tables, y_tables
     if c.ndim == 2:
         return Hx.T @ c.T @ Hy
@@ -361,9 +370,10 @@ def reconstruct(kind, dofs, x, y, disc):
             raise ValueError(f"{name} must hold finite points in [-1, 1], got {v}")
     if kind not in _KINDS:
         raise ValueError(f"unknown reconstruction kind {kind!r}")
-    g = _dofs(dofs, disc.degree, _KINDS[kind][0])
+    layout, coefficients = _KINDS[kind]
     tx = _tables(disc, x)
-    return _evaluate(kind, g, disc, tx, tx if np.array_equal(x, y) else _tables(disc, y))
+    c = coefficients(_dofs(dofs, disc.degree, layout), disc.gram)
+    return _evaluate(c, tx, tx if np.array_equal(x, y) else _tables(disc, y))
 
 
 def error_norms(sol, exact, disc):
@@ -380,17 +390,21 @@ def error_norms(sol, exact, disc):
         raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
     _check(sol, disc)
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
+    m0w = disc.gram._solve_mass0(_weak_curl(s, sol.boundary, disc))
+    return _error_norms(exact, f, _incidence(f), disc.gram._solve_mass1(s), m0w, disc)
+
+
+def _error_norms(exact, f, c, m1s, m0w, disc):
+    """(errF, errE) from the coefficient grids f, E10 F, inv(M1) Et, inv(M0) w."""
     q, t = disc.quadrature, disc.tables
     X, Y = np.meshgrid(q.points, q.points, indexing="ij")
     Ex, Ey, F, cE = (_real(f"the exact field's {k}", getattr(exact, k)(X, Y), X.shape)
                      for k in ("Ex", "Ey", "scalar", "vector_curl"))
     w2 = np.outer(q.weights, q.weights)
 
-    Fh = _evaluate("primal-scalar", f, disc, t, t)
-    cFx, cFy = _evaluate("primal-curl", f, disc, t, t)
+    Fh, (cFx, cFy) = _evaluate(f, t, t), _evaluate(c, t, t)
     errF2 = np.vdot(w2, (F - Fh) ** 2 + (Ex - cFx) ** 2 + (Ey - cFy) ** 2)
 
-    Ehx, Ehy = _evaluate("dual-vector", s, disc, t, t)
-    cEh = _evaluate("dual-weak-curl", _weak_curl(s, sol.boundary, disc), disc, t, t)
+    (Ehx, Ehy), cEh = _evaluate(m1s, t, t), _evaluate(m0w, t, t)
     errE2 = np.vdot(w2, (Ex - Ehx) ** 2 + (Ey - Ehy) ** 2 + (cE - cEh) ** 2)
     return float(np.sqrt(errF2)), float(np.sqrt(errE2))

@@ -23,7 +23,7 @@ from dualcurl.cli import (
     self_check,
     theoretical_norm,
 )
-from dualcurl.operators2d import build_incidence, build_trace
+from dualcurl.operators2d import _dofs, build_incidence, build_trace
 from conftest import equivalence_dense
 
 TABLE1_NORMS = [
@@ -41,6 +41,14 @@ TABLE1_NORMS = [
 
 def quiet(*args, **kwargs):
     pass
+
+
+def weak_curl_residual(sol, disc):
+    """The weak-curl residual of `sol` through its grid form: the node grid
+    of F and inv(M0) w of the weak curl w of its edge stack."""
+    N, gram = disc.degree, disc.gram
+    w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), sol.boundary, disc)
+    return cli._weak_curl_residual(_dofs(sol.neumann, N), gram._solve_mass0(w))
 
 
 class TestConfig:
@@ -115,12 +123,65 @@ class TestRunStudy:
         # checked against the dense masses and incidence with F perturbed
         for rec in run_study(StudyConfig(max_degree=3, emit=frozenset())):
             disc, bd, sol = cli._solve_exponential(rec.N, 15)
-            assert rec.weak_curl_residual == cli._weak_curl_residual(sol, disc) <= 1e-13
+            assert rec.weak_curl_residual == weak_curl_residual(sol, disc) <= 1e-13
             F = sol.neumann + 1e-6 * rng.standard_normal(sol.neumann.shape)
             w = disc.E10.T @ sol.dirichlet + build_trace(rec.N).T @ bd.dofs
             ref = np.linalg.norm(disc.gram.M2_dual @ w + F) / np.linalg.norm(F)
-            got = cli._weak_curl_residual(cc.Solution(bd, F, sol.dirichlet), disc)
+            got = weak_curl_residual(cc.Solution(bd, F, sol.dirichlet), disc)
             assert abs(got - ref) <= 1e-6 * ref
+
+    def test_records_equal_the_public_functions(self):
+        # one degree's pass hands its grids to the private forms that the
+        # public functions wrap, so each field is equal to theirs, not close
+        exact = cc.exponential_pair()
+        for rec in run_study(StudyConfig(max_degree=12, emit=frozenset()), log=quiet):
+            disc, bd, sol = cli._solve_exponential(rec.N, 15)
+            assert rec == cli.DegreeRecord(
+                rec.N, cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
+                *cc.error_norms(sol, exact, disc), equivalence_residual(sol, disc),
+                weak_curl_residual(sol, disc), cli._operator_residual(disc))
+
+    def test_forms_each_shared_grid_once(self, monkeypatch):
+        # after the solve, a degree reads each solution vector into its grid
+        # once and forms w, inv(M0) w, inv(M1) Et and E10 F once each; the
+        # operator residual, solve-free by design, is not counted
+        counts, state = [], {"on": False}  # one Counter per degree
+        solve, residual = cli._solve_exponential, cli._operator_residual
+
+        def counted(name, fn, applies=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                if state["on"] and applies(*args):
+                    counts[-1][name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def solve_then_count(N, boost):
+            state["on"] = False
+            disc, bd, sol = solve(N, boost)
+            counts.append(Counter())
+            state.update(on=True, F=sol.neumann.reshape(N + 1, N + 1))
+            return disc, bd, sol
+
+        def uncounted_residual(disc):
+            state["on"] = False
+            value = residual(disc)
+            state["on"] = True
+            return value
+
+        monkeypatch.setattr(cli, "_solve_exponential", solve_then_count)
+        monkeypatch.setattr(cli, "_operator_residual", uncounted_residual)
+        monkeypatch.setattr(cc, "_weak_curl", counted("_weak_curl", cc._weak_curl))
+        for name in ("_solve_mass0", "_solve_mass1"):
+            monkeypatch.setattr(galerkin.GramSet, name,
+                                counted(name, getattr(galerkin.GramSet, name)))
+        for module in (cli, cc, galerkin):
+            monkeypatch.setattr(module, "_dofs", counted("_dofs", module._dofs))
+        for module in (cli, cc):  # counted on the node grid of F only
+            monkeypatch.setattr(module, "_incidence", counted(
+                "_incidence", module._incidence, lambda g: np.array_equal(g, state["F"])))
+        run_study(StudyConfig(max_degree=3, emit=frozenset()), log=quiet)
+        once = {"_weak_curl": 1, "_solve_mass0": 1, "_solve_mass1": 1, "_incidence": 1}
+        assert counts == [Counter(once, _dofs=2)] * 3, counts
 
     def test_csv_outputs(self, tmp_path):
         cfg = StudyConfig(
@@ -209,7 +270,7 @@ class TestEquivalenceResidual:
         bd = cc.project_boundary_data(zero, disc)
         sol = cc.solve_both(bd, disc)
         assert equivalence_residual(sol, disc) == 0.0
-        assert cli._weak_curl_residual(sol, disc) == 0.0
+        assert weak_curl_residual(sol, disc) == 0.0
         nF, nE = cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc)
         assert nF == nE == 0.0
         assert norm_gap(nF, nE) == 0.0
