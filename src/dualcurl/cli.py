@@ -1,5 +1,5 @@
-"""Command-line driver: norm table, pointwise identity grids, convergence
-study and an invariant self-check.
+"""Command-line driver: the norm table and convergence study (a solve and a
+`curlcurl._measures` pass per degree), identity grids and an invariant self-check.
 
 Outputs (all deterministic, period decimal separator, 12 significant
 digits):
@@ -22,7 +22,7 @@ import numpy as np
 from . import curlcurl as cc
 from .basis1d import _integer, gauss_rule, gll_nodes, edge_eval
 from .galerkin import GramSet
-from .operators2d import _dofs, _incidence, build_incidence, build_trace
+from .operators2d import build_incidence, build_trace
 
 __all__ = [
     "StudyConfig",
@@ -30,8 +30,6 @@ __all__ = [
     "INVARIANTS",
     "INCIDENCE_N3",
     "TRACE_N3",
-    "equivalence_residual",
-    "norm_gap",
     "run_study",
     "emit_fig2",
     "self_check",
@@ -90,49 +88,6 @@ def _fmt(v):
     return f"{v:.12g}"
 
 
-def _relative(dist, size):
-    """dist / size, or dist where size is 0, as a float: the one
-    relative-residual rule."""
-    return float(dist / size if size else dist)
-
-
-def equivalence_residual(sol, disc):
-    """||Et - M1 E10 F|| / ||Et||, or the absolute distance where Et = 0, with
-    M1 E10 F = `GramSet._mass1` of the edge stack of E10 F: the incidence
-    and the 1D Grams, none of the solves' factors."""
-    cc._check(sol, disc)
-    s = _dofs(sol.dirichlet, disc.degree, "edges")
-    return _equivalence_residual(s, _incidence(_dofs(sol.neumann, disc.degree)), disc)
-
-
-def _equivalence_residual(s, c, disc):
-    return _relative(np.linalg.norm(s - disc.gram._mass1(c)), np.linalg.norm(s))
-
-
-def _weak_curl_residual(f, m0w):
-    """||inv(M0) w + F|| / ||F||, or the absolute distance where F = 0, on the node
-    grids f and m0w = inv(M0) w of the dual weak curl w: curl E^h = -F^h."""
-    return _relative(np.linalg.norm(m0w + f), np.linalg.norm(f))
-
-
-def _operator_residual(disc):
-    """||A_D M1 E10 x - E10 inv(M0) A_N x|| / ||E10 inv(M0) A_N x||: the
-    paper's theorem as an operator identity, with no solve in it, on the
-    node grid x[j, i] = cos(m^2), m = (N+1) j + i.  That chirp weights the
-    high modes as much as the low ones, which a smooth grid such as F would not."""
-    k = np.arange(disc.degree + 1.0)
-    x = np.cos(np.add.outer((disc.degree + 1) * k, k) ** 2)
-    dual = cc._dirichlet_apply(disc.gram._mass1(_incidence(x)), disc)
-    primal = _incidence(disc.gram._solve_mass0(cc._neumann_apply(x, disc)))
-    return _relative(np.linalg.norm(dual - primal), np.linalg.norm(primal))
-
-
-def norm_gap(nF, nE):
-    """|nF - nE| / nF, or |nF - nE| where nF = 0: the relative gap between
-    the two H(curl) norms."""
-    return _relative(abs(nF - nE), nF)
-
-
 def _solve_exponential(N, boost):
     """(disc, bd, sol) of the exponential pair at degree N and data boost `boost`."""
     disc = cc.Discretization(N, boost=boost)
@@ -140,26 +95,12 @@ def _solve_exponential(N, boost):
     return disc, bd, cc.solve_both(bd, disc)
 
 
-def _record(N, boost):
-    """One degree of the study: its solution's two grids, and w, inv(M0) w,
-    inv(M1) Et and E10 F formed once each for the norms, errors and residuals."""
-    disc, bd, sol = _solve_exponential(N, boost)
-    f, s = _dofs(sol.neumann, N), _dofs(sol.dirichlet, N, "edges")
-    w = cc._weak_curl(s, bd, disc)
-    m0w, m1s, c = disc.gram._solve_mass0(w), disc.gram._solve_mass1(s), _incidence(f)
-    return DegreeRecord(
-        N, cc._norm_F(f, disc), cc._norm_E(w, m0w, s, m1s),
-        *cc._error_norms(cc.exponential_pair(), f, c, m1s, m0w, disc),
-        _equivalence_residual(s, c, disc), _weak_curl_residual(f, m0w),
-        _operator_residual(disc))
-
-
 def run_study(cfg, log=print):
-    """Solve both problems for N = 1..max_degree with the exponential test
-    data, one `_record` per degree: the norms, the errors and the residuals
-    of Et = M1 E10 F, curl E^h = -F^h and A_D M1 E10 = E10 inv(M0) A_N.
-    Writes table1.csv / fig3.csv when requested; returns the records as a tuple."""
-    records = tuple(_record(N, cfg.quadrature_boost) for N in range(1, cfg.max_degree + 1))
+    """Both solves and one `curlcurl._measures` pass per degree N = 1..max_degree of the
+    exponential pair; writes table1.csv / fig3.csv when requested; returns the records."""
+    solved = (_solve_exponential(N, cfg.quadrature_boost) for N in range(1, cfg.max_degree + 1))
+    records = tuple(DegreeRecord(disc.degree, *cc._measures(sol, cc.exponential_pair(), disc))
+                    for disc, _, sol in solved)
     if "table1" in cfg.emit:
         _write_csv(cfg.output_dir / "table1.csv", "N,normF,normE,absdiff",
                    [(r.N, _fmt(r.normF), _fmt(r.normE), _fmt(abs(r.normF - r.normE)))
@@ -300,7 +241,7 @@ INVARIANTS = (
     ("dual edge dofs equal M1 E10 F (every degree solved)",
      lambda records: max(r.equivalence_residual for r in records), 1e-11),
     ("norm of E^h equals norm of F^h (every degree solved)",
-     lambda records: max(norm_gap(r.normF, r.normE) for r in records), 1e-11),
+     lambda records: max(cc.norm_gap(r.normF, r.normE) for r in records), 1e-11),
     ("curl of E^h equals -F^h (every degree solved)",
      lambda records: max(r.weak_curl_residual for r in records), 1e-11),
     ("A_D M1 E10 = E10 inv(M0) A_N on a chirp grid (every degree solved)",
@@ -311,7 +252,7 @@ INVARIANTS = (
 def self_check(records, log=print):
     """Run the invariant registry on `records`, every `DegreeRecord` of the
     run's study; solves nothing.  True iff every residual is within its tolerance."""
-    if not records:
+    if not (records := tuple(records)):  # one pass over a one-shot iterable
         raise ValueError("self_check needs the study's records, got none")
     passed = 0
     for name, residual_fn, tol in INVARIANTS:

@@ -12,8 +12,8 @@ from
 where Ehat are the 4N boundary dofs obtained by integrating the
 tangential trace n x E against the boundary loop basis, counter-clockwise
 with positive arclength measure, and T^T Ehat places each on its boundary
-node.  The two solutions are linked exactly by Et = M1 E10 F, the discrete
-form of E = curl F, and carry equal H(curl) norms.
+node.  The solutions are linked exactly by Et = M1 E10 F, the discrete form
+of E = curl F, and carry equal norms (`equivalence_residual`, `norm_gap`).
 
 The incidence is pure topology, E10 = [kron(D, I); -kron(I, D)] with D
 the Nx(N+1) 1D difference, and the masses are Kronecker products of the 1D
@@ -40,10 +40,11 @@ Fields live on the grids of `operators2d`, the one module that splits dof
 vectors into grids and joins them: the node grid f of F and the (2, N,
 N+1) edge stack s of Et.  Each field operation has one form on the grids;
 a public entry reads each caller array once, with `_dofs`, and joins
-once, on return.  The private norm and error forms take the grids they
-share (w, inv(M0) w, inv(M1) Et, E10 F); `cli` forms each once per degree.
-E10 and E10^T are `_incidence` and `_incidence_t`, the norms 1D Gram
-products; `reconstruct` evaluates a field on the tensor grid of two axes.
+once, on return.  The private norm, error and residual forms take the
+grids they share (w, inv(M0) w, inv(M1) Et, E10 F); `_measures`, the one
+pass after a degree's solves, forms each once.  E10 and E10^T are
+`_incidence` and `_incidence_t`, the norms 1D Gram products; `reconstruct`
+evaluates a field on the tensor grid of two axes.
 
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and its two quadratures reach this module, so
@@ -77,6 +78,8 @@ __all__ = [
     "norm_E",
     "reconstruct",
     "error_norms",
+    "equivalence_residual",
+    "norm_gap",
 ]
 
 # outward normals of the four sides of [-1,1]^2
@@ -400,11 +403,67 @@ def _error_norms(exact, f, c, m1s, m0w, disc):
     X, Y = np.meshgrid(q.points, q.points, indexing="ij")
     Ex, Ey, F, cE = (_real(f"the exact field's {k}", getattr(exact, k)(X, Y), X.shape)
                      for k in ("Ex", "Ey", "scalar", "vector_curl"))
+    del X, Y  # fewer grids alive at once lowers the pass's heap peak
     w2 = np.outer(q.weights, q.weights)
 
     Fh, (cFx, cFy) = _evaluate(f, t, t), _evaluate(c, t, t)
     errF2 = np.vdot(w2, (F - Fh) ** 2 + (Ex - cFx) ** 2 + (Ey - cFy) ** 2)
+    del F, Fh, cFx, cFy  # the primal grids go before the dual ones come
 
     (Ehx, Ehy), cEh = _evaluate(m1s, t, t), _evaluate(m0w, t, t)
     errE2 = np.vdot(w2, (Ex - Ehx) ** 2 + (Ey - Ehy) ** 2 + (cE - cEh) ** 2)
     return float(np.sqrt(errF2)), float(np.sqrt(errE2))
+
+
+def _relative(dist, size):
+    """dist / size, or dist where size is 0, as a float: the one
+    relative-residual rule."""
+    return float(dist / size if size else dist)
+
+
+def equivalence_residual(sol, disc):
+    """||Et - M1 E10 F|| / ||Et||, or the absolute distance where Et = 0, with
+    M1 E10 F = `GramSet._mass1` of the edge stack of E10 F: the incidence
+    and the 1D Grams, none of the solves' factors."""
+    _check(sol, disc)
+    s = _dofs(sol.dirichlet, disc.degree, "edges")
+    return _equivalence_residual(s, _incidence(_dofs(sol.neumann, disc.degree)), disc)
+
+
+def _equivalence_residual(s, c, disc):
+    return _relative(np.linalg.norm(s - disc.gram._mass1(c)), np.linalg.norm(s))
+
+
+def _weak_curl_residual(f, m0w):
+    """||inv(M0) w + F|| / ||F||, or the absolute distance where F = 0, on the node
+    grids f and m0w = inv(M0) w of the dual weak curl w: curl E^h = -F^h."""
+    return _relative(np.linalg.norm(m0w + f), np.linalg.norm(f))
+
+
+def _operator_residual(disc):
+    """||A_D M1 E10 x - E10 inv(M0) A_N x|| / ||E10 inv(M0) A_N x||: the
+    paper's theorem as an operator identity, with no solve in it, on the
+    node grid x[j, i] = cos(m^2), m = (N+1) j + i.  That chirp weights the
+    high modes as much as the low ones, which a smooth grid such as F would not."""
+    k = np.arange(disc.degree + 1.0)
+    x = np.cos(np.add.outer((disc.degree + 1) * k, k) ** 2)
+    dual = _dirichlet_apply(disc.gram._mass1(_incidence(x)), disc)
+    primal = _incidence(disc.gram._solve_mass0(_neumann_apply(x, disc)))
+    return _relative(np.linalg.norm(dual - primal), np.linalg.norm(primal))
+
+
+def norm_gap(nF, nE):
+    """|nF - nE| / nF, or |nF - nE| where nF = 0: the relative gap between
+    the two H(curl) norms."""
+    return _relative(abs(nF - nE), nF)
+
+
+def _measures(sol, exact, disc):
+    """The values after N of one solved degree's `cli.DegreeRecord`, in its order:
+    each solution vector read once, and w, inv(M0) w, inv(M1) Et and E10 F formed once."""
+    f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
+    w = _weak_curl(s, sol.boundary, disc)
+    m0w, m1s, c = disc.gram._solve_mass0(w), disc.gram._solve_mass1(s), _incidence(f)
+    return (_norm_F(f, disc), _norm_E(w, m0w, s, m1s),
+            *_error_norms(exact, f, c, m1s, m0w, disc), _equivalence_residual(s, c, disc),
+            _weak_curl_residual(f, m0w), _operator_residual(disc))

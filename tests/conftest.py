@@ -17,6 +17,19 @@ def random_vector_field(rng):
     )
 
 
+def plane_wave_pair(t=0.7):
+    """F = exp(x cos t + y sin t) with E = curl F = (sin t F, -cos t F): a
+    unit wave vector, so Laplace F = F and curl E = -F, a solution of the
+    homogeneous problem other than the exponential pair."""
+    a, b = np.cos(t), np.sin(t)
+
+    def F(x, y):
+        return np.exp(a * x + b * y)
+
+    return AnalyticField(Ex=lambda x, y: b * F(x, y), Ey=lambda x, y: -a * F(x, y),
+                         scalar=F, vector_curl=lambda x, y: -F(x, y))
+
+
 def psi0_dense(ns, x, y):
     """Nodal 2D basis values at P points, shape ((N+1)^2, P), row j*(N+1)+i
     holding h_i(x) h_j(y): the (dofs x points) table as an oracle for the

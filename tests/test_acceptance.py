@@ -11,11 +11,10 @@ from dualcurl.cli import (
     INVARIANTS,
     StudyConfig,
     emit_fig2,
-    equivalence_residual,
-    norm_gap,
     run_study,
     theoretical_norm,
 )
+from dualcurl.curlcurl import equivalence_residual, norm_gap
 from dualcurl.galerkin import GramSet, assemble_mass0
 from conftest import assemble_mass0_direct, random_vector_field
 

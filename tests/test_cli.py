@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import re
@@ -16,13 +17,12 @@ from dualcurl.cli import (
     StudyConfig,
     emit_fig2,
     emit_matrices,
-    equivalence_residual,
     main,
-    norm_gap,
     run_study,
     self_check,
     theoretical_norm,
 )
+from dualcurl.curlcurl import equivalence_residual, norm_gap
 from dualcurl.operators2d import _dofs, build_incidence, build_trace
 from conftest import equivalence_dense
 
@@ -48,7 +48,7 @@ def weak_curl_residual(sol, disc):
     of F and inv(M0) w of the weak curl w of its edge stack."""
     N, gram = disc.degree, disc.gram
     w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), sol.boundary, disc)
-    return cli._weak_curl_residual(_dofs(sol.neumann, N), gram._solve_mass0(w))
+    return cc._weak_curl_residual(_dofs(sol.neumann, N), gram._solve_mass0(w))
 
 
 class TestConfig:
@@ -139,14 +139,14 @@ class TestRunStudy:
             assert rec == cli.DegreeRecord(
                 rec.N, cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
                 *cc.error_norms(sol, exact, disc), equivalence_residual(sol, disc),
-                weak_curl_residual(sol, disc), cli._operator_residual(disc))
+                weak_curl_residual(sol, disc), cc._operator_residual(disc))
 
     def test_forms_each_shared_grid_once(self, monkeypatch):
         # after the solve, a degree reads each solution vector into its grid
         # once and forms w, inv(M0) w, inv(M1) Et and E10 F once each; the
         # operator residual, solve-free by design, is not counted
         counts, state = [], {"on": False}  # one Counter per degree
-        solve, residual = cli._solve_exponential, cli._operator_residual
+        solve, residual = cli._solve_exponential, cc._operator_residual
 
         def counted(name, fn, applies=lambda *args: True):
             def wrapper(*args, **kwargs):
@@ -169,16 +169,15 @@ class TestRunStudy:
             return value
 
         monkeypatch.setattr(cli, "_solve_exponential", solve_then_count)
-        monkeypatch.setattr(cli, "_operator_residual", uncounted_residual)
+        monkeypatch.setattr(cc, "_operator_residual", uncounted_residual)
         monkeypatch.setattr(cc, "_weak_curl", counted("_weak_curl", cc._weak_curl))
         for name in ("_solve_mass0", "_solve_mass1"):
             monkeypatch.setattr(galerkin.GramSet, name,
                                 counted(name, getattr(galerkin.GramSet, name)))
-        for module in (cli, cc, galerkin):
+        for module in (cc, galerkin):
             monkeypatch.setattr(module, "_dofs", counted("_dofs", module._dofs))
-        for module in (cli, cc):  # counted on the node grid of F only
-            monkeypatch.setattr(module, "_incidence", counted(
-                "_incidence", module._incidence, lambda g: np.array_equal(g, state["F"])))
+        monkeypatch.setattr(cc, "_incidence", counted(  # on the node grid of F only
+            "_incidence", cc._incidence, lambda g: np.array_equal(g, state["F"])))
         run_study(StudyConfig(max_degree=3, emit=frozenset()), log=quiet)
         once = {"_weak_curl": 1, "_solve_mass0": 1, "_solve_mass1": 1, "_incidence": 1}
         assert counts == [Counter(once, _dofs=2)] * 3, counts
@@ -347,6 +346,16 @@ class TestSelfCheck:
         with pytest.raises(ValueError, match="records"):
             self_check(())
 
+    def test_reads_a_one_shot_iterable_once(self, study):
+        # every line reads the same records: an iterator logs what the tuple
+        # logs, and an empty iterator is no study
+        want, got = [], []
+        assert self_check(study, log=want.append) is True
+        assert self_check(iter(study), log=got.append) is True
+        assert got == want
+        with pytest.raises(ValueError, match="needs the study's records"):
+            self_check(iter(()))
+
     def test_basis_lines_use_the_grid_solve(self, study, monkeypatch):
         # one edge table per degree (N=1..12) and one grid solve per degree
         # (N=1..8) on all of M0's columns at once; no public per-column
@@ -409,6 +418,22 @@ class TestSelfCheck:
         lines = []
         assert self_check(records, log=lines.append) is True
         assert lines[-1] == "self-check: 8/8 passed"
+
+
+def test_cli_reads_three_private_names_of_other_modules():
+    # the identities and the per-degree pass live with the solver: cli reads
+    # basis1d's integer check, curlcurl's pass and the biorthogonality
+    # line's grid solve, and no other private name it does not define
+    tree = ast.parse(Path(cli.__file__).read_text())
+    own = {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    read = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    private = {name for name in read - own if name.startswith("_") and not name.endswith("__")}
+    assert private == {"_integer", "_measures", "_solve_mass0"}
 
 
 class TestMain:

@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 from dualcurl import basis1d, cli, galerkin, operators2d
 from dualcurl import curlcurl as cc
 from dualcurl.basis1d import gauss_rule, gll_nodes
-from dualcurl.cli import equivalence_residual, norm_gap
+from dualcurl.curlcurl import equivalence_residual, norm_gap
 from dualcurl.galerkin import assemble_mass0
 from dualcurl.operators2d import (
     _dofs, _flat, _incidence, _incidence_t, build_incidence, build_trace)
 from conftest import (
-    dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
+    dirichlet_system, neumann_system, plane_wave_pair, psi0_dense, psi1_dense,
+    random_vector_field)
 
 
 def _count_calls(monkeypatch, *names):
@@ -608,7 +609,7 @@ class TestGridOnlyPath:
             return (sol.neumann, sol.dirichlet, cc.norm_F(sol.neumann, disc),
                     cc.norm_E(sol.dirichlet, bd, disc), *cc.error_norms(sol, exact, disc),
                     _weak_curl_dofs(sol.dirichlet, bd, disc),
-                    cli.equivalence_residual(sol, disc))
+                    equivalence_residual(sol, disc))
 
         ref = run()
         dense = self.forbid_dense_operators(monkeypatch)
@@ -657,7 +658,7 @@ class TestGridOnlyPath:
             "GramSet.solve_mass0": (lambda: disc.gram.solve_mass0(w), ["nodes"]),
             "GramSet.solve_mass1": (lambda: disc.gram.solve_mass1(Et), ["edges"]),
             "equivalence_residual":
-                (lambda: cli.equivalence_residual(sol, disc), ["edges", "nodes"]),
+                (lambda: equivalence_residual(sol, disc), ["edges", "nodes"]),
         }[entry]
         checked = []
 
@@ -665,7 +666,7 @@ class TestGridOnlyPath:
             checked.append(layout)
             return _dofs(v, N, layout)
 
-        for module in (galerkin, cc, cli):
+        for module in (galerkin, cc):
             monkeypatch.setattr(module, "_dofs", counting)
         call()
         assert checked == layouts
@@ -887,6 +888,25 @@ class TestErrorNorms:
         assert calls == {"lagrange_eval": 1}, calls
         assert cc.error_norms(sol, exact, disc) == cc.error_norms(sol, exact, solved[5][0])
         assert calls == {"lagrange_eval": 1}, calls
+
+
+class TestMeasures:
+    @pytest.mark.parametrize("N", [1, 2, 5, 12])
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("pair", [cc.exponential_pair, plane_wave_pair],
+                             ids=["exponential", "plane-wave"])
+    def test_equals_the_public_functions(self, pair, rule, N):
+        # the one pass after the solves hands its grids to the forms that the
+        # public norms, errors and residuals wrap: each value is equal, not close
+        exact, disc = pair(), cc.Discretization(N, rule)
+        bd = cc.project_boundary_data(exact, disc)
+        sol = cc.solve_both(bd, disc)
+        w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), bd, disc)
+        assert cc._measures(sol, exact, disc) == (
+            cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
+            *cc.error_norms(sol, exact, disc), equivalence_residual(sol, disc),
+            cc._weak_curl_residual(_dofs(sol.neumann, N), disc.gram._solve_mass0(w)),
+            cc._operator_residual(disc))
 
 
 # every public entry that reads an integer: its call on (value, disc, sol),
