@@ -60,9 +60,7 @@ import numpy as np
 
 from .basis1d import _edge_table, _integer, _real, gauss_rule, lagrange_eval
 from .galerkin import GramSet
-from .operators2d import (
-    _dofs, _flat, _incidence, _incidence_t, boundary_nodes, build_incidence,
-    side_dof_indices)
+from .operators2d import _dofs, _flat, _incidence, _incidence_t, boundary_nodes, build_incidence
 
 __all__ = [
     "AnalyticField",
@@ -104,9 +102,10 @@ class AnalyticField:
     def tangential_trace(self, side, x, y):
         """n x E = n_x Ey - n_y Ex on the given side.  The normal is
         axis-aligned, so only the component it selects is evaluated: Ex on
-        S and N, Ey on E and W."""
+        S and N, Ey on E and W.  It is read as an array of its own dtype, so a
+        list serves and a complex value still meets the projection's check."""
         nx, ny = _NORMALS[side]
-        return nx * self.Ey(x, y) if nx else -ny * self.Ex(x, y)
+        return nx * np.asarray(self.Ey(x, y)) if nx else -ny * np.asarray(self.Ex(x, y))
 
 
 def exponential_pair():
@@ -202,19 +201,22 @@ def project_boundary_data(field, disc):
     """Project the tangential trace n x E onto the boundary loop basis.
 
     Ehat_k = closed-loop integral of psi_k(s) * (n x E)(s) ds, traversed
-    counter-clockwise; corner dofs collect both adjacent sides, each side on
-    `disc.quadrature` and its nodal table.  Each side's trace must be real
-    and finite, of the points' shape or a scalar.
+    counter-clockwise: each side's integrals on `disc.quadrature` and its
+    nodal table go onto its edge of a zero node grid, a corner summing its
+    two sides, and Ehat is that grid's trace T, read through `disc.loop`.
+    Each side's trace must be real and finite, of the points' shape or a scalar.
     """
     N, q, (H, _) = disc.degree, disc.quadrature, disc.tables
-    dofs = np.zeros(4 * N)
-    for side, side_dofs in side_dof_indices(N).items():
-        # the normal's nonzero coordinate is the side's fixed one
-        x, y = (np.full_like(q.points, n) if n else q.points for n in _NORMALS[side])
+    grid = np.zeros((N + 1, N + 1))
+    for side, (nx, ny) in _NORMALS.items():
+        # the normal's nonzero coordinate is the side's fixed one: grid row or column 0 or N
+        x, y = (np.full_like(q.points, n) if n else q.points for n in (nx, ny))
         ehat = _real(f"the tangential trace on side {side}",
                      field.tangential_trace(side, x, y), q.points.shape)
-        dofs[side_dofs] += H @ (q.weights * ehat)
-    return BoundaryData(degree=N, dofs=dofs)
+        k = N if nx + ny > 0 else 0
+        edge = grid[:, k] if nx else grid[k]
+        edge += H @ (q.weights * ehat)
+    return BoundaryData(degree=N, dofs=np.take(grid, disc.loop))
 
 
 def _neumann_inverse(r, disc):

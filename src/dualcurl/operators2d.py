@@ -9,7 +9,7 @@ Degrees of freedom on [-1,1]^2 for polynomial degree N:
                      the eta-component block, one row per node of
                      node[:, :-1] (edge from node[j, i+1] to node[j, i])
   boundary 4N        counter-clockwise loop starting at node (0,0);
-                     `side_dof_indices` is its one encoding
+                     `boundary_nodes` is its one encoding
 
 The incidence matrix maps nodal dofs to edge dofs and encodes the discrete
 curl as pure topology: it holds only entries -1, 0, +1 and is independent
@@ -34,7 +34,6 @@ __all__ = [
     "boundary_nodes",
     "build_incidence",
     "build_trace",
-    "side_dof_indices",
 ]
 
 
@@ -99,22 +98,8 @@ def build_trace(N):
 
 
 def boundary_nodes(N):
-    """Node-grid index of each of the 4N loop dofs, ccw from node (0,0)."""
-    dofs = side_dof_indices(N)  # checks N; corner dofs appear on two sides
-    node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
-    loop = np.empty(4 * N, dtype=np.int64)
-    loop[dofs["S"]], loop[dofs["E"]] = node[0], node[:, N]
-    loop[dofs["N"]], loop[dofs["W"]] = node[N], node[:, 0]
-    return loop
-
-
-def side_dof_indices(N):
-    """Map each side S/E/N/W to the loop-dof index of its N+1 nodes.
-
-    Entry k of a side's array is the boundary dof of the node with 1D
-    index k along that side (xi for S/N, eta for E/W).  Corner nodes
-    appear in both adjacent sides.
-    """
+    """Node-grid index of each of the 4N loop dofs, ccw from node (0,0): the
+    S, E, N and W sides in turn, each without its last node, the next's first."""
     N = _integer("degree", N, 1)
-    k = np.arange(N + 1)
-    return {"S": k, "E": N + k, "N": 3 * N - k, "W": (4 * N - k) % (4 * N)}
+    node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
+    return np.concatenate([node[0, :-1], node[:-1, -1], node[-1, :0:-1], node[:0:-1, 0]])

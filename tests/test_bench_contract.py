@@ -8,6 +8,7 @@ change that breaks the benchmark's correctness gate fails here."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -56,9 +57,15 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_smoke_run_passes_the_gate(workload):
+def test_smoke_run_passes_the_gate(workload, tmp_path):
+    # the benchmark writes its results beside itself, so it runs from a copy
+    # and a test run leaves the checkout as it found it
+    skip = shutil.ignore_patterns("__pycache__")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", "1", "--seconds", "0.3", "--size", "smoke"]
-    run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    run = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1])["correct"] is True, run.stdout

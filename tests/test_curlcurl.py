@@ -175,6 +175,23 @@ class TestBoundaryProjection:
         bd = cc.project_boundary_data(UnitTrace(), cc.Discretization(1))
         np.testing.assert_allclose(bd.dofs, 2.0 * np.ones(4), atol=1e-13)
 
+    @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
+    @pytest.mark.parametrize("N", [1, 2, 5, 9, 16])
+    def test_is_the_trace_of_the_side_integrals(self, exact, N, rule):
+        # each side's integrals against the nodal functions along it, added
+        # onto its edge of the node grid in the order S, E, N, W, so that a
+        # corner sums its two sides: the dofs are T of that grid
+        disc = cc.Discretization(N, rule)
+        x, w = disc.quadrature.points, disc.quadrature.weights
+        H, one = basis1d.lagrange_eval(disc.nodes, x), np.ones_like(x)
+        grid = np.zeros((N + 1, N + 1))
+        grid[0, :] += H @ (w * exact.Ex(x, -one))
+        grid[:, N] += H @ (w * exact.Ey(one, x))
+        grid[N, :] += H @ (w * -exact.Ex(x, one))
+        grid[:, 0] += H @ (w * -exact.Ey(-one, x))
+        assert np.array_equal(cc.project_boundary_data(exact, disc).dofs,
+                              build_trace(N) @ grid.ravel())
+
     def test_partition_of_unity_sum(self, exact):
         # the dofs sum to the loop integral of the trace data
         loop_integral = 4.0 / np.e - 4.0 * np.e
@@ -917,7 +934,6 @@ INTEGER_ENTRIES = {
     "build_incidence": (lambda v, disc, sol: build_incidence(v), "degree", 1),
     "build_trace": (lambda v, disc, sol: build_trace(v), "degree", 1),
     "boundary_nodes": (lambda v, disc, sol: operators2d.boundary_nodes(v), "degree", 1),
-    "side_dof_indices": (lambda v, disc, sol: operators2d.side_dof_indices(v), "degree", 1),
     "GramSet": (lambda v, disc, sol: galerkin.GramSet(v, "gauss"), "degree", 1),
     "Discretization": (lambda v, disc, sol: cc.Discretization(v), "degree", 1),
     "BoundaryData": (lambda v, disc, sol: cc.BoundaryData(v, sol.boundary.dofs), "degree", 1),
@@ -1065,6 +1081,19 @@ class TestInputChecks:
         with pytest.raises(ValueError,
                            match=rf"^the tangential trace on side {side} must be real, not complex$"):
             cc.project_boundary_data(field, cc.Discretization(3))
+
+    def test_list_valued_field_projects_as_arrays(self, exact):
+        # error_norms reads a list-valued component through _real, and the
+        # projection takes it too; a complex list is still rejected
+        listed = cc.AnalyticField(Ex=lambda x, y: exact.Ex(x, y).tolist(),
+                                  Ey=lambda x, y: exact.Ey(x, y).tolist())
+        disc = cc.Discretization(5)
+        assert np.array_equal(cc.project_boundary_data(listed, disc).dofs,
+                              cc.project_boundary_data(exact, disc).dofs)
+        field = dataclasses.replace(listed, Ex=lambda x, y: (exact.Ex(x, y) + 1j).tolist())
+        with pytest.raises(ValueError,
+                           match="^the tangential trace on side S must be real, not complex$"):
+            cc.project_boundary_data(field, disc)
 
     def test_non_finite_field_fails_at_projection(self, exact):
         # the NaN would otherwise reach the solves as boundary dofs

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from dualcurl import cli, curlcurl, galerkin
 from dualcurl.cli import INCIDENCE_N3, TRACE_N3
 from dualcurl.operators2d import (
-    _dofs, _flat, _incidence, boundary_nodes, build_incidence, build_trace, side_dof_indices)
+    _dofs, _flat, _incidence, boundary_nodes, build_incidence, build_trace)
 
 
 def node(N, i, j):
@@ -84,9 +84,10 @@ class TestTrace:
         N = f.shape[0] - 1
         T, loop = build_trace(N), boundary_nodes(N)
         t = T @ f.ravel()
-        sd = side_dof_indices(N)
-        for side, expected in (("S", f[0, :]), ("E", f[:, N]), ("N", f[N, :]), ("W", f[:, 0])):
-            np.testing.assert_array_equal(t[sd[side]], expected)
+        # side s holds the loop dofs sN..(s+1)N, ccw: each side's row or
+        # column in loop order, W's last dof being dof 0 again
+        for s, expected in enumerate((f[0, :], f[:, N], f[N, ::-1], f[::-1, 0])):
+            np.testing.assert_array_equal(t[(s * N + np.arange(N + 1)) % (4 * N)], expected)
         # the index vector is the same map: T f gathers, T^T b scatters
         np.testing.assert_array_equal(f.ravel()[loop], t)
         r = np.zeros(f.size)
@@ -110,17 +111,16 @@ class TestTrace:
 
 
 def _sides_of(N):
-    """Loop dof -> the sides (S, E, N, W) whose dof lists hold it."""
-    sides = {}
-    for side, dofs in side_dof_indices(N).items():
-        for d in dofs:
-            sides.setdefault(int(d), []).append(side)
-    return {d: tuple(s) for d, s in sides.items()}
+    """Loop dof -> the sides (S, E, N, W) its node lies on: row 0, column N,
+    row N and column 0 of the node grid."""
+    j, i = np.divmod(boundary_nodes(N), N + 1)
+    on = {"S": j == 0, "E": i == N, "N": j == N, "W": i == 0}
+    return {d: tuple(side for side in on if on[side][d]) for d in range(4 * N)}
 
 
 class TestBoundaryMap:
     def test_invalid_degree(self):
-        assert_invalid_degree(side_dof_indices)
+        assert_invalid_degree(boundary_nodes)
 
     def test_n1_first_dof_is_corner(self):
         # loop dof 0 is the south-west corner node (-1, -1)
@@ -135,23 +135,24 @@ class TestBoundaryMap:
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_side_counting(self, N):
         # each side carries its N+1 nodal functions exactly once
-        sd = side_dof_indices(N)
-        assert all(len(set(dofs)) == len(dofs) == N + 1 for dofs in sd.values())
-        sides = _sides_of(N)
-        assert sorted(sides) == list(range(4 * N))
+        loop, sides = boundary_nodes(N), _sides_of(N)
+        assert len(set(loop.tolist())) == len(loop) == 4 * N  # no node twice
+        assert all(sides.values())  # no interior node
+        for side in "SENW":
+            assert sum(side in s for s in sides.values()) == N + 1
         assert sum(len(s) for s in sides.values()) == 4 * (N + 1)
 
     @pytest.mark.parametrize("N", [1, 2, 5])
     def test_side_dofs_consistent_with_trace(self, N):
-        # the trace rows and the per-side dof lists agree on node positions
-        T = build_trace(N)
-        cols = np.argmax(T, axis=1)
-        sd = side_dof_indices(N)
+        # side s holds the loop dofs sN..(s+1)N in ccw order, and the trace
+        # rows put each on its node of that side
+        cols, sides = np.argmax(build_trace(N), axis=1), _sides_of(N)
         for k in range(N + 1):
-            assert cols[sd["S"][k]] == node(N, k, 0)
-            assert cols[sd["E"][k]] == node(N, N, k)
-            assert cols[sd["N"][k]] == node(N, k, N)
-            assert cols[sd["W"][k]] == node(N, 0, k)
+            ccw = (("S", k, 0), ("E", N, k), ("N", N - k, N), ("W", 0, N - k))
+            for s, (side, i, j) in enumerate(ccw):
+                d = (s * N + k) % (4 * N)
+                assert side in sides[d]
+                assert cols[d] == node(N, i, j)
 
 
 class TestDofLayout:
