@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curlcurl as cc
+from .curlcurl import DegreeRecord
 from .basis1d import _integer, gauss_rule, gll_nodes, edge_eval
 from .galerkin import GramSet
 from .operators2d import build_incidence, build_trace
@@ -72,35 +73,26 @@ class StudyConfig:
             raise ValueError(f"unknown emit targets: {sorted(bad, key=str)}")
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
-    N: int
-    normF: float
-    normE: float
-    errF: float
-    errE: float
-    equivalence_residual: float
-    weak_curl_residual: float
-    operator_residual: float
-
-
 def _fmt(v):
     return f"{v:.12g}"
 
 
+def _worst(values):
+    """The largest of `values`, or NaN if any is NaN, which Python's max drops if not first."""
+    return float(np.max(np.fromiter(values, float)))
+
+
 def _solve_exponential(N, boost):
-    """(disc, bd, sol) of the exponential pair at degree N and data boost `boost`."""
+    """(disc, sol) of the exponential pair at degree N and data boost `boost`."""
     disc = cc.Discretization(N, boost=boost)
-    bd = cc.project_boundary_data(cc.exponential_pair(), disc)
-    return disc, bd, cc.solve_both(bd, disc)
+    return disc, cc.solve_both(cc.project_boundary_data(cc.exponential_pair(), disc), disc)
 
 
 def run_study(cfg, log=print):
     """Both solves and one `curlcurl._measures` pass per degree N = 1..max_degree of the
     exponential pair; writes table1.csv / fig3.csv when requested; returns the records."""
     solved = (_solve_exponential(N, cfg.quadrature_boost) for N in range(1, cfg.max_degree + 1))
-    records = tuple(DegreeRecord(disc.degree, *cc._measures(sol, cc.exponential_pair(), disc))
-                    for disc, _, sol in solved)
+    records = tuple(cc._measures(sol, cc.exponential_pair(), disc) for disc, sol in solved)
     if "table1" in cfg.emit:
         _write_csv(cfg.output_dir / "table1.csv", "N,normF,normE,absdiff",
                    [(r.N, _fmt(r.normF), _fmt(r.normE), _fmt(abs(r.normF - r.normE)))
@@ -134,7 +126,7 @@ def emit_fig2(cfg, log=print):
     Writes the two component grids and returns (grid_xi, grid_eta, maxabs).
     The grid avoids the element edges at +-1 on purpose.
     """
-    disc, _, sol = _solve_exponential(_FIGURE_DEGREE, cfg.quadrature_boost)
+    disc, sol = _solve_exponential(_FIGURE_DEGREE, cfg.quadrature_boost)
 
     g = gauss_rule(cfg.grid_size).points
     Ex, Ey = cc.reconstruct("dual-vector", sol.dirichlet, g, g, disc)
@@ -147,7 +139,7 @@ def emit_fig2(cfg, log=print):
             ",".join(_fmt(v) for v in g),
             [tuple(_fmt(v) for v in row) for row in grid],
         )
-    maxabs = float(max(np.abs(dxi).max(), np.abs(deta).max()))
+    maxabs = _worst(np.abs(d).max() for d in (dxi, deta))
     log(f"max |E^h - curl F^h| on {cfg.grid_size}x{cfg.grid_size} grid, "
         f"N={_FIGURE_DEGREE}: {maxabs:.3e}")
     return dxi, deta, maxabs
@@ -195,29 +187,25 @@ TRACE_N3 = np.eye(16, dtype=np.int64)[
 ]
 
 
-def _edge_kronecker_residual():
-    """Edge-basis interval integrals against the identity, one table per degree."""
-    worst = 0.0
+def _edge_kronecker_gaps():
+    """Edge-basis interval integrals against the identity, one gap per degree N=1..12."""
     for N in range(1, 13):
         ns = gll_nodes(N)
         q = gauss_rule(max(N, 2))
         h, mid = np.diff(ns.nodes) / 2, (ns.nodes[1:] + ns.nodes[:-1]) / 2
         E = edge_eval(ns, np.kron(h, q.points) + np.repeat(mid, len(q.points)))
         integrals = E @ np.kron(np.diag(h), q.weights[:, None])
-        worst = max(worst, float(np.abs(integrals - np.eye(N)).max()))
-    return worst
+        yield np.abs(integrals - np.eye(N)).max()
 
 
-def _volume_biorthogonality_residual():
-    """Dual volume basis against the primal nodal one: the exact-rule grid
-    solve of M0's columns, column (j, i) the grid outer(Gh[:, j], Gh[:, i])."""
-    worst = 0.0
+def _volume_biorthogonality_gaps():
+    """Dual volume basis against the primal nodal one, one gap per degree N=1..8: the
+    exact-rule grid solve of M0's columns, column (j, i) the grid outer(Gh[:, j], Gh[:, i])."""
     for N in range(1, 9):
         gram = GramSet(N, rule="gauss")
         X = gram._solve_mass0(np.einsum("aj,bi->jiab", gram.Gh, gram.Gh))
         I = np.eye(N + 1)
-        worst = max(worst, float(np.abs(X - np.einsum("aj,bi->jiab", I, I)).max()))
-    return worst
+        yield np.abs(X - np.einsum("aj,bi->jiab", I, I)).max()
 
 
 def _fixture_gap(got, expected):
@@ -226,26 +214,25 @@ def _fixture_gap(got, expected):
     return float(np.abs(got - expected).max())
 
 
-# (name, residual function, tolerance), in the order --self-check runs them.
-# Each function takes every DegreeRecord of the run's study; only the last
-# four entries read them.
+# (name, residual function of the study's DegreeRecords, tolerance), in the order
+# --self-check runs them; a line over many values reads their `_worst`.
 INVARIANTS = (
     ("edge-basis interval integrals = identity (N=1..12)",
-     lambda records: _edge_kronecker_residual(), 1e-12),
+     lambda records: _worst(_edge_kronecker_gaps()), 1e-12),
     ("dual/primal volume biorthogonality (N=1..8)",
-     lambda records: _volume_biorthogonality_residual(), 1e-12),
+     lambda records: _worst(_volume_biorthogonality_gaps()), 1e-12),
     ("incidence matrix matches the N=3 fixture",
      lambda records: _fixture_gap(build_incidence(3), INCIDENCE_N3), 0),
     ("trace matrix matches the N=3 fixture",
      lambda records: _fixture_gap(build_trace(3), TRACE_N3), 0),
     ("dual edge dofs equal M1 E10 F (every degree solved)",
-     lambda records: max(r.equivalence_residual for r in records), 1e-11),
+     lambda records: _worst(r.equivalence_residual for r in records), 1e-11),
     ("norm of E^h equals norm of F^h (every degree solved)",
-     lambda records: max(cc.norm_gap(r.normF, r.normE) for r in records), 1e-11),
+     lambda records: _worst(cc.norm_gap(r.normF, r.normE) for r in records), 1e-11),
     ("curl of E^h equals -F^h (every degree solved)",
-     lambda records: max(r.weak_curl_residual for r in records), 1e-11),
+     lambda records: _worst(r.weak_curl_residual for r in records), 1e-11),
     ("A_D M1 E10 = E10 inv(M0) A_N on a chirp grid (every degree solved)",
-     lambda records: max(r.operator_residual for r in records), 1e-12),
+     lambda records: _worst(r.operator_residual for r in records), 1e-12),
 )
 
 

@@ -42,9 +42,9 @@ N+1) edge stack s of Et.  Each field operation has one form on the grids;
 a public entry reads each caller array once, with `_dofs`, and joins
 once, on return.  The private norm, error and residual forms take the
 grids they share (w, inv(M0) w, inv(M1) Et, E10 F); `_measures`, the one
-pass after a degree's solves, forms each once.  E10 and E10^T are
-`_incidence` and `_incidence_t`, the norms 1D Gram products; `reconstruct`
-evaluates a field on the tensor grid of two axes.
+pass after a degree's solves, forms each once and returns the degree's
+`DegreeRecord`.  E10 and E10^T are `_incidence` and `_incidence_t`, the
+norms 1D Gram products; `reconstruct` evaluates on a tensor grid of two axes.
 
 Every function here takes the `Discretization` of the degree it works on;
 it is the only way a degree and its two quadratures reach this module, so
@@ -460,12 +460,25 @@ def norm_gap(nF, nE):
     return _relative(abs(nF - nE), nF)
 
 
+@dataclass(frozen=True)
+class DegreeRecord:
+    N: int
+    normF: float
+    normE: float
+    errF: float
+    errE: float
+    equivalence_residual: float
+    weak_curl_residual: float
+    operator_residual: float
+
+
 def _measures(sol, exact, disc):
-    """The values after N of one solved degree's `cli.DegreeRecord`, in its order:
-    each solution vector read once, and w, inv(M0) w, inv(M1) Et and E10 F formed once."""
+    """The `DegreeRecord` of one solved degree: each solution vector read once,
+    and w, inv(M0) w, inv(M1) Et and E10 F formed once."""
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     w = _weak_curl(s, sol.boundary, disc)
     m0w, m1s, c = disc.gram._solve_mass0(w), disc.gram._solve_mass1(s), _incidence(f)
-    return (_norm_F(f, disc), _norm_E(w, m0w, s, m1s),
-            *_error_norms(exact, f, c, m1s, m0w, disc), _equivalence_residual(s, c, disc),
-            _weak_curl_residual(f, m0w), _operator_residual(disc))
+    return DegreeRecord(disc.degree, _norm_F(f, disc), _norm_E(w, m0w, s, m1s),
+                        *_error_norms(exact, f, c, m1s, m0w, disc),
+                        _equivalence_residual(s, c, disc), _weak_curl_residual(f, m0w),
+                        _operator_residual(disc))

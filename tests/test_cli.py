@@ -122,7 +122,8 @@ class TestRunStudy:
         # the third identity curl E^h = -F^h; the residual function is
         # checked against the dense masses and incidence with F perturbed
         for rec in run_study(StudyConfig(max_degree=3, emit=frozenset())):
-            disc, bd, sol = cli._solve_exponential(rec.N, 15)
+            disc, sol = cli._solve_exponential(rec.N, 15)
+            bd = sol.boundary
             assert rec.weak_curl_residual == weak_curl_residual(sol, disc) <= 1e-13
             F = sol.neumann + 1e-6 * rng.standard_normal(sol.neumann.shape)
             w = disc.E10.T @ sol.dirichlet + build_trace(rec.N).T @ bd.dofs
@@ -132,11 +133,14 @@ class TestRunStudy:
 
     def test_records_equal_the_public_functions(self):
         # one degree's pass hands its grids to the private forms that the
-        # public functions wrap, so each field is equal to theirs, not close
+        # public functions wrap, so each field is equal to theirs, not close;
+        # the record class is curlcurl's, which alone knows its field order
+        assert cli.DegreeRecord is cc.DegreeRecord
         exact = cc.exponential_pair()
         for rec in run_study(StudyConfig(max_degree=12, emit=frozenset()), log=quiet):
-            disc, bd, sol = cli._solve_exponential(rec.N, 15)
-            assert rec == cli.DegreeRecord(
+            disc, sol = cli._solve_exponential(rec.N, 15)
+            bd = sol.boundary
+            assert rec == cc.DegreeRecord(
                 rec.N, cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
                 *cc.error_norms(sol, exact, disc), equivalence_residual(sol, disc),
                 weak_curl_residual(sol, disc), cc._operator_residual(disc))
@@ -157,10 +161,10 @@ class TestRunStudy:
 
         def solve_then_count(N, boost):
             state["on"] = False
-            disc, bd, sol = solve(N, boost)
+            disc, sol = solve(N, boost)
             counts.append(Counter())
             state.update(on=True, F=sol.neumann.reshape(N + 1, N + 1))
-            return disc, bd, sol
+            return disc, sol
 
         def uncounted_residual(disc):
             state["on"] = False
@@ -222,6 +226,22 @@ class TestFig2:
                             lambda ns, x: sizes.append(np.size(x)) or evaluate(ns, x))
         emit_fig2(StudyConfig(output_dir=tmp_path, emit=frozenset({"fig2"})), log=quiet)
         assert sizes == [18, 30, 30], sizes
+
+    def test_nan_in_the_eta_grid_is_the_maximum(self, tmp_path, monkeypatch):
+        # one NaN in the eta grid alone, after a finite xi maximum: the logged
+        # and returned maximum is NaN, as the CSV is
+        reconstruct, lines = cc.reconstruct, []
+
+        def nan_in_eta(kind, *args):
+            Ex, Ey = reconstruct(kind, *args)
+            if kind == "dual-vector":
+                Ey[2, 3] = np.nan
+            return Ex, Ey
+
+        monkeypatch.setattr(cc, "reconstruct", nan_in_eta)
+        dxi, deta, maxabs = emit_fig2(StudyConfig(output_dir=tmp_path), log=lines.append)
+        assert np.isfinite(dxi).all() and np.isnan(deta).sum() == 1
+        assert np.isnan(maxabs) and lines[0].endswith("N=3: nan")
 
     def test_custom_grid_size(self, tmp_path):
         cfg = StudyConfig(grid_size=7, output_dir=tmp_path, emit=frozenset({"fig2"}))
@@ -296,6 +316,33 @@ def failed_lines(records):
     return [ln for ln in lines if ln.startswith("FAIL ")], lines[-1]
 
 
+def nan_in_the_last_record(field):
+    def inject(records, monkeypatch):
+        return [*records[:-1], dataclasses.replace(records[-1], **{field: np.nan})]
+    return inject
+
+
+def nan_at_degree_5(target):
+    # the patched function's first argument, a node set or a GramSet, has the degree
+    def inject(records, monkeypatch):
+        fn = getattr(*target)
+        monkeypatch.setattr(*target, lambda first, *rest: fn(first, *rest)
+                            * (np.nan if first.degree == 5 else 1.0))
+        return records
+    return inject
+
+
+# each self-check line that reads many values: its index and a NaN put where it reads
+NAN_CASES = {
+    "edge-table": (0, nan_at_degree_5((basis1d, "_edge_table"))),
+    "solve-mass0": (1, nan_at_degree_5((galerkin.GramSet, "_solve_mass0"))),
+    "equivalence": (4, nan_in_the_last_record("equivalence_residual")),
+    "normE": (5, nan_in_the_last_record("normE")),
+    "weak-curl": (6, nan_in_the_last_record("weak_curl_residual")),
+    "operator": (7, nan_in_the_last_record("operator_residual")),
+}
+
+
 class TestSelfCheck:
     def test_passes(self, study):
         assert self_check(study, log=quiet) is True
@@ -316,6 +363,24 @@ class TestSelfCheck:
         failed, summary = failed_lines(study)
         assert len(failed) == 1 and failed[0].startswith(f"FAIL  {INVARIANTS[line][0]}:")
         assert summary == "self-check: 7/8 passed"
+
+    @pytest.mark.parametrize("line, inject", NAN_CASES.values(), ids=NAN_CASES)
+    def test_nan_fails_its_line(self, study, line, inject, monkeypatch):
+        # a NaN in one degree that is not the first, in a record or a basis
+        # table, fails exactly the line that reads it: Python's max would drop it
+        failed, summary = failed_lines(inject(list(study), monkeypatch))
+        name, _, tol = INVARIANTS[line]
+        assert failed == [f"FAIL  {name}: residual nan (tol {tol:.0e})"]
+        assert summary == "self-check: 7/8 passed"
+
+    def test_nan_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # the edge table's NaN at N=5 reaches the exit code of a --self-check run
+        nan_at_degree_5((basis1d, "_edge_table"))((), monkeypatch)
+        assert main(["--max-degree", "3", "--emit", "", "--out", str(tmp_path),
+                     "--self-check"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"FAIL  {INVARIANTS[0][0]}: residual nan ")
+        assert out[-1] == "self-check: 7/8 passed"
 
     def test_equivalence_line_reads_every_degree(self):
         # the residual of N=12, the last degree of a 12-degree study, alone

@@ -919,8 +919,8 @@ class TestMeasures:
         bd = cc.project_boundary_data(exact, disc)
         sol = cc.solve_both(bd, disc)
         w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), bd, disc)
-        assert cc._measures(sol, exact, disc) == (
-            cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
+        assert cc._measures(sol, exact, disc) == cc.DegreeRecord(
+            N, cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
             *cc.error_norms(sol, exact, disc), equivalence_residual(sol, disc),
             cc._weak_curl_residual(_dofs(sol.neumann, N), disc.gram._solve_mass0(w)),
             cc._operator_residual(disc))
