@@ -7,10 +7,12 @@ from .curlcurl import (
     Solution,
     Discretization,
     exponential_pair,
+    plane_wave,
     project_boundary_data,
     solve_neumann,
     solve_dirichlet,
     solve_both,
+    solve_degree,
     norm_F,
     norm_E,
     reconstruct,

@@ -1,5 +1,5 @@
-"""Command-line driver: the norm table and convergence study (a solve and a
-`curlcurl._measures` pass per degree), identity grids and an invariant self-check.
+"""Command-line driver: the norm table and convergence study (one
+`curlcurl.solve_degree` per degree), identity grids and an invariant self-check.
 
 Outputs (all deterministic, period decimal separator, 12 significant
 digits):
@@ -82,17 +82,11 @@ def _worst(values):
     return float(np.max(np.fromiter(values, float)))
 
 
-def _solve_exponential(N, boost):
-    """(disc, sol) of the exponential pair at degree N and data boost `boost`."""
-    disc = cc.Discretization(N, boost=boost)
-    return disc, cc.solve_both(cc.project_boundary_data(cc.exponential_pair(), disc), disc)
-
-
 def run_study(cfg, log=print):
-    """Both solves and one `curlcurl._measures` pass per degree N = 1..max_degree of the
-    exponential pair; writes table1.csv / fig3.csv when requested; returns the records."""
-    solved = (_solve_exponential(N, cfg.quadrature_boost) for N in range(1, cfg.max_degree + 1))
-    records = tuple(cc._measures(sol, cc.exponential_pair(), disc) for disc, sol in solved)
+    """The `curlcurl.solve_degree` record of the exponential pair for each degree N =
+    1..max_degree; writes table1.csv / fig3.csv when requested; returns the records."""
+    records = tuple(cc.solve_degree(cc.exponential_pair(), N, boost=cfg.quadrature_boost)
+                    for N in range(1, cfg.max_degree + 1))
     if "table1" in cfg.emit:
         _write_csv(cfg.output_dir / "table1.csv", "N,normF,normE,absdiff",
                    [(r.N, _fmt(r.normF), _fmt(r.normE), _fmt(abs(r.normF - r.normE)))
@@ -126,7 +120,8 @@ def emit_fig2(cfg, log=print):
     Writes the two component grids and returns (grid_xi, grid_eta, maxabs).
     The grid avoids the element edges at +-1 on purpose.
     """
-    disc, sol = _solve_exponential(_FIGURE_DEGREE, cfg.quadrature_boost)
+    disc = cc.Discretization(_FIGURE_DEGREE, boost=cfg.quadrature_boost)
+    sol = cc.solve_both(cc.project_boundary_data(cc.exponential_pair(), disc), disc)
 
     g = gauss_rule(cfg.grid_size).points
     Ex, Ey = cc.reconstruct("dual-vector", sol.dirichlet, g, g, disc)
@@ -208,6 +203,13 @@ def _volume_biorthogonality_gaps():
         yield np.abs(X - np.einsum("aj,bi->jiab", I, I)).max()
 
 
+def _plane_wave_errors():
+    """errF and errE of the plane wave t = 0.3 at degree 12, `lobatto`: an exact solution
+    whose traces vary along every side, at a degree that no --max-degree changes."""
+    r = cc.solve_degree(cc.plane_wave(0.3), 12)
+    return r.errF, r.errE
+
+
 def _fixture_gap(got, expected):
     if got.shape != expected.shape:
         return float("inf")
@@ -233,12 +235,18 @@ INVARIANTS = (
      lambda records: _worst(r.weak_curl_residual for r in records), 1e-11),
     ("A_D M1 E10 = E10 inv(M0) A_N on a chirp grid (every degree solved)",
      lambda records: _worst(r.operator_residual for r in records), 1e-12),
+    # the identities hold for any data; this line reads the answer.  Its floor is the
+    # degree-12 space's best error, errF under `gauss` (7.315e-13), and 1e-11 is 13x
+    # above it and the ~3e-14 roundoff, and below N=11's floor (1.8e-11)
+    ("answer: errF and errE of the plane wave t=0.3 at N=12 (space floor 7.3e-13)",
+     lambda records: _worst(_plane_wave_errors()), 1e-11),
 )
 
 
 def self_check(records, log=print):
-    """Run the invariant registry on `records`, every `DegreeRecord` of the
-    run's study; solves nothing.  True iff every residual is within its tolerance."""
+    """Run the invariant registry on `records`, every `DegreeRecord` of the run's
+    study; solves only the answer line's plane wave at N=12.  True iff every
+    residual is within its tolerance."""
     if not (records := tuple(records)):  # one pass over a one-shot iterable
         raise ValueError("self_check needs the study's records, got none")
     passed = 0

@@ -41,15 +41,15 @@ vectors into grids and joins them: the node grid f of F and the (2, N,
 N+1) edge stack s of Et.  Each field operation has one form on the grids;
 a public entry reads each caller array once, with `_dofs`, and joins
 once, on return.  The private norm, error and residual forms take the
-grids they share (w, inv(M0) w, inv(M1) Et, E10 F); `_measures`, the one
-pass after a degree's solves, forms each once and returns the degree's
-`DegreeRecord`.  E10 and E10^T are `_incidence` and `_incidence_t`, the
+grids they share (w, inv(M0) w, inv(M1) Et, E10 F); `solve_degree`, the
+one per-degree entry, solves a field and forms each once in the pass after
+the solves.  E10 and E10^T are `_incidence` and `_incidence_t`, the
 norms 1D Gram products; `reconstruct` evaluates on a tensor grid of two axes.
 
-Every function here takes the `Discretization` of the degree it works on;
-it is the only way a degree and its two quadratures reach this module, so
-the solves and norms share one set of operators, and the boundary
-projection and the errors one data rule and its 1D tables.
+Every function here takes the `Discretization` of its degree, or builds it
+(`solve_degree`); it is the only way a degree and its two quadratures reach
+this module, so the solves and norms share one set of operators, and the
+boundary projection and the errors one data rule and its 1D tables.
 """
 
 from dataclasses import dataclass
@@ -65,6 +65,7 @@ from .operators2d import _dofs, _flat, _incidence, _incidence_t, boundary_nodes,
 __all__ = [
     "AnalyticField",
     "exponential_pair",
+    "plane_wave",
     "BoundaryData",
     "Solution",
     "Discretization",
@@ -72,6 +73,7 @@ __all__ = [
     "solve_neumann",
     "solve_dirichlet",
     "solve_both",
+    "solve_degree",
     "norm_F",
     "norm_E",
     "reconstruct",
@@ -116,6 +118,19 @@ def exponential_pair():
         scalar=lambda x, y: np.exp(x) + np.exp(y),
         vector_curl=lambda x, y: -np.exp(x) - np.exp(y),
     )
+
+
+def plane_wave(t):
+    """F = exp(x cos t + y sin t) with E = curl F = (sin t F, -cos t F): a unit
+    wave vector, so Laplace F = F and curl E = -F, an exact solution whose
+    traces vary along every side, where those of `exponential_pair` are constant."""
+    a, b = np.cos(t), np.sin(t)
+
+    def F(x, y):
+        return np.exp(a * x + b * y)
+
+    return AnalyticField(Ex=lambda x, y: b * F(x, y), Ey=lambda x, y: -a * F(x, y),
+                         scalar=F, vector_curl=lambda x, y: -F(x, y))
 
 
 @dataclass(frozen=True)
@@ -390,9 +405,6 @@ def error_norms(sol, exact, disc):
     E, so `exact` needs `scalar` and `vector_curl`.  Each of the four exact
     components must be real and finite, of the grid's shape or a scalar.
     """
-    missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
-    if missing:
-        raise ValueError(f"error_norms needs the exact field's {' and '.join(missing)}")
     _check(sol, disc)
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     m0w = disc.gram._solve_mass0(_weak_curl(s, sol.boundary, disc))
@@ -401,6 +413,9 @@ def error_norms(sol, exact, disc):
 
 def _error_norms(exact, f, c, m1s, m0w, disc):
     """(errF, errE) from the coefficient grids f, E10 F, inv(M1) Et, inv(M0) w."""
+    missing = [k for k in ("scalar", "vector_curl") if getattr(exact, k) is None]
+    if missing:
+        raise ValueError(f"the error norms need the exact field's {' and '.join(missing)}")
     q, t = disc.quadrature, disc.tables
     X, Y = np.meshgrid(q.points, q.points, indexing="ij")
     Ex, Ey, F, cE = (_real(f"the exact field's {k}", getattr(exact, k)(X, Y), X.shape)
@@ -472,13 +487,15 @@ class DegreeRecord:
     operator_residual: float
 
 
-def _measures(sol, exact, disc):
-    """The `DegreeRecord` of one solved degree: each solution vector read once,
-    and w, inv(M0) w, inv(M1) Et and E10 F formed once."""
+def solve_degree(field, N, rule="lobatto", boost=15):
+    """The `DegreeRecord` of `field` (with `scalar` and `vector_curl`) at degree N: both
+    solves of its projected trace, then w, inv(M0) w, inv(M1) Et and E10 F formed once."""
+    disc = Discretization(N, rule, boost)
+    sol = solve_both(project_boundary_data(field, disc), disc)
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     w = _weak_curl(s, sol.boundary, disc)
     m0w, m1s, c = disc.gram._solve_mass0(w), disc.gram._solve_mass1(s), _incidence(f)
     return DegreeRecord(disc.degree, _norm_F(f, disc), _norm_E(w, m0w, s, m1s),
-                        *_error_norms(exact, f, c, m1s, m0w, disc),
+                        *_error_norms(field, f, c, m1s, m0w, disc),
                         _equivalence_residual(s, c, disc), _weak_curl_residual(f, m0w),
                         _operator_residual(disc))

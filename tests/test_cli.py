@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +40,8 @@ TABLE1_NORMS = [
     6.32958656,
 ]
 
+ANSWER = 8  # the self-check line that alone reads a solution against its exact field
+
 
 def quiet(*args, **kwargs):
     pass
@@ -49,6 +53,13 @@ def weak_curl_residual(sol, disc):
     N, gram = disc.degree, disc.gram
     w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), sol.boundary, disc)
     return cc._weak_curl_residual(_dofs(sol.neumann, N), gram._solve_mass0(w))
+
+
+def solved_exponential(N):
+    """(disc, sol) of the exponential pair at degree N and the default boost, by the
+    public calls that `curlcurl.solve_degree` makes."""
+    disc = cc.Discretization(N)
+    return disc, cc.solve_both(cc.project_boundary_data(cc.exponential_pair(), disc), disc)
 
 
 class TestConfig:
@@ -122,7 +133,7 @@ class TestRunStudy:
         # the third identity curl E^h = -F^h; the residual function is
         # checked against the dense masses and incidence with F perturbed
         for rec in run_study(StudyConfig(max_degree=3, emit=frozenset())):
-            disc, sol = cli._solve_exponential(rec.N, 15)
+            disc, sol = solved_exponential(rec.N)
             bd = sol.boundary
             assert rec.weak_curl_residual == weak_curl_residual(sol, disc) <= 1e-13
             F = sol.neumann + 1e-6 * rng.standard_normal(sol.neumann.shape)
@@ -138,7 +149,7 @@ class TestRunStudy:
         assert cli.DegreeRecord is cc.DegreeRecord
         exact = cc.exponential_pair()
         for rec in run_study(StudyConfig(max_degree=12, emit=frozenset()), log=quiet):
-            disc, sol = cli._solve_exponential(rec.N, 15)
+            disc, sol = solved_exponential(rec.N)
             bd = sol.boundary
             assert rec == cc.DegreeRecord(
                 rec.N, cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
@@ -150,7 +161,7 @@ class TestRunStudy:
         # once and forms w, inv(M0) w, inv(M1) Et and E10 F once each; the
         # operator residual, solve-free by design, is not counted
         counts, state = [], {"on": False}  # one Counter per degree
-        solve, residual = cli._solve_exponential, cc._operator_residual
+        disc_cls, solve, residual = cc.Discretization, cc.solve_both, cc._operator_residual
 
         def counted(name, fn, applies=lambda *args: True):
             def wrapper(*args, **kwargs):
@@ -159,12 +170,15 @@ class TestRunStudy:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def solve_then_count(N, boost):
+        def set_up(*args, **kwargs):  # a degree's set-up, projection and solves
             state["on"] = False
-            disc, sol = solve(N, boost)
+            return disc_cls(*args, **kwargs)
+
+        def solve_then_count(bd, disc):
+            sol = solve(bd, disc)
             counts.append(Counter())
-            state.update(on=True, F=sol.neumann.reshape(N + 1, N + 1))
-            return disc, sol
+            state.update(on=True, F=sol.neumann.reshape(disc.degree + 1, disc.degree + 1))
+            return sol
 
         def uncounted_residual(disc):
             state["on"] = False
@@ -172,7 +186,8 @@ class TestRunStudy:
             state["on"] = True
             return value
 
-        monkeypatch.setattr(cli, "_solve_exponential", solve_then_count)
+        monkeypatch.setattr(cc, "Discretization", set_up)
+        monkeypatch.setattr(cc, "solve_both", solve_then_count)
         monkeypatch.setattr(cc, "_operator_residual", uncounted_residual)
         monkeypatch.setattr(cc, "_weak_curl", counted("_weak_curl", cc._weak_curl))
         for name in ("_solve_mass0", "_solve_mass1"):
@@ -303,11 +318,22 @@ def study():
 
 
 def forbid_solves(monkeypatch):
+    """Forbid a second study and every set-up but the answer line's N=12; return
+    the degrees set up."""
+    built, disc_cls = [], cc.Discretization
+
     def no_solve(*args, **kwargs):
         raise AssertionError("the self-check solved")
 
-    monkeypatch.setattr(cc, "Discretization", no_solve)
+    def answer_only(N, *args, **kwargs):
+        if N != 12:
+            no_solve()
+        built.append(N)
+        return disc_cls(N, *args, **kwargs)
+
+    monkeypatch.setattr(cc, "Discretization", answer_only)
     monkeypatch.setattr(cli, "run_study", no_solve)
+    return built
 
 
 def failed_lines(records):
@@ -351,18 +377,20 @@ class TestSelfCheck:
         monkeypatch.setattr(cli, "build_incidence", lambda n: build_incidence(n).T)
         assert self_check(study, log=quiet) is False
 
-    @pytest.mark.parametrize("target, line", [
-        ((basis1d, "_edge_table"), 0),
-        ((galerkin.GramSet, "_solve_mass0"), 1),
+    @pytest.mark.parametrize("target, lines", [
+        ((basis1d, "_edge_table"), [0]),
+        ((galerkin.GramSet, "_solve_mass0"), [1, ANSWER]),
     ], ids=["edge-table", "solve-mass0"])
-    def test_perturbed_basis_detected(self, study, target, line, monkeypatch):
+    def test_perturbed_basis_detected(self, study, target, lines, monkeypatch):
         # a relative error of 1e-9 in the edge table or in the nodal grid
-        # solve fails exactly the basis line that reads it
+        # solve fails exactly the basis line that reads it, and the answer line
+        # where its own solve reads it too (the study was solved before the patch)
         fn = getattr(*target)
         monkeypatch.setattr(*target, lambda *a: fn(*a) * (1 + 1e-9))
         failed, summary = failed_lines(study)
-        assert len(failed) == 1 and failed[0].startswith(f"FAIL  {INVARIANTS[line][0]}:")
-        assert summary == "self-check: 7/8 passed"
+        assert [ln.split(": residual ")[0] for ln in failed] == [
+            f"FAIL  {INVARIANTS[i][0]}" for i in lines]
+        assert summary == f"self-check: {9 - len(lines)}/9 passed"
 
     @pytest.mark.parametrize("line, inject", NAN_CASES.values(), ids=NAN_CASES)
     def test_nan_fails_its_line(self, study, line, inject, monkeypatch):
@@ -371,7 +399,7 @@ class TestSelfCheck:
         failed, summary = failed_lines(inject(list(study), monkeypatch))
         name, _, tol = INVARIANTS[line]
         assert failed == [f"FAIL  {name}: residual nan (tol {tol:.0e})"]
-        assert summary == "self-check: 7/8 passed"
+        assert summary == "self-check: 8/9 passed"
 
     def test_nan_fails_the_run(self, tmp_path, monkeypatch, capsys):
         # the edge table's NaN at N=5 reaches the exit code of a --self-check run
@@ -380,7 +408,7 @@ class TestSelfCheck:
                      "--self-check"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith(f"FAIL  {INVARIANTS[0][0]}: residual nan ")
-        assert out[-1] == "self-check: 7/8 passed"
+        assert out[-1] == "self-check: 8/9 passed"
 
     def test_equivalence_line_reads_every_degree(self):
         # the residual of N=12, the last degree of a 12-degree study, alone
@@ -389,7 +417,7 @@ class TestSelfCheck:
         records[-1] = dataclasses.replace(records[-1], equivalence_residual=1e-9)
         failed, summary = failed_lines(records)
         assert failed == [f"FAIL  {INVARIANTS[4][0]}: residual 1.000e-09 (tol 1e-11)"]
-        assert summary == "self-check: 7/8 passed"
+        assert summary == "self-check: 8/9 passed"
 
     def test_weak_curl_line_reads_the_records(self, study):
         # the third identity's line fails on one degree's residual alone
@@ -397,7 +425,7 @@ class TestSelfCheck:
         records[4] = dataclasses.replace(records[4], weak_curl_residual=1e-9)
         failed, summary = failed_lines(records)
         assert failed == [f"FAIL  {INVARIANTS[6][0]}: residual 1.000e-09 (tol 1e-11)"]
-        assert summary == "self-check: 7/8 passed"
+        assert summary == "self-check: 8/9 passed"
 
     def test_scaled_dirichlet_operator_detected(self, monkeypatch):
         # A_D scaled by 1 + 1e-9 moves A_D M1 E10 x off E10 inv(M0) A_N x by
@@ -424,12 +452,14 @@ class TestSelfCheck:
     def test_basis_lines_use_the_grid_solve(self, study, monkeypatch):
         # one edge table per degree (N=1..12) and one grid solve per degree
         # (N=1..8) on all of M0's columns at once; no public per-column
-        # solve and no dense nodal mass
+        # solve and no dense nodal mass.  The answer line's `lobatto` solve
+        # makes grid solves of its own, which are not counted
         calls = Counter()
 
-        def counted(name, fn):
+        def counted(name, fn, applies=lambda *args: True):
             def wrapper(*args):
-                calls[name] += 1
+                if applies(*args):
+                    calls[name] += 1
                 return fn(*args)
             return wrapper
 
@@ -438,7 +468,8 @@ class TestSelfCheck:
 
         monkeypatch.setattr(cli, "edge_eval", counted("edge_eval", cli.edge_eval))
         gram = galerkin.GramSet
-        monkeypatch.setattr(gram, "_solve_mass0", counted("grid", gram._solve_mass0))
+        monkeypatch.setattr(gram, "_solve_mass0", counted(
+            "grid", gram._solve_mass0, lambda self, f: self.rule == "gauss"))
         monkeypatch.setattr(gram, "solve_mass0", forbidden)
         monkeypatch.setattr(galerkin, "assemble_mass0", forbidden)
         assert self_check(study, log=quiet) is True
@@ -461,14 +492,15 @@ class TestSelfCheck:
         assert len(gated) == 1
         assert float(gated[0].group(1)) <= 1e-11
         assert re.fullmatch(r"self-check: (\d+)/\1 passed", summary)
-        assert summary == "self-check: 8/8 passed"
+        assert summary == "self-check: 9/9 passed"
 
     def test_reuses_the_study(self, study, monkeypatch):
         # the identity lines report the maxima over every record the study
-        # holds, N=9 included; the check solves nothing itself
-        forbid_solves(monkeypatch)
+        # holds, N=9 included; the check solves only the answer line's degree
+        built = forbid_solves(monkeypatch)
         lines = []
         assert self_check(study, log=lines.append) is True
+        assert built == [12]
         assert [r.N for r in study] == list(range(1, 10))
         for line, field in ((4, "equivalence_residual"), (6, "weak_curl_residual"),
                             (7, "operator_residual")):
@@ -477,18 +509,66 @@ class TestSelfCheck:
 
     def test_short_report_falls_back(self, monkeypatch):
         # a study of fewer than 8 degrees is checked as it is: no second
-        # study, no solve, all 8 lines on its 3 records
+        # study, no solve but the answer line's, all 9 lines on its 3 records
         records = run_study(StudyConfig(max_degree=3, emit=frozenset()))
-        forbid_solves(monkeypatch)
+        built = forbid_solves(monkeypatch)
         lines = []
         assert self_check(records, log=lines.append) is True
-        assert lines[-1] == "self-check: 8/8 passed"
+        assert lines[-1] == "self-check: 9/9 passed" and built == [12]
 
 
-def test_cli_reads_three_private_names_of_other_modules():
-    # the identities and the per-degree pass live with the solver: cli reads
-    # basis1d's integer check, curlcurl's pass and the biorthogonality
-    # line's grid solve, and no other private name it does not define
+# one-line faults, each as (owner, function, the text it replaces, the faulty text),
+# and the indices of the self-check lines that fail under it at --max-degree 3.
+# Before the answer line, all but Gh-for-Gh_inv passed in full: the paper's identities
+# hold for any boundary data, the exponential pair's side traces are constant, and
+# on that pair the untransposed pairing leaves the identities at roundoff for N <= 3.
+# Not listed, because they are equivalent programs: the symmetric Ge transposed in
+# `_mass1`, and the symmetric Gauss weights reversed in `_error_norms`.
+FAULTS = {
+    "north-side-reversed": (cc, "project_boundary_data", "edge += H @",
+                            'edge += (H[::-1] if side == "N" else H) @', [ANSWER]),
+    "south-north-swapped": (cc, "project_boundary_data", "else grid[k]",
+                            "else grid[N - k]", [ANSWER]),
+    "east-sign-flipped": (cc, "project_boundary_data", "q.points.shape)",
+                          'q.points.shape) * (-1.0 if side == "E" else 1.0)', [ANSWER]),
+    "mean-weights": (cc, "project_boundary_data", "q.weights * ehat",
+                     "q.weights.mean() * ehat", [ANSWER]),
+    "pairing-untransposed": (cc, "_dirichlet_inverse", "m[::-1, :, 1:].transpose(0, 2, 1)",
+                             "m[::-1, :, 1:]", [ANSWER]),
+    "Gh-for-Gh_inv": (galerkin.GramSet, "_solve_mass0", "self.Gh_inv @ f @ self.Gh_inv.T",
+                      "self.Gh @ f @ self.Gh.T", [1, 4, 5, 6, 7, ANSWER]),
+}
+
+
+def inject_fault(monkeypatch, owner, name, old, new):
+    """Bind in place of owner.name the function compiled from its source with
+    `old`, which must occur once, replaced by `new`."""
+    fn = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, (name, old)
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+@pytest.mark.parametrize("owner, name, old, new, failing", FAULTS.values(), ids=FAULTS)
+def test_self_check_rejects_each_fault(owner, name, old, new, failing, tmp_path,
+                                       monkeypatch, capsys):
+    # the gate fails a --self-check run under each known fault, on the line named
+    inject_fault(monkeypatch, owner, name, old, new)
+    assert main(["--max-degree", "3", "--emit", "", "--out", str(tmp_path),
+                 "--self-check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(": residual ")[0] for ln in out if ln.startswith("FAIL ")] == [
+        f"FAIL  {INVARIANTS[i][0]}" for i in failing]
+    assert out[-1] == f"self-check: {9 - len(failing)}/9 passed"
+
+
+def test_cli_reads_two_private_names_of_other_modules():
+    # the identities and the per-degree entry live with the solver: cli reads
+    # basis1d's integer check and the biorthogonality line's grid solve, and
+    # no other private name it does not define
     tree = ast.parse(Path(cli.__file__).read_text())
     own = {node.name for node in ast.walk(tree)
            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -498,7 +578,8 @@ def test_cli_reads_three_private_names_of_other_modules():
             for alias in node.names}
     read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     private = {name for name in read - own if name.startswith("_") and not name.endswith("__")}
-    assert private == {"_integer", "_measures", "_solve_mass0"}
+    assert private == {"_integer", "_solve_mass0"}
+    assert not hasattr(cli, "_solve_exponential")
 
 
 class TestMain:
@@ -538,21 +619,34 @@ class TestMain:
     ])
     def test_self_check_reads_the_run(self, emit, args, built, tmp_path, monkeypatch, capsys):
         # one study per run, made for the CSVs or for the self-check alone;
-        # fig2 adds its own N=3 solve; the identity lines report the maxima
-        # over that study's records, at the run's boost
+        # fig2 adds its own N=3 solve and the answer line its N=12; the identity
+        # lines report the maxima over that study's records, at the run's boost
         discs, studies = [], []
         disc_cls, study_fn = cc.Discretization, cli.run_study
         monkeypatch.setattr(cc, "Discretization",
                             lambda *a, **k: discs.append(a) or disc_cls(*a, **k))
         monkeypatch.setattr(cli, "run_study", lambda *a: studies.append(study_fn(*a)) or studies[-1])
         assert main([*args, "--emit", emit, "--self-check", "--out", str(tmp_path)]) == 0
-        assert len(discs) == built and len(studies) == 1
+        assert len(discs) == built + 1 and discs[-1][0] == 12 and len(studies) == 1
         out = capsys.readouterr().out
         for field, name in (("equivalence_residual", INVARIANTS[4][0]),
                             ("weak_curl_residual", INVARIANTS[6][0]),
                             ("operator_residual", INVARIANTS[7][0])):
             worst = max(getattr(r, field) for r in studies[0])
             assert f"PASS  {name}: residual {worst:.3e} " in out
+
+    def test_one_degree_run_checks_the_answer(self, tmp_path, monkeypatch, capsys):
+        # the answer line's degree is its own: a --max-degree 1 run still
+        # solves the plane wave at N=12 and reads its errors at their floor
+        built, disc_cls = [], cc.Discretization
+        monkeypatch.setattr(cc, "Discretization",
+                            lambda N, *a, **k: built.append(N) or disc_cls(N, *a, **k))
+        assert main(["--max-degree", "1", "--emit", "", "--out", str(tmp_path),
+                     "--self-check"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(rf"PASS  {re.escape(INVARIANTS[ANSWER][0])}: "
+                            r"residual 7\.3\d\de-13 \(tol 1e-11\)", out[-2]), out[-2]
+        assert out[-1] == "self-check: 9/9 passed" and built == [1, 12]
 
     def test_each_gauss_rule_size_computed_once(self, tmp_path, monkeypatch):
         # the rule's builder evaluates L_M once per size; gll_nodes' own
@@ -581,8 +675,8 @@ class TestMain:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert sum(line.startswith("PASS ") for line in lines) == 8
-        assert lines[-1] == "self-check: 8/8 passed"
+        assert sum(line.startswith("PASS ") for line in lines) == 9
+        assert lines[-1] == "self-check: 9/9 passed"
         for name in ("table1.csv", "fig3.csv", "fig2_xi.csv", "fig2_eta.csv"):
             assert (tmp_path / name).exists(), name
         # importing the package loads dualcurl.cli, which runpy warns about

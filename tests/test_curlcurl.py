@@ -18,8 +18,7 @@ from dualcurl.galerkin import assemble_mass0
 from dualcurl.operators2d import (
     _dofs, _flat, _incidence, _incidence_t, build_incidence, build_trace)
 from conftest import (
-    dirichlet_system, neumann_system, plane_wave_pair, psi0_dense, psi1_dense,
-    random_vector_field)
+    dirichlet_system, neumann_system, psi0_dense, psi1_dense, random_vector_field)
 
 
 def _count_calls(monkeypatch, *names):
@@ -644,7 +643,7 @@ class TestGridOnlyPath:
         rc = cli.main(["--max-degree", "12", "--emit", "table1,fig3,fig2",
                        "--self-check", "--out", str(tmp_path)])
         assert rc == 0
-        assert "self-check: 8/8 passed" in capsys.readouterr().out
+        assert "self-check: 9/9 passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("entry", [
         "solve_both", "weak_curl", "norm_F", "norm_E", "reconstruct-primal-scalar",
@@ -910,20 +909,64 @@ class TestErrorNorms:
 class TestMeasures:
     @pytest.mark.parametrize("N", [1, 2, 5, 12])
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
-    @pytest.mark.parametrize("pair", [cc.exponential_pair, plane_wave_pair],
+    @pytest.mark.parametrize("pair", [cc.exponential_pair, functools.partial(cc.plane_wave, 0.7)],
                              ids=["exponential", "plane-wave"])
     def test_equals_the_public_functions(self, pair, rule, N):
-        # the one pass after the solves hands its grids to the forms that the
-        # public norms, errors and residuals wrap: each value is equal, not close
+        # solve_degree's one pass after the solves hands its grids to the forms
+        # that the public norms, errors and residuals wrap: each value is equal
+        # to theirs on the same public set-up and solves, not close
         exact, disc = pair(), cc.Discretization(N, rule)
         bd = cc.project_boundary_data(exact, disc)
         sol = cc.solve_both(bd, disc)
         w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), bd, disc)
-        assert cc._measures(sol, exact, disc) == cc.DegreeRecord(
+        assert cc.solve_degree(exact, N, rule) == cc.DegreeRecord(
             N, cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
             *cc.error_norms(sol, exact, disc), equivalence_residual(sol, disc),
             cc._weak_curl_residual(_dofs(sol.neumann, N), disc.gram._solve_mass0(w)),
             cc._operator_residual(disc))
+
+    def test_reads_its_boost(self):
+        # the data rule of N + boost points integrates the projection and the errors
+        exact = cc.exponential_pair()
+        disc = cc.Discretization(3, boost=4)
+        sol = cc.solve_both(cc.project_boundary_data(exact, disc), disc)
+        record = cc.solve_degree(exact, 3, boost=4)
+        assert (record.errF, record.errE) == cc.error_norms(sol, exact, disc)
+        assert record != cc.solve_degree(exact, 3)
+
+    def test_names_the_missing_exact_part(self):
+        bare = cc.AnalyticField(Ex=lambda x, y: np.exp(y), Ey=lambda x, y: -np.exp(x))
+        with pytest.raises(ValueError, match=r"exact field's scalar and vector_curl$"):
+            cc.solve_degree(bare, 3)
+
+
+class TestPlaneWave:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.7, 2.5])
+    def test_is_an_exact_solution(self, t):
+        # E = curl F = (dF/dy, -dF/dx) and curl E = -F, by central differences
+        wave, h = cc.plane_wave(t), 1e-5
+        x, y = np.linspace(-1, 1, 7), np.linspace(1, -1, 7)
+        F = wave.scalar
+
+        def d(f, dx, dy):
+            return (f(x + dx, y + dy) - f(x - dx, y - dy)) / (2 * h)
+
+        np.testing.assert_allclose(wave.Ex(x, y), d(F, 0, h), rtol=1e-9)
+        np.testing.assert_allclose(wave.Ey(x, y), -d(F, h, 0), rtol=1e-9)
+        np.testing.assert_allclose(d(wave.Ey, h, 0) - d(wave.Ex, 0, h), wave.vector_curl(x, y),
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(wave.vector_curl(x, y), -F(x, y))
+
+    def test_reaches_the_answer_lines_floor(self):
+        # errF and errE at N=12 and t=0.3 sit on the space's floor, which
+        # the `gauss` errF is (the Galerkin projection, Cea's lemma): 7.3e-13
+        wave = cc.plane_wave(0.3)
+        floor = cc.solve_degree(wave, 12, "gauss").errF
+        record = cc.solve_degree(wave, 12)
+        assert 7.2e-13 < floor < 7.4e-13
+        assert floor <= record.errF <= 1.01 * floor  # `lobatto`: 1.0026 times it
+        assert abs(record.errE - record.errF) <= 1e-3 * record.errF
+        assert 10 * max(record.errF, record.errE) < 1e-11  # the line's tolerance
 
 
 # every public entry that reads an integer: its call on (value, disc, sol),
