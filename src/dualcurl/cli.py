@@ -10,6 +10,9 @@ digits):
                E^h - curl F^h at N=3 on an interior Gauss tensor grid)
   fig2_eta.csv same for the eta component
   incidence.csv, trace.csv   integer operator dumps (--emit matrices)
+
+The norm table, the fig2 maximum and the --self-check lines go to stdout,
+printed by the functions that compute them; --quadrature-boost is at least 1.
 """
 
 import argparse
@@ -20,14 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import curlcurl as cc
-from .curlcurl import DegreeRecord
 from .basis1d import _integer, gauss_rule, gll_nodes, edge_eval
 from .galerkin import GramSet
 from .operators2d import build_incidence, build_trace
 
 __all__ = [
     "StudyConfig",
-    "DegreeRecord",
     "INVARIANTS",
     "INCIDENCE_N3",
     "TRACE_N3",
@@ -60,7 +61,7 @@ class StudyConfig:
             object.__setattr__(self, "output_dir", Path(self.output_dir))
         except TypeError:
             raise TypeError(f"output_dir must be a path, got {self.output_dir!r}") from None
-        for name, least in (("max_degree", 1), ("grid_size", 2), ("quadrature_boost", 0)):
+        for name, least in (("max_degree", 1), ("grid_size", 2), ("quadrature_boost", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         try:  # a str would be read as a set of letters
             if isinstance(self.emit, str):
@@ -82,16 +83,16 @@ def _worst(values):
     return float(np.max(np.fromiter(values, float)))
 
 
-def run_study(cfg, log=print):
-    """The `curlcurl.solve_degree` record of the exponential pair for each degree N =
-    1..max_degree; writes table1.csv / fig3.csv when requested; returns the records."""
+def run_study(cfg):
+    """The `curlcurl.solve_degree` records of the exponential pair, N = 1..max_degree;
+    writes table1.csv and prints its table, and writes fig3.csv, when requested."""
     records = tuple(cc.solve_degree(cc.exponential_pair(), N, boost=cfg.quadrature_boost)
                     for N in range(1, cfg.max_degree + 1))
     if "table1" in cfg.emit:
         _write_csv(cfg.output_dir / "table1.csv", "N,normF,normE,absdiff",
                    [(r.N, _fmt(r.normF), _fmt(r.normE), _fmt(abs(r.normF - r.normE)))
                     for r in records])
-        log(_norm_table_text(records))
+        print(_norm_table_text(records))
     if "fig3" in cfg.emit:
         _write_csv(cfg.output_dir / "fig3.csv", "N,errF,errE",
                    [(r.N, _fmt(r.errF), _fmt(r.errE)) for r in records])
@@ -114,10 +115,10 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(c) for c in row) + "\n")
 
 
-def emit_fig2(cfg, log=print):
+def emit_fig2(cfg):
     """Pointwise E^h - curl F^h at N=3 on an interior Gauss tensor grid.
 
-    Writes the two component grids and returns (grid_xi, grid_eta, maxabs).
+    Writes the two grids, prints their maximum, returns (grid_xi, grid_eta, maxabs).
     The grid avoids the element edges at +-1 on purpose.
     """
     disc = cc.Discretization(_FIGURE_DEGREE, boost=cfg.quadrature_boost)
@@ -135,8 +136,8 @@ def emit_fig2(cfg, log=print):
             [tuple(_fmt(v) for v in row) for row in grid],
         )
     maxabs = _worst(np.abs(d).max() for d in (dxi, deta))
-    log(f"max |E^h - curl F^h| on {cfg.grid_size}x{cfg.grid_size} grid, "
-        f"N={_FIGURE_DEGREE}: {maxabs:.3e}")
+    print(f"max |E^h - curl F^h| on {cfg.grid_size}x{cfg.grid_size} grid, "
+          f"N={_FIGURE_DEGREE}: {maxabs:.3e}")
     return dxi, deta, maxabs
 
 
@@ -243,10 +244,10 @@ INVARIANTS = (
 )
 
 
-def self_check(records, log=print):
+def self_check(records):
     """Run the invariant registry on `records`, every `DegreeRecord` of the run's
-    study; solves only the answer line's plane wave at N=12.  True iff every
-    residual is within its tolerance."""
+    study; solves only the answer line's plane wave at N=12 and prints a line per
+    invariant and a summary.  True iff every residual is within its tolerance."""
     if not (records := tuple(records)):  # one pass over a one-shot iterable
         raise ValueError("self_check needs the study's records, got none")
     passed = 0
@@ -254,9 +255,9 @@ def self_check(records, log=print):
         residual = residual_fn(records)
         ok = residual <= tol
         passed += ok
-        log(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} "
-            f"(tol {tol:.0e})")
-    log(f"self-check: {passed}/{len(INVARIANTS)} passed")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} "
+              f"(tol {tol:.0e})")
+    print(f"self-check: {passed}/{len(INVARIANTS)} passed")
     return passed == len(INVARIANTS)
 
 

@@ -172,8 +172,9 @@ class Discretization:
     V^T Gh V = I, the grid `neumann_scale` 1/(lam_p + lam_q + 1), and the
     Dirichlet Q, P and 2x2 block inverse grids `pair_diag`, `pair_off`.
     `loop` is `boundary_nodes(N)`; `quadrature`, the Gauss rule of N+boost
-    points (boost an integer >= 0), and its nodal and edge `tables` integrate
-    the exact data in `project_boundary_data` and `error_norms`.  The degree
+    points, and its nodal and edge `tables` integrate the exact data in
+    `project_boundary_data` and `error_norms`.  The boost is an integer >= 1:
+    N points are exact only to degree 2N-1, and F_h^2 has degree 2N.  The degree
     N must be an integer >= 1 (a bool is not one).  The dense incidence
     `E10` is built on first access; no solve, norm or error path reads it.
     """
@@ -183,7 +184,7 @@ class Discretization:
         self.degree = N = self.gram.degree
         self.nodes = self.gram.nodes
         self.loop = boundary_nodes(N)
-        self.quadrature = gauss_rule(N + _integer("boost", boost, 0))
+        self.quadrature = gauss_rule(N + _integer("boost", boost, 1))
         self.tables = _tables(self, self.quadrature.points)
         D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.K = D.T @ self.gram.Ge @ D

@@ -47,7 +47,7 @@ def run_invariants(*prefixes):
 def study(tmp_path_factory):
     cfg = StudyConfig(output_dir=tmp_path_factory.mktemp("study"), emit=frozenset())
     t0 = time.perf_counter()
-    records = run_study(cfg, log=lambda *a, **k: None)
+    records = run_study(cfg)
     return records, time.perf_counter() - t0
 
 
@@ -113,7 +113,7 @@ def test_criterion_4_equivalence_identity(study, random_sets):
 
 def test_criterion_5_pointwise_identity(tmp_path):
     cfg = StudyConfig(output_dir=tmp_path, emit=frozenset({"fig2"}))
-    _, _, maxabs = emit_fig2(cfg, log=lambda *a, **k: None)
+    _, _, maxabs = emit_fig2(cfg)
     report(5, maxabs <= 1e-13,
            f"max |E^h - curl F^h| at N=3 is {maxabs:.2e} (tol 1e-13)")
 

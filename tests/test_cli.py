@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dualcurl
 from dualcurl import basis1d, cli, galerkin
 from dualcurl import curlcurl as cc
 from dualcurl.cli import (
@@ -41,10 +42,6 @@ TABLE1_NORMS = [
 ]
 
 ANSWER = 8  # the self-check line that alone reads a solution against its exact field
-
-
-def quiet(*args, **kwargs):
-    pass
 
 
 def weak_curl_residual(sol, disc):
@@ -83,8 +80,9 @@ class TestConfig:
             StudyConfig(grid_size=1)
         with pytest.raises(ValueError):
             StudyConfig(emit=frozenset({"table9"}))
-        with pytest.raises(ValueError, match="quadrature_boost must be >= 0"):
-            StudyConfig(quadrature_boost=-1)
+        for boost in (-1, 0):  # boost 0 integrates the errors on the N-point rule
+            with pytest.raises(ValueError, match="quadrature_boost must be >= 1"):
+                StudyConfig(quadrature_boost=boost)
         with pytest.raises(TypeError, match="^emit must be a set"):
             StudyConfig(emit="table1")  # not the letters t, a, b, l, e and 1
         # any iterable of names is stored as a frozenset: equal and hashable
@@ -104,14 +102,14 @@ class TestConfig:
         # a str is a path: the CSVs are written after every degree is solved
         cfg = StudyConfig(max_degree=1, output_dir=str(tmp_path), emit=frozenset({"table1"}))
         assert cfg.output_dir == tmp_path
-        run_study(cfg, log=quiet)
+        run_study(cfg)
         assert (tmp_path / "table1.csv").exists()
 
 
 class TestRunStudy:
     def test_norm_columns_match_published_table(self, tmp_path):
         cfg = StudyConfig(output_dir=tmp_path, emit=frozenset())
-        records = run_study(cfg, log=quiet)
+        records = run_study(cfg)
         assert len(records) == 9
         for rec, expected in zip(records, TABLE1_NORMS):
             # published values are truncated at 8 decimals
@@ -123,7 +121,7 @@ class TestRunStudy:
 
     def test_single_degree(self, tmp_path):
         cfg = StudyConfig(max_degree=1, output_dir=tmp_path, emit=frozenset())
-        records = run_study(cfg, log=quiet)
+        records = run_study(cfg)
         assert len(records) == 1
         rec = records[0]
         assert rec.normF == pytest.approx(rec.normE, rel=1e-11)
@@ -145,10 +143,11 @@ class TestRunStudy:
     def test_records_equal_the_public_functions(self):
         # one degree's pass hands its grids to the private forms that the
         # public functions wrap, so each field is equal to theirs, not close;
-        # the record class is curlcurl's, which alone knows its field order
-        assert cli.DegreeRecord is cc.DegreeRecord
+        # the record class is curlcurl's, which alone knows its field order;
+        # cli neither defines nor re-exports it
+        assert not hasattr(cli, "DegreeRecord")
         exact = cc.exponential_pair()
-        for rec in run_study(StudyConfig(max_degree=12, emit=frozenset()), log=quiet):
+        for rec in run_study(StudyConfig(max_degree=12, emit=frozenset())):
             disc, sol = solved_exponential(rec.N)
             bd = sol.boundary
             assert rec == cc.DegreeRecord(
@@ -197,7 +196,7 @@ class TestRunStudy:
             monkeypatch.setattr(module, "_dofs", counted("_dofs", module._dofs))
         monkeypatch.setattr(cc, "_incidence", counted(  # on the node grid of F only
             "_incidence", cc._incidence, lambda g: np.array_equal(g, state["F"])))
-        run_study(StudyConfig(max_degree=3, emit=frozenset()), log=quiet)
+        run_study(StudyConfig(max_degree=3, emit=frozenset()))
         once = {"_weak_curl": 1, "_solve_mass0": 1, "_solve_mass1": 1, "_incidence": 1}
         assert counts == [Counter(once, _dofs=2)] * 3, counts
 
@@ -205,7 +204,7 @@ class TestRunStudy:
         cfg = StudyConfig(
             max_degree=3, output_dir=tmp_path, emit=frozenset({"table1", "fig3"})
         )
-        run_study(cfg, log=quiet)
+        run_study(cfg)
         table = (tmp_path / "table1.csv").read_text().splitlines()
         assert table[0] == "N,normF,normE,absdiff"
         assert len(table) == 4
@@ -216,9 +215,9 @@ class TestRunStudy:
         cfg = StudyConfig(
             max_degree=4, output_dir=tmp_path, emit=frozenset({"table1", "fig3"})
         )
-        run_study(cfg, log=quiet)
+        run_study(cfg)
         first = [(tmp_path / f).read_bytes() for f in ("table1.csv", "fig3.csv")]
-        run_study(cfg, log=quiet)
+        run_study(cfg)
         second = [(tmp_path / f).read_bytes() for f in ("table1.csv", "fig3.csv")]
         assert first == second
 
@@ -226,7 +225,7 @@ class TestRunStudy:
 class TestFig2:
     def test_identity_grids(self, tmp_path):
         cfg = StudyConfig(output_dir=tmp_path, emit=frozenset({"fig2"}))
-        dxi, deta, maxabs = emit_fig2(cfg, log=quiet)
+        dxi, deta, maxabs = emit_fig2(cfg)
         assert dxi.shape == (30, 30) and deta.shape == (30, 30)
         assert maxabs <= 1e-13
         rows = (tmp_path / "fig2_xi.csv").read_text().splitlines()
@@ -239,13 +238,13 @@ class TestFig2:
         sizes, evaluate = [], basis1d.lagrange_eval
         monkeypatch.setattr(cc, "lagrange_eval",
                             lambda ns, x: sizes.append(np.size(x)) or evaluate(ns, x))
-        emit_fig2(StudyConfig(output_dir=tmp_path, emit=frozenset({"fig2"})), log=quiet)
+        emit_fig2(StudyConfig(output_dir=tmp_path, emit=frozenset({"fig2"})))
         assert sizes == [18, 30, 30], sizes
 
-    def test_nan_in_the_eta_grid_is_the_maximum(self, tmp_path, monkeypatch):
-        # one NaN in the eta grid alone, after a finite xi maximum: the logged
+    def test_nan_in_the_eta_grid_is_the_maximum(self, tmp_path, monkeypatch, capsys):
+        # one NaN in the eta grid alone, after a finite xi maximum: the printed
         # and returned maximum is NaN, as the CSV is
-        reconstruct, lines = cc.reconstruct, []
+        reconstruct = cc.reconstruct
 
         def nan_in_eta(kind, *args):
             Ex, Ey = reconstruct(kind, *args)
@@ -254,13 +253,14 @@ class TestFig2:
             return Ex, Ey
 
         monkeypatch.setattr(cc, "reconstruct", nan_in_eta)
-        dxi, deta, maxabs = emit_fig2(StudyConfig(output_dir=tmp_path), log=lines.append)
+        dxi, deta, maxabs = emit_fig2(StudyConfig(output_dir=tmp_path))
         assert np.isfinite(dxi).all() and np.isnan(deta).sum() == 1
-        assert np.isnan(maxabs) and lines[0].endswith("N=3: nan")
+        assert np.isnan(maxabs) and capsys.readouterr().out == (
+            "max |E^h - curl F^h| on 30x30 grid, N=3: nan\n")
 
     def test_custom_grid_size(self, tmp_path):
         cfg = StudyConfig(grid_size=7, output_dir=tmp_path, emit=frozenset({"fig2"}))
-        dxi, deta, _ = emit_fig2(cfg, log=quiet)
+        dxi, deta, _ = emit_fig2(cfg)
         assert dxi.shape == (7, 7)
 
 
@@ -336,9 +336,15 @@ def forbid_solves(monkeypatch):
     return built
 
 
-def failed_lines(records):
-    lines = []
-    assert self_check(records, log=lines.append) is False
+def checked(records, capsys):
+    """self_check's verdict on `records` and the lines it printed."""
+    capsys.readouterr()
+    return self_check(records), capsys.readouterr().out.splitlines()
+
+
+def failed_lines(records, capsys):
+    ok, lines = checked(records, capsys)
+    assert ok is False
     return [ln for ln in lines if ln.startswith("FAIL ")], lines[-1]
 
 
@@ -371,32 +377,32 @@ NAN_CASES = {
 
 class TestSelfCheck:
     def test_passes(self, study):
-        assert self_check(study, log=quiet) is True
+        assert self_check(study) is True
 
     def test_broken_incidence_detected(self, study, monkeypatch):
         monkeypatch.setattr(cli, "build_incidence", lambda n: build_incidence(n).T)
-        assert self_check(study, log=quiet) is False
+        assert self_check(study) is False
 
     @pytest.mark.parametrize("target, lines", [
         ((basis1d, "_edge_table"), [0]),
         ((galerkin.GramSet, "_solve_mass0"), [1, ANSWER]),
     ], ids=["edge-table", "solve-mass0"])
-    def test_perturbed_basis_detected(self, study, target, lines, monkeypatch):
+    def test_perturbed_basis_detected(self, study, target, lines, monkeypatch, capsys):
         # a relative error of 1e-9 in the edge table or in the nodal grid
         # solve fails exactly the basis line that reads it, and the answer line
         # where its own solve reads it too (the study was solved before the patch)
         fn = getattr(*target)
         monkeypatch.setattr(*target, lambda *a: fn(*a) * (1 + 1e-9))
-        failed, summary = failed_lines(study)
+        failed, summary = failed_lines(study, capsys)
         assert [ln.split(": residual ")[0] for ln in failed] == [
             f"FAIL  {INVARIANTS[i][0]}" for i in lines]
         assert summary == f"self-check: {9 - len(lines)}/9 passed"
 
     @pytest.mark.parametrize("line, inject", NAN_CASES.values(), ids=NAN_CASES)
-    def test_nan_fails_its_line(self, study, line, inject, monkeypatch):
+    def test_nan_fails_its_line(self, study, line, inject, monkeypatch, capsys):
         # a NaN in one degree that is not the first, in a record or a basis
         # table, fails exactly the line that reads it: Python's max would drop it
-        failed, summary = failed_lines(inject(list(study), monkeypatch))
+        failed, summary = failed_lines(inject(list(study), monkeypatch), capsys)
         name, _, tol = INVARIANTS[line]
         assert failed == [f"FAIL  {name}: residual nan (tol {tol:.0e})"]
         assert summary == "self-check: 8/9 passed"
@@ -410,42 +416,40 @@ class TestSelfCheck:
         assert out[0].startswith(f"FAIL  {INVARIANTS[0][0]}: residual nan ")
         assert out[-1] == "self-check: 8/9 passed"
 
-    def test_equivalence_line_reads_every_degree(self):
+    def test_equivalence_line_reads_every_degree(self, capsys):
         # the residual of N=12, the last degree of a 12-degree study, alone
         # fails the line the benchmark's gate parses
         records = list(run_study(StudyConfig(max_degree=12, emit=frozenset())))
         records[-1] = dataclasses.replace(records[-1], equivalence_residual=1e-9)
-        failed, summary = failed_lines(records)
+        failed, summary = failed_lines(records, capsys)
         assert failed == [f"FAIL  {INVARIANTS[4][0]}: residual 1.000e-09 (tol 1e-11)"]
         assert summary == "self-check: 8/9 passed"
 
-    def test_weak_curl_line_reads_the_records(self, study):
+    def test_weak_curl_line_reads_the_records(self, study, capsys):
         # the third identity's line fails on one degree's residual alone
         records = list(study)
         records[4] = dataclasses.replace(records[4], weak_curl_residual=1e-9)
-        failed, summary = failed_lines(records)
+        failed, summary = failed_lines(records, capsys)
         assert failed == [f"FAIL  {INVARIANTS[6][0]}: residual 1.000e-09 (tol 1e-11)"]
         assert summary == "self-check: 8/9 passed"
 
-    def test_scaled_dirichlet_operator_detected(self, monkeypatch):
+    def test_scaled_dirichlet_operator_detected(self, monkeypatch, capsys):
         # A_D scaled by 1 + 1e-9 moves A_D M1 E10 x off E10 inv(M0) A_N x by
         # exactly that factor; the solves see the scaled operator as well
         apply = cc._dirichlet_apply
         monkeypatch.setattr(cc, "_dirichlet_apply", lambda *a: apply(*a) * (1 + 1e-9))
-        failed, _ = failed_lines(run_study(StudyConfig(max_degree=4, emit=frozenset())))
+        failed, _ = failed_lines(run_study(StudyConfig(max_degree=4, emit=frozenset())), capsys)
         assert f"FAIL  {INVARIANTS[7][0]}: residual 1.000e-09 (tol 1e-12)" in failed
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="records"):
             self_check(())
 
-    def test_reads_a_one_shot_iterable_once(self, study):
-        # every line reads the same records: an iterator logs what the tuple
-        # logs, and an empty iterator is no study
-        want, got = [], []
-        assert self_check(study, log=want.append) is True
-        assert self_check(iter(study), log=got.append) is True
-        assert got == want
+    def test_reads_a_one_shot_iterable_once(self, study, capsys):
+        # every line reads the same records: an iterator prints what the tuple
+        # prints, and an empty iterator is no study
+        want, got = checked(study, capsys), checked(iter(study), capsys)
+        assert got == want and want[0] is True
         with pytest.raises(ValueError, match="needs the study's records"):
             self_check(iter(()))
 
@@ -472,15 +476,13 @@ class TestSelfCheck:
             "grid", gram._solve_mass0, lambda self, f: self.rule == "gauss"))
         monkeypatch.setattr(gram, "solve_mass0", forbidden)
         monkeypatch.setattr(galerkin, "assemble_mass0", forbidden)
-        assert self_check(study, log=quiet) is True
+        assert self_check(study) is True
         assert calls == {"edge_eval": 12, "grid": 8}
         assert not hasattr(cli, "assemble_mass0")
 
-    def test_output_contract(self, study):
+    def test_output_contract(self, study, capsys):
         # the benchmark's paper-cli gate parses these lines
-        lines = []
-        self_check(study, log=lines.append)
-        *checks, summary = lines
+        _, (*checks, summary) = checked(study, capsys)
         names = []
         for line in checks:
             m = re.fullmatch(r"(PASS|FAIL)  (.+): residual \S+ \(tol \S+\)", line)
@@ -494,27 +496,25 @@ class TestSelfCheck:
         assert re.fullmatch(r"self-check: (\d+)/\1 passed", summary)
         assert summary == "self-check: 9/9 passed"
 
-    def test_reuses_the_study(self, study, monkeypatch):
+    def test_reuses_the_study(self, study, monkeypatch, capsys):
         # the identity lines report the maxima over every record the study
         # holds, N=9 included; the check solves only the answer line's degree
         built = forbid_solves(monkeypatch)
-        lines = []
-        assert self_check(study, log=lines.append) is True
-        assert built == [12]
+        ok, lines = checked(study, capsys)
+        assert ok is True and built == [12]
         assert [r.N for r in study] == list(range(1, 10))
         for line, field in ((4, "equivalence_residual"), (6, "weak_curl_residual"),
                             (7, "operator_residual")):
             worst = max(getattr(r, field) for r in study)
             assert f"residual {worst:.3e} " in lines[line]
 
-    def test_short_report_falls_back(self, monkeypatch):
+    def test_short_report_falls_back(self, monkeypatch, capsys):
         # a study of fewer than 8 degrees is checked as it is: no second
         # study, no solve but the answer line's, all 9 lines on its 3 records
         records = run_study(StudyConfig(max_degree=3, emit=frozenset()))
         built = forbid_solves(monkeypatch)
-        lines = []
-        assert self_check(records, log=lines.append) is True
-        assert lines[-1] == "self-check: 9/9 passed" and built == [12]
+        ok, lines = checked(records, capsys)
+        assert ok is True and lines[-1] == "self-check: 9/9 passed" and built == [12]
 
 
 # one-line faults, each as (owner, function, the text it replaces, the faulty text),
@@ -580,6 +580,17 @@ def test_cli_reads_two_private_names_of_other_modules():
     private = {name for name in read - own if name.startswith("_") and not name.endswith("__")}
     assert private == {"_integer", "_solve_mass0"}
     assert not hasattr(cli, "_solve_exponential")
+
+
+def test_printers_take_no_hook_and_the_package_reexports_none():
+    # the study, fig2 and the self-check print what they compute; `import dualcurl`
+    # loads cli but binds none of its names in the package namespace
+    params = {fn: list(inspect.signature(fn).parameters)
+              for fn in (run_study, emit_fig2, self_check)}
+    assert params == {run_study: ["cfg"], emit_fig2: ["cfg"], self_check: ["records"]}
+    assert sys.modules["dualcurl.cli"] is dualcurl.cli
+    assert not {"StudyConfig", "run_study", "emit_fig2", "self_check",
+                "theoretical_norm"} & set(vars(dualcurl))
 
 
 class TestMain:
@@ -711,7 +722,11 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["--quadrature-boost", "-5", "--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert "quadrature_boost must be >= 0" in capsys.readouterr().err
+        assert "quadrature_boost must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # boost 0 under-integrates the errors
+            main(["--quadrature-boost", "0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "quadrature_boost must be >= 1, got 0" in capsys.readouterr().err
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"

@@ -157,11 +157,13 @@ class TestBoundaryProjection:
         np.testing.assert_array_equal(bd.dofs, np.zeros(16))
 
     def test_negative_boost_rejected(self, exact):
-        # a negative boost would under-integrate the trace data
-        with pytest.raises(ValueError, match="boost must be >= 0"):
-            cc.Discretization(4, boost=-1)
-        disc = cc.Discretization(4, boost=0)
-        assert disc.quadrature.points.shape == disc.quadrature.weights.shape == (4,)
+        # a boost below 1 would under-integrate the data: N points are exact
+        # only to degree 2N-1, and F_h^2 has degree 2N
+        for boost in (-1, 0):
+            with pytest.raises(ValueError, match=f"^boost must be >= 1, got {boost}$"):
+                cc.Discretization(4, boost=boost)
+        disc = cc.Discretization(4, boost=1)
+        assert disc.quadrature.points.shape == disc.quadrature.weights.shape == (5,)
         assert np.all(np.isfinite(cc.project_boundary_data(exact, disc).dofs))
 
     def test_unit_trace_corner_dofs(self):
@@ -894,6 +896,15 @@ class TestErrorNorms:
                 top = 1 + slack if rule == "gauss" else 1 + 0.3 / N**2
                 assert 1 - slack <= ratio <= top, (rule, N, ratio)
 
+    @pytest.mark.parametrize("boost", [1, 2, 15])
+    @pytest.mark.parametrize("N", [3, 9, 12])
+    def test_accepted_boost_reads_the_space_floor(self, exact, N, boost):
+        # every accepted data rule measures errF at the space's best error or
+        # above (boost 0, rejected, read 0.08-0.29 of it); boost 1 reads up to
+        # 0.54% low, as the analytic part of the error is still under-integrated
+        ratio = cc.solve_degree(exact, N, boost=boost).errF / _best_h1_error(N)
+        assert ratio >= 0.99, (N, boost, ratio)
+
     def test_evaluates_each_table_once(self, exact, solved, monkeypatch):
         # one Gauss axis serves both directions and all four fields: its
         # nodal table is evaluated once, in set-up, and the edge table
@@ -983,15 +994,15 @@ INTEGER_ENTRIES = {
     # the boost of the data quadrature that the projection and the errors
     # integrate on reaches them through the Discretization, which checks it
     "project_boundary_data": (lambda v, disc, sol: cc.project_boundary_data(
-        cc.exponential_pair(), cc.Discretization(3, boost=v)), "boost", 0),
+        cc.exponential_pair(), cc.Discretization(3, boost=v)), "boost", 1),
     "error_norms": (lambda v, disc, sol: cc.error_norms(
-        sol, cc.exponential_pair(), cc.Discretization(3, boost=v)), "boost", 0),
+        sol, cc.exponential_pair(), cc.Discretization(3, boost=v)), "boost", 1),
     "StudyConfig.max_degree": (lambda v, disc, sol: cli.StudyConfig(max_degree=v),
                                "max_degree", 1),
     "StudyConfig.grid_size": (lambda v, disc, sol: cli.StudyConfig(grid_size=v),
                               "grid_size", 2),
     "StudyConfig.quadrature_boost": (lambda v, disc, sol: cli.StudyConfig(quadrature_boost=v),
-                                     "quadrature_boost", 0),
+                                     "quadrature_boost", 1),
 }
 
 
@@ -1245,11 +1256,12 @@ class TestInputChecks:
             call(v, bd, disc)
 
     def test_error_norms_rejects_negative_boost(self, exact, solved):
-        # a negative boost would under-integrate and shrink the errors
+        # a boost below 1 would under-integrate and shrink the errors
         _, _, sol = solved[9]
-        with pytest.raises(ValueError, match="boost must be >= 0"):
-            cc.Discretization(9, boost=-5)
-        assert all(np.isfinite(cc.error_norms(sol, exact, cc.Discretization(9, boost=0))))
+        for boost in (-5, 0):
+            with pytest.raises(ValueError, match=f"^boost must be >= 1, got {boost}$"):
+                cc.Discretization(9, boost=boost)
+        assert all(np.isfinite(cc.error_norms(sol, exact, cc.Discretization(9, boost=1))))
 
     @pytest.mark.parametrize("missing", ["scalar", "vector_curl"])
     def test_error_norms_names_missing_part(self, exact, solved, missing):
