@@ -60,7 +60,7 @@ import numpy as np
 
 from .basis1d import _edge_table, _integer, _real, gauss_rule, lagrange_eval
 from .galerkin import GramSet
-from .operators2d import _dofs, _flat, _incidence, _incidence_t, boundary_nodes, build_incidence
+from .operators2d import _dofs, _edge_ends, _flat, _incidence, _incidence_t, boundary_nodes
 
 __all__ = [
     "AnalyticField",
@@ -175,8 +175,9 @@ class Discretization:
     points, and its nodal and edge `tables` integrate the exact data in
     `project_boundary_data` and `error_norms`.  The boost is an integer >= 1:
     N points are exact only to degree 2N-1, and F_h^2 has degree 2N.  The degree
-    N must be an integer >= 1 (a bool is not one).  The dense incidence
-    `E10` is built on first access; no solve, norm or error path reads it.
+    N must be an integer >= 1 (a bool is not one).  The incidence `E10`, a
+    sparse array, is built on first access; no solve, norm or error path
+    reads it.
     """
 
     def __init__(self, N, rule="lobatto", boost=15):
@@ -201,8 +202,15 @@ class Discretization:
 
     @cached_property
     def E10(self):
-        """The dense int64 incidence, (2N(N+1), (N+1)^2)."""
-        return build_incidence(self.degree)
+        """The int64 incidence, a sparse CSR array (2N(N+1), (N+1)^2): each
+        row is the selection of its edge's head node minus that of its tail."""
+        from scipy import sparse  # loaded here only: the solve path is numpy-only
+
+        head, tail = _edge_ends(self.degree)
+        rows, ones = np.arange(head.size), np.ones(head.size, dtype=np.int64)
+        shape = (head.size, (self.degree + 1) ** 2)
+        return (sparse.csr_array((ones, (rows, head)), shape)
+                - sparse.csr_array((ones, (rows, tail)), shape))
 
 
 def _check(obj, disc):

@@ -13,7 +13,9 @@ Ei s Hi^T on the edge stack s for M1 (`operators2d`: both components as
 Hi = inv(Gh), Ei = inv(Ge); `solve_mass0/1` wrap them for one dof vector.
 Each is Li^T Li from an inverse factor Li, Li G Li^T = I, and
 `Discretization` reuses `GramSet.Lh` for its pencil (K, Gh); no 2D mass or
-dual mass is formed unless a caller asks for one.
+dual mass is formed unless a caller asks for one.  The edge masses M1 and
+inv(M1) are then built as sparse arrays from the 1D factors, so only
+`assemble_mass1` loads scipy; the nodal masses are dense.
 
 The quadrature rule picks only the scalar c of the nodal Gram
 Gh = diag(w) - c v v^T on the GLL nodes x_i, weights w_i, v_i = w_i L_N(x_i):
@@ -54,19 +56,21 @@ def assemble_mass0(G):
 
 
 def assemble_mass1(Gh, Ge):
-    """Edge-vector mass matrix, shape (2N(N+1),)^2, block diagonal.
+    """Edge-vector mass matrix, a sparse CSR array of shape (2N(N+1),)^2,
+    block diagonal.
 
     Block 1 (xi-component, h_i(xi) e_j(eta)) is kron(Ge, Gh); block 2
     (eta-component, e_i(xi) h_j(eta)) is kron(Gh, Ge); the components never
-    couple.  Both are filled in place: a freed n x n kron temporary would
-    raise glibc's mmap threshold and leave later arrays on the heap.
+    couple.  Each entry is one product of two 1D entries, as in np.kron, and
+    the zeros of the 1D factors are not stored: under "lobatto" Gh is
+    diagonal, so M1 holds 2N^2(N+1) entries, not 2N^2(N+1)^2.
     """
-    n = Ge.shape[0] * Gh.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    for block, A, B in ((M[:n, :n], Ge, Gh), (M[n:, n:], Gh, Ge)):
-        p, q = len(A), len(B)
-        np.multiply(A[:, None, :, None], B[None, :, None, :], out=block.reshape(p, q, p, q))
-    return M
+    from scipy import sparse  # loaded here only: the solve path is numpy-only
+
+    Gh, Ge = sparse.csr_array(Gh), sparse.csr_array(Ge)
+    # COO, as kron's default BSR path would store the zeros of a dense-enough factor
+    blocks = [sparse.kron(Ge, Gh, format="coo"), sparse.kron(Gh, Ge, format="coo")]
+    return sparse.block_diag(blocks, format="csr")
 
 
 def _inverse_factor(B):
@@ -82,7 +86,7 @@ class GramSet:
     "gauss" or "lobatto", which picks only c in Gh = diag(w) - c v v^T, and
     their inverses, Gh_inv = Lh^T Lh from Gh's closed-form inverse factor
     `Lh`.  M1 is applied and solved on the grids from the 1D factors; the
-    public solves take one finite dof vector.  The dense edge mass M1 is
+    public solves take one finite dof vector.  The sparse edge mass M1 is
     built on first access; the nodal mass M0 is not stored: callers apply
     it as Gh f Gh on the node grid, or build it with `assemble_mass0(Gh)`."""
 
@@ -105,7 +109,7 @@ class GramSet:
 
     @cached_property
     def M1(self):
-        """The dense edge mass, (2N(N+1),)^2."""
+        """The edge mass, a sparse CSR array (2N(N+1),)^2."""
         return assemble_mass1(self.Gh, self.Ge)
 
     def _mass1(self, s):
@@ -128,7 +132,7 @@ class GramSet:
         """inv(M1) b for the edge dof vector b."""
         return _flat(self._solve_mass1(_dofs(b, self.degree, "edges")))
 
-    # Dense references for tests; no solve, norm or error path reads them.
+    # References for tests; no solve, norm or error path reads them.
     @property
     def M2_dual(self):
         """inv(M0) = kron(inv(Gh), inv(Gh)), the dual volume mass."""
@@ -136,6 +140,6 @@ class GramSet:
 
     @property
     def M1_dual(self):
-        """inv(M1), the dual edge mass, from the inverse 1D factors."""
+        """inv(M1), the dual edge mass, a sparse CSR array from the inverse 1D factors."""
         return assemble_mass1(self.Gh_inv, self.Ge_inv)
 

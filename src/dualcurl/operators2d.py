@@ -77,15 +77,21 @@ def _incidence_t(s):
     return d[0] - d[1].T
 
 
+def _edge_ends(N):
+    """(head, tail): the node-grid index of each edge's two ends in edge dof
+    order, the columns of the incidence's +1 and -1 in each row."""
+    node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
+    return (np.concatenate([node[1:].ravel(), node[:, :-1].ravel()]),
+            np.concatenate([node[:-1].ravel(), node[:, 1:].ravel()]))
+
+
 def build_incidence(N):
     """Integer incidence matrix, shape (2N(N+1), (N+1)^2): on a node grid
     f, E10 @ _flat(f) is _flat(_incidence(f))."""
     N = _integer("degree", N, 1)
-    node = np.arange((N + 1) ** 2).reshape(N + 1, N + 1)
-    head = np.concatenate([node[1:].ravel(), node[:, :-1].ravel()])
-    tail = np.concatenate([node[:-1].ravel(), node[:, 1:].ravel()])
+    head, tail = _edge_ends(N)
     rows = np.arange(head.size)
-    E = np.zeros((head.size, node.size), dtype=np.int64)
+    E = np.zeros((head.size, (N + 1) ** 2), dtype=np.int64)
     E[rows, head] = 1
     E[rows, tail] = -1
     return E

@@ -13,11 +13,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualcurl
 from dualcurl import curlcurl as cc
 from dualcurl import galerkin
+from dualcurl.operators2d import _flat, _incidence
 
 
 def test_gramset_members_the_tracer_wraps():
@@ -42,8 +44,22 @@ def test_import_loads_the_cli():
 
 
 def test_dense_gate_product_runs():
-    disc = cc.Discretization(3)
-    assert (disc.gram.M1 @ disc.E10).shape == (24, 16)
+    # the gate subtracts `M1 @ E10 @ F`, left to right, from the dual dofs:
+    # an np.matrix or a column would broadcast that into a meaningless norm
+    from scipy import sparse
+
+    for N in (3, 16, 40):
+        for rule in ("lobatto", "gauss"):
+            disc = cc.Discretization(N, rule)
+            gram = disc.gram
+            assert isinstance(gram.M1, sparse.sparray), type(gram.M1)
+            assert isinstance(disc.E10, sparse.sparray), type(disc.E10)
+            f = np.cos(np.arange((N + 1) ** 2.0)).reshape(N + 1, N + 1)
+            ref = gram.M1 @ disc.E10 @ _flat(f)
+            assert type(ref) is np.ndarray and ref.shape == (2 * N * (N + 1),), (N, rule)
+            want = _flat(gram._mass1(_incidence(f)))
+            assert np.linalg.norm(ref - want) <= 1e-13 * np.linalg.norm(want), (N, rule)
+            del disc, gram  # one degree's masses alive at a time
 
 
 def test_bound_names_exist():

@@ -417,7 +417,9 @@ class TestOperators:
         disc = cc.Discretization(N, rule)
         bd = cc.project_boundary_data(random_vector_field(rng), disc)
         I, D = np.eye(N + 1), np.diff(np.eye(N + 1), axis=0)
-        np.testing.assert_array_equal(disc.E10, np.vstack([np.kron(D, I), -np.kron(I, D)]))
+        E10 = disc.E10.toarray()
+        np.testing.assert_array_equal(E10, np.vstack([np.kron(D, I), -np.kron(I, D)]))
+        assert disc.E10.nnz == 4 * N * (N + 1)  # one +1 and one -1 per edge
         cases = [
             ("nodes", cc._neumann_apply, cc._neumann_rhs, neumann_system(disc, bd)),
             ("edges", cc._dirichlet_apply, cc._dirichlet_rhs, dirichlet_system(disc, bd)),
@@ -433,15 +435,16 @@ class TestOperators:
         # it differs by at most 12 eps max|Et|
         s = rng.standard_normal((2, N, N + 1))
         v = _flat(s)
-        gap = np.abs(_flat(_incidence_t(s)) - disc.E10.T @ v).max()
+        gap = np.abs(_flat(_incidence_t(s)) - E10.T @ v).max()
         assert gap <= 12 * np.finfo(float).eps * np.abs(v).max()
-        for batched, M in ((disc.gram._mass1, disc.gram.M1),
-                           (disc.gram._solve_mass1, disc.gram.M1_dual)):
+        M1 = disc.gram.M1.toarray()
+        for batched, M in ((disc.gram._mass1, M1),
+                           (disc.gram._solve_mass1, disc.gram.M1_dual.toarray())):
             ref = M @ v
             assert np.abs(_flat(batched(s)) - ref).max() <= 1e-13 * np.abs(ref).max()
         F = rng.standard_normal((N + 1) ** 2)
-        c = disc.E10 @ F
-        ref = np.sqrt(F @ assemble_mass0(disc.gram.Gh) @ F + c @ disc.gram.M1 @ c)
+        c = E10 @ F
+        ref = np.sqrt(F @ assemble_mass0(disc.gram.Gh) @ F + c @ M1 @ c)
         assert abs(cc.norm_F(F, disc) - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("rule", ["lobatto", "gauss"])
@@ -579,14 +582,20 @@ class TestFastDiagonalization:
 
 
 class TestGridOnlyPath:
-    def test_import_loads_no_scipy(self):
-        code = ("import dualcurl, sys; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    def test_import_loads_no_scipy(self, tmp_path):
+        # neither the import nor a whole paper-cli run loads scipy, whose
+        # sparse package takes longer to import than the run's own work:
+        # only the sparse oracles `GramSet.M1`, `M1_dual` and `E10` load it
+        code = ("import dualcurl, sys; from dualcurl import cli; "
+                "rc = cli.main(['--max-degree', '9', '--emit', 'table1,fig3,fig2,matrices', "
+                f"'--self-check', '--out', {str(tmp_path)!r}]); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = str(Path(cc.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert out.splitlines()[-1] == "0 []", out
+        assert (tmp_path / "incidence.csv").exists()
 
     def test_import_adds_four_stdlib_modules_to_numpy(self):
         # `import dualcurl` is the set-up of a paper-cli process: beyond
@@ -633,7 +642,7 @@ class TestGridOnlyPath:
         dense = self.forbid_dense_operators(monkeypatch)
         for owner in (operators2d, cli):
             monkeypatch.setattr(owner, "build_trace", dense)
-        monkeypatch.setattr(cc, "build_incidence", dense)
+        monkeypatch.setattr(operators2d, "build_incidence", dense)
         for got, want in zip(run(), ref):
             np.testing.assert_array_equal(got, want)
 

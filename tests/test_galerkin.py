@@ -52,33 +52,39 @@ class TestMass0:
 class TestMass1:
     def test_n1_analytic_block(self):
         # e_1 = 1/2, so int e_1 e_1 = 1/2 and block 1 is that times the hat Gram
-        M1 = GramSet(1, "gauss").M1
+        M1 = GramSet(1, "gauss").M1.toarray()
         np.testing.assert_allclose(
             M1[:2, :2], 0.5 * np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]]), atol=1e-14
         )
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_symmetric_spd_block_diagonal(self, N):
-        M1 = GramSet(N, "gauss").M1
+        M1 = GramSet(N, "gauss").M1.toarray()
         np.testing.assert_allclose(M1, M1.T, rtol=1e-13)
         np.linalg.cholesky(M1)
         n = N * (N + 1)
         assert np.all(M1[:n, n:] == 0.0)
         assert np.all(M1[n:, :n] == 0.0)
 
-    @pytest.mark.parametrize("N, rule", rule_cases(range(1, 9)))
+    @pytest.mark.parametrize("N, rule", rule_cases(range(1, 13)))
     def test_blocks_are_kronecker_products(self, N, rule):
-        # the blocks are filled in place; they must equal np.kron exactly
+        # each sparse entry is one product of 1D entries, so the blocks of
+        # M1 and inv(M1) equal np.kron exactly; under "lobatto" only Gh's
+        # diagonal is stored
         gs = GramSet(N, rule)
         n = N * (N + 1)
-        np.testing.assert_array_equal(gs.M1[:n, :n], np.kron(gs.Ge, gs.Gh))
-        np.testing.assert_array_equal(gs.M1[n:, n:], np.kron(gs.Gh, gs.Ge))
+        for M, Gh, Ge in ((gs.M1, gs.Gh, gs.Ge), (gs.M1_dual, gs.Gh_inv, gs.Ge_inv)):
+            dense = M.toarray()
+            np.testing.assert_array_equal(dense[:n, :n], np.kron(Ge, Gh))
+            np.testing.assert_array_equal(dense[n:, n:], np.kron(Gh, Ge))
+            if rule == "lobatto":
+                assert M.nnz == 2 * N**2 * (N + 1)
 
     @pytest.mark.parametrize("N, rule", rule_cases([1, 3, 6]))
     def test_dual_is_inverse(self, N, rule):
         gs = GramSet(N, rule)
         np.testing.assert_allclose(
-            gs.M1_dual @ gs.M1, np.eye(gs.M1.shape[0]), atol=1e-11
+            gs.M1_dual.toarray() @ gs.M1.toarray(), np.eye(gs.M1.shape[0]), atol=1e-11
         )
 
 
@@ -97,7 +103,7 @@ class TestDualMass:
     @pytest.mark.parametrize("N, rule", rule_cases(range(1, 13)))
     def test_factorization_through_degree_12(self, N, rule):
         gs = GramSet(N, rule)
-        for M in (assemble_mass0(gs.Gh), gs.M1):
+        for M in (assemble_mass0(gs.Gh), gs.M1.toarray()):
             np.linalg.cholesky(M)  # conditioning grows with N but stays factorizable
 
 
@@ -107,7 +113,8 @@ class TestMassSolve:
     def test_matches_dense_solve(self, N, rule, cols):
         gs = GramSet(N, rule)
         rng = np.random.default_rng(N)
-        for solve, M in ((gs.solve_mass0, assemble_mass0(gs.Gh)), (gs.solve_mass1, gs.M1)):
+        for solve, M in ((gs.solve_mass0, assemble_mass0(gs.Gh)),
+                         (gs.solve_mass1, gs.M1.toarray())):
             b = rng.standard_normal((M.shape[0],) + cols)
             x = solve(b)
             assert x.shape == b.shape
