@@ -86,7 +86,8 @@ def _worst(values):
 def run_study(cfg):
     """The `curlcurl.solve_degree` records of the exponential pair, N = 1..max_degree;
     writes table1.csv and prints its table, and writes fig3.csv, when requested."""
-    records = tuple(cc.solve_degree(cc.exponential_pair(), N, boost=cfg.quadrature_boost)
+    records = tuple(cc.solve_degree(cc.exponential_pair(),
+                                    cc.Discretization(N, boost=cfg.quadrature_boost))
                     for N in range(1, cfg.max_degree + 1))
     if "table1" in cfg.emit:
         _write_csv(cfg.output_dir / "table1.csv", "N,normF,normE,absdiff",
@@ -207,7 +208,7 @@ def _volume_biorthogonality_gaps():
 def _plane_wave_errors():
     """errF and errE of the plane wave t = 0.3 at degree 12, `lobatto`: an exact solution
     whose traces vary along every side, at a degree that no --max-degree changes."""
-    r = cc.solve_degree(cc.plane_wave(0.3), 12)
+    r = cc.solve_degree(cc.plane_wave(0.3), cc.Discretization(12))
     return r.errF, r.errE
 
 

@@ -41,15 +41,16 @@ vectors into grids and joins them: the node grid f of F and the (2, N,
 N+1) edge stack s of Et.  Each field operation has one form on the grids;
 a public entry reads each caller array once, with `_dofs`, and joins
 once, on return.  The private norm, error and residual forms take the
-grids they share (w, inv(M0) w, inv(M1) Et, E10 F); `solve_degree`, the
-one per-degree entry, solves a field and forms each once in the pass after
-the solves.  E10 and E10^T are `_incidence` and `_incidence_t`, the
-norms 1D Gram products; `reconstruct` evaluates on a tensor grid of two axes.
+grids they share (w, inv(M0) w, inv(M1) Et, E10 F); `solve_degree(field,
+disc)`, the one per-degree entry, solves a field and forms each once in the
+pass after the solves.  E10 and E10^T are `_incidence` and `_incidence_t`,
+the norms 1D Gram products; `reconstruct` evaluates on a tensor grid of two
+axes.
 
-Every function here takes the `Discretization` of its degree, or builds it
-(`solve_degree`); it is the only way a degree and its two quadratures reach
-this module, so the solves and norms share one set of operators, and the
-boundary projection and the errors one data rule and its 1D tables.
+Every function here takes the `Discretization` of its degree; it is the only
+way a degree and its two quadratures reach this module, so the solves and
+norms share one set of operators, and the boundary projection and the errors
+one data rule and its 1D tables.
 """
 
 from dataclasses import dataclass
@@ -181,11 +182,12 @@ class Discretization:
     """
 
     def __init__(self, N, rule="lobatto", boost=15):
-        self.gram = GramSet(N, rule)  # checks the degree
+        boost = _integer("boost", boost, 1)  # checked before any set-up
+        self.gram = GramSet(N, rule)  # checks the degree and the rule
         self.degree = N = self.gram.degree
         self.nodes = self.gram.nodes
         self.loop = boundary_nodes(N)
-        self.quadrature = gauss_rule(N + _integer("boost", boost, 1))
+        self.quadrature = gauss_rule(N + boost)
         self.tables = _tables(self, self.quadrature.points)
         D = np.diff(np.eye(N + 1), axis=0)  # 1D incidence, N x (N+1)
         self.K = D.T @ self.gram.Ge @ D
@@ -397,7 +399,7 @@ def reconstruct(kind, dofs, x, y, disc):
     for name, v in (("x", x), ("y", y)):
         if not np.all(np.abs(v) <= 1.0):  # outside, the basis would extrapolate
             raise ValueError(f"{name} must hold finite points in [-1, 1], got {v}")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list would not hash
         raise ValueError(f"unknown reconstruction kind {kind!r}")
     layout, coefficients = _KINDS[kind]
     tx = _tables(disc, x)
@@ -496,10 +498,9 @@ class DegreeRecord:
     operator_residual: float
 
 
-def solve_degree(field, N, rule="lobatto", boost=15):
-    """The `DegreeRecord` of `field` (with `scalar` and `vector_curl`) at degree N: both
+def solve_degree(field, disc):
+    """The `DegreeRecord` of `field` (with `scalar` and `vector_curl`) on `disc`: both
     solves of its projected trace, then w, inv(M0) w, inv(M1) Et and E10 F formed once."""
-    disc = Discretization(N, rule, boost)
     sol = solve_both(project_boundary_data(field, disc), disc)
     f, s = _dofs(sol.neumann, disc.degree), _dofs(sol.dirichlet, disc.degree, "edges")
     w = _weak_curl(s, sol.boundary, disc)

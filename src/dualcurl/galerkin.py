@@ -91,9 +91,9 @@ class GramSet:
     it as Gh f Gh on the node grid, or build it with `assemble_mass0(Gh)`."""
 
     def __init__(self, degree, rule):
-        self.nodes = ns = gll_nodes(degree)  # checks the degree
-        if rule not in ("lobatto", "gauss"):
+        if rule not in ("lobatto", "gauss"):  # checked before any node is computed
             raise ValueError(f"unknown quadrature rule {rule!r}")
+        self.nodes = ns = gll_nodes(degree)  # checks the degree
         self.degree, self.rule = ns.degree, rule
         N, w = ns.degree, ns.weights
         c = N * (N + 1) / (2 * (2 * N + 1)) if rule == "gauss" else 0.0

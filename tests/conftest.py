@@ -1,10 +1,22 @@
+import atexit
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration
 
 from dualcurl.basis1d import edge_eval, gauss_rule, gll_nodes, lagrange_eval
 from dualcurl.curlcurl import AnalyticField
 from dualcurl.galerkin import assemble_mass0
 from dualcurl.operators2d import build_trace
+
+# Hypothesis keeps its example database and caches in a directory of its own,
+# by default .hypothesis/ in the working directory; a run of the suite writes
+# nothing in the checkout, so that directory is a temporary one, removed at exit
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="dualcurl-hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def random_vector_field(rng):

@@ -537,6 +537,11 @@ FAULTS = {
                              "m[::-1, :, 1:]", [ANSWER]),
     "Gh-for-Gh_inv": (galerkin.GramSet, "_solve_mass0", "self.Gh_inv @ f @ self.Gh_inv.T",
                       "self.Gh @ f @ self.Gh.T", [1, 4, 5, 6, 7, ANSWER]),
+    "edge-basis-mirrored": (cli, "edge_eval", "lagrange_eval(ns, x)", "lagrange_eval(ns, -x)",
+                            [0]),
+    "incidence-transposed": (cli, "build_incidence", "return E\n", "return E.T\n", [2]),
+    "trace-reversed": (cli, "build_trace", "boundary_nodes(N)[:, None]",
+                       "boundary_nodes(N)[::-1, None]", [3]),
 }
 
 

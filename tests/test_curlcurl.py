@@ -770,9 +770,10 @@ class TestNorms:
 
 
 class TestReconstruct:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            cc.reconstruct("mystery", np.zeros(9), 0.0, 0.0, cc.Discretization(2))
+    @pytest.mark.parametrize("kind", ["mystery", ["primal-scalar"]], ids=["mystery", "list"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=r"^unknown reconstruction kind "):
+            cc.reconstruct(kind, np.zeros(9), 0.0, 0.0, cc.Discretization(2))
 
     def test_primal_scalar_interpolates_polynomials(self, rng):
         N = 5
@@ -911,7 +912,7 @@ class TestErrorNorms:
         # every accepted data rule measures errF at the space's best error or
         # above (boost 0, rejected, read 0.08-0.29 of it); boost 1 reads up to
         # 0.54% low, as the analytic part of the error is still under-integrated
-        ratio = cc.solve_degree(exact, N, boost=boost).errF / _best_h1_error(N)
+        ratio = cc.solve_degree(exact, cc.Discretization(N, boost=boost)).errF / _best_h1_error(N)
         assert ratio >= 0.99, (N, boost, ratio)
 
     def test_evaluates_each_table_once(self, exact, solved, monkeypatch):
@@ -939,7 +940,7 @@ class TestMeasures:
         bd = cc.project_boundary_data(exact, disc)
         sol = cc.solve_both(bd, disc)
         w = cc._weak_curl(_dofs(sol.dirichlet, N, "edges"), bd, disc)
-        assert cc.solve_degree(exact, N, rule) == cc.DegreeRecord(
+        assert cc.solve_degree(exact, disc) == cc.DegreeRecord(
             N, cc.norm_F(sol.neumann, disc), cc.norm_E(sol.dirichlet, bd, disc),
             *cc.error_norms(sol, exact, disc), equivalence_residual(sol, disc),
             cc._weak_curl_residual(_dofs(sol.neumann, N), disc.gram._solve_mass0(w)),
@@ -950,14 +951,14 @@ class TestMeasures:
         exact = cc.exponential_pair()
         disc = cc.Discretization(3, boost=4)
         sol = cc.solve_both(cc.project_boundary_data(exact, disc), disc)
-        record = cc.solve_degree(exact, 3, boost=4)
+        record = cc.solve_degree(exact, disc)
         assert (record.errF, record.errE) == cc.error_norms(sol, exact, disc)
-        assert record != cc.solve_degree(exact, 3)
+        assert record != cc.solve_degree(exact, cc.Discretization(3))
 
     def test_names_the_missing_exact_part(self):
         bare = cc.AnalyticField(Ex=lambda x, y: np.exp(y), Ey=lambda x, y: -np.exp(x))
         with pytest.raises(ValueError, match=r"exact field's scalar and vector_curl$"):
-            cc.solve_degree(bare, 3)
+            cc.solve_degree(bare, cc.Discretization(3))
 
 
 class TestPlaneWave:
@@ -981,8 +982,8 @@ class TestPlaneWave:
         # errF and errE at N=12 and t=0.3 sit on the space's floor, which
         # the `gauss` errF is (the Galerkin projection, Cea's lemma): 7.3e-13
         wave = cc.plane_wave(0.3)
-        floor = cc.solve_degree(wave, 12, "gauss").errF
-        record = cc.solve_degree(wave, 12)
+        floor = cc.solve_degree(wave, cc.Discretization(12, "gauss")).errF
+        record = cc.solve_degree(wave, cc.Discretization(12))
         assert 7.2e-13 < floor < 7.4e-13
         assert floor <= record.errF <= 1.01 * floor  # `lobatto`: 1.0026 times it
         assert abs(record.errE - record.errF) <= 1e-3 * record.errF

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -280,8 +281,24 @@ def test_unknown_rule_rejected(make):
         make(3, "simpson")
 
 
+def test_options_fail_before_set_up(monkeypatch):
+    # a bad rule or boost raises its own error before any node set is computed,
+    # so it costs the same at N=1500 as at N=3
+    def unreachable(degree):
+        raise AssertionError("set-up ran before the options were checked")
+
+    monkeypatch.setattr(galerkin, "gll_nodes", unreachable)
+    for make in (GramSet, cc.Discretization):
+        with pytest.raises(ValueError, match=r"^unknown quadrature rule 'simpson'$"):
+            make(3, "simpson")
+    with pytest.raises(ValueError, match=r"^boost must be >= 1, got 0$"):
+        cc.Discretization(3, boost=0)
+
+
 def test_one_rule_default():
-    # the collocated rule of the published norm table; a GramSet is always told
+    # the collocated rule of the published norm table; a GramSet is always told,
+    # and solve_degree reads both options from the Discretization it is handed
     assert cc.Discretization(3).gram.rule == "lobatto"
     with pytest.raises(TypeError):
         GramSet(3)
+    assert list(inspect.signature(cc.solve_degree).parameters) == ["field", "disc"]
